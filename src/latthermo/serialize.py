@@ -91,6 +91,7 @@ def save_point(outdir: Path, name: str, point: StationaryPoint) -> None:
         "lam": None if point.lam is None else repr(point.lam),
         "sigma": [repr(point.sigma[0]), repr(point.sigma[1])],
         "n_iter": point.n_iter,
+        "route": point.route,
         "certificate": None if point.certificate is None else {
             **point.certificate.to_dict(),
             "eigenvalues": [repr(float(v)) for v in point.certificate.eigenvalues],
@@ -125,4 +126,5 @@ def load_point(outdir: Path, name: str, model, cell: Supercell) -> StationaryPoi
         gradient_norm=float(meta["gradient_norm"]), certificate=cert,
         sigma=(float(meta["sigma"][0]), float(meta["sigma"][1])),
         model_hash=meta["model_hash"], n_iter=meta["n_iter"],
-        lam=None if meta["lam"] is None else float(meta["lam"]))
+        lam=None if meta["lam"] is None else float(meta["lam"]),
+        route=meta.get("route"))

@@ -8,6 +8,8 @@ part of the spectrum only, with a hard error on ambiguous eigenvalues.
 
 from __future__ import annotations
 
+import copy
+import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -42,6 +44,10 @@ __all__ = [
 ]
 
 DENSE_LIMIT = 6000
+DENSE_EIG_LIMIT = 400        # extremal eigenpairs: dense eigh up to this dimension
+LOBPCG_TOL = 1e-10           # LOBPCG residual bound, relative to the operator norm
+LOBPCG_MAXITER = 400
+LOBPCG_GUARD = 2
 ZERO_TOL_FACTOR = 1e-8
 GAP_FACTOR = 10.0
 
@@ -327,10 +333,8 @@ def logdet_plus_factorized(H: LinearLatticeOperator, negatives: Sequence[float] 
     """
     cell = H.cell
     n, m = cell.n, cell.spec.m
-    Z = sp.lil_matrix((n * m, m))
-    for i in range(m):
-        Z[i::m, i] = 1.0 / np.sqrt(n)
-    M = sp.bmat([[sp.csc_matrix(H.mat), Z.tocsc()], [Z.T.tocsc(), None]], format="csc")
+    Z = sp.csc_matrix(_translation_modes(n, m))
+    M = sp.bmat([[sp.csc_matrix(H.mat), Z], [Z.T, None]], format="csc")
     lu = spla.splu(M)
     diag = lu.U.diagonal()
     if np.any(diag == 0):
@@ -444,22 +448,73 @@ def _shifted_operator(matvec, dim: int, n: int, m: int, pi_shift: float,
     return spla.LinearOperator((dim, dim), matvec=mv, dtype=float)
 
 
+def _translation_modes(n: int, m: int) -> np.ndarray:
+    """Orthonormal constant fields, one column per component; (n m, m)."""
+    return np.kron(np.full((n, 1), 1.0 / np.sqrt(n)), np.eye(m))
+
+
+def _lobpcg_eig(matvec, cell: Supercell, norm_scale: float, k: int,
+                deflate: Sequence[np.ndarray], mode: str, seed: int, precond, X0):
+    """Preconditioned LOBPCG on the complement of the translations and ``deflate``."""
+    n, m = cell.n, cell.spec.m
+    dim = n * m
+    Y = np.column_stack([_translation_modes(n, m), *deflate])
+    # guard columns: a wanted eigenvalue inside a near-degenerate cluster (the
+    # acoustic band edge) stalls a block that ends at it
+    X = np.random.default_rng(seed).standard_normal((dim, k + LOBPCG_GUARD))
+    if X0 is not None:
+        X0 = np.asarray(X0, dtype=float).reshape(dim, -1)[:, :X.shape[1]]
+        X[:, :X0.shape[1]] = X0
+    res_tol = LOBPCG_TOL * max(norm_scale, 1.0)
+    with warnings.catch_warnings():
+        # non-convergence is judged below from the explicit residuals
+        warnings.simplefilter("ignore", UserWarning)
+        w, V = spla.lobpcg(matvec, X, M=precond, Y=Y, tol=res_tol, maxiter=LOBPCG_MAXITER,
+                           largest=(mode == "LA"))
+    order = (np.argsort(w) if mode == "SA" else np.argsort(-w))[:k]
+    w, V = w[order], V[:, order]
+    # scipy locks converged columns and mixes them once more at the end, so a
+    # column may finish a little above the tolerance it met: check at 10x
+    res = np.linalg.norm(np.asarray(matvec(V)) - V * w, axis=0)
+    if not np.all(res <= 10.0 * res_tol):
+        raise RuntimeError(f"LOBPCG eigenpair residual {np.max(res):g} above {10 * res_tol:g}")
+    return w, V
+
+
 def _extremal_eig(matvec, cell: Supercell, norm_scale: float, k: int = 1,
                   deflate: Sequence[np.ndarray] = (), mode: str = "SA",
-                  tol: float = 1e-12, seed: int = 7, shiftless: bool = False):
+                  tol: float = 1e-12, seed: int = 7, shiftless: bool = False,
+                  precond=None, X0: np.ndarray | None = None):
     """Extremal eigenpairs of a symmetric operator with constants (and optional
     extra vectors) shifted out of the way; ``shiftless`` keeps the translation
-    zeros in view (used by certification)."""
+    zeros in view (used by certification). ``matvec`` takes (dim,) vectors
+    and (dim, batch) blocks.
+
+    The route follows from the inputs. Up to ``DENSE_EIG_LIMIT`` degrees of
+    freedom the operator is built in one block matvec and diagonalised
+    densely. Given a symmetric positive preconditioner ``precond`` (a map of
+    blocks, such as F_N^2 = (H^hom)^+ for a lattice Hessian), LOBPCG runs on
+    the zero-mean subspace, started from ``X0`` when given; its residuals
+    are checked and a miss raises RuntimeError. Otherwise ARPACK runs from a
+    seeded random zero-mean start, to relative tolerance ``tol``.
+    """
     n, m = cell.n, cell.spec.m
     dim = n * m
     shift = 10.0 * norm_scale if mode == "SA" else -10.0 * norm_scale
-    op = _shifted_operator(matvec, dim, n, m, 0.0 if shiftless else shift, shift, deflate)
-    if dim <= 400:
-        A = np.column_stack([op.matvec(col) for col in np.eye(dim)])
+    if dim <= DENSE_EIG_LIMIT:
+        eye = np.eye(dim)
+        A = np.asarray(matvec(eye), dtype=float)
+        if not shiftless:
+            A = A + shift * _mean_project(eye, n, m)
+        for vec in deflate:
+            A = A + shift * np.outer(vec, vec)
         w, V = np.linalg.eigh(0.5 * (A + A.T))
         order = np.argsort(w) if mode == "SA" else np.argsort(-w)
         idx = order[:k]
         return w[idx], V[:, idx]
+    if precond is not None:
+        return _lobpcg_eig(matvec, cell, norm_scale, k, deflate, mode, seed, precond, X0)
+    op = _shifted_operator(matvec, dim, n, m, 0.0 if shiftless else shift, shift, deflate)
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(dim)
     v0 -= _mean_project(v0, n, m)
@@ -524,6 +579,12 @@ class FApplier:
         what = np.einsum("kij,kjb->kib", self.fhat, vhat, optimize=True)
         out = self.cell.idft(what).real.reshape(v.shape if not single else (-1, 1))
         return out[:, 0] if single else out.reshape(v.shape)
+
+    def squared(self) -> "FApplier":
+        """F_N^2 = (H^hom)^+, applied the same way; a preconditioner for Hessians."""
+        sq = copy.copy(self)
+        sq.fhat = np.einsum("kij,kjl->kil", self.fhat, self.fhat, optimize=True)
+        return sq
 
 
 def _fhf_matvec(F: FApplier, H: LinearLatticeOperator):
@@ -641,6 +702,12 @@ def site_log_traces(H: LinearLatticeOperator, model: PotentialModel,
     coef = poly.coef
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
 
+    def project(X):
+        X = X - _mean_project(X, n, m)
+        for vec in deflate:
+            X -= np.outer(vec, vec @ X)
+        return X
+
     traces = np.zeros(len(sites))
     cols_per_chunk = max(1, 256 // m)
     for lo in range(0, len(sites), cols_per_chunk):
@@ -650,14 +717,14 @@ def site_log_traces(H: LinearLatticeOperator, model: PotentialModel,
         for j, s in enumerate(batch_sites):
             for i in range(m):
                 E[s * m + i, j * m + i] = 1.0
-        Ed = E - _mean_project(E, n, m)
-        for vec in deflate:
-            Ed -= np.outer(vec, vec @ Ed)
+        # rounding-level components along the translations and deflated modes
+        # grow like T_k((0 - mid) / half) in the recurrence: project every term
+        Ed = project(E)
         t_prev = Ed
-        t_cur = (matvec(Ed) - mid * Ed) / half
+        t_cur = project((matvec(Ed) - mid * Ed) / half)
         acc = coef[0] * t_prev + (coef[1] * t_cur if len(coef) > 1 else 0.0)
         for ck in coef[2:]:
-            t_next = 2.0 * (matvec(t_cur) - mid * t_cur) / half - t_prev
+            t_next = project(2.0 * (matvec(t_cur) - mid * t_cur) / half - t_prev)
             acc += ck * t_next
             t_prev, t_cur = t_cur, t_next
         for j, s in enumerate(batch_sites):

@@ -8,6 +8,7 @@ a symmetric-subspace fallback for models that declare a mirror symmetry.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
@@ -24,6 +25,7 @@ from .spectral import (
     _fhf_matvec,
     _mean_project,
     _operator_norm_estimate,
+    _translation_modes,
     classify_eigenvalues,
     smallest_eigenpair,
 )
@@ -37,6 +39,8 @@ __all__ = [
     "continue_in_N",
     "certify",
 ]
+
+logger = logging.getLogger(__name__)
 
 
 class CertificationError(RuntimeError):
@@ -65,6 +69,7 @@ class StationaryPoint:
     lam: float | None = None        # unstable eigenvalue at a saddle
     phi: np.ndarray | None = None   # unstable mode at a saddle
     gradient_history: list = field(default_factory=list)
+    route: str | None = None        # saddle route: follow, symmetric or symmetric_fallback
 
     @property
     def N(self) -> int:
@@ -75,11 +80,9 @@ def _bordered_solve(H: sp.spmatrix, nu: float, rhs: np.ndarray, cell: Supercell)
     """Solve (H + nu I) p = rhs on the zero-mean subspace via translation borders."""
     n, m = cell.n, cell.spec.m
     dim = n * m
-    Z = sp.lil_matrix((dim, m))
-    for i in range(m):
-        Z[i::m, i] = 1.0 / np.sqrt(n)
+    Z = sp.csc_matrix(_translation_modes(n, m))
     K = H + nu * sp.identity(dim, format="csr")
-    M = sp.bmat([[K, Z.tocsc()], [Z.T.tocsc(), None]], format="csc")
+    M = sp.bmat([[K, Z], [Z.T, None]], format="csc")
     sol = spla.splu(M).solve(np.concatenate([rhs, np.zeros(m)]))
     return sol[:dim]
 
@@ -174,12 +177,22 @@ def relax_minimum(model: PotentialModel, cell: Supercell,
             if slope >= 0:
                 nu = max(10.0 * nu, 1e-6)
                 continue
+            # a predicted decrease below the rounding of E cannot be seen in E:
+            # then a step must lower |g| instead
+            flat = -slope <= 1e3 * np.finfo(float).eps * max(abs(energy), 1.0)
             t = 1.0
             while t > 1e-6:
                 trial = u + t * p
                 trial -= trial.mean(axis=0)
                 e_t = energy_periodic(model, DisplacementField(cell, trial)).value
-                if e_t <= energy + 1e-4 * t * slope:
+                if flat:
+                    g_t = gradient_periodic(model, DisplacementField(cell, trial))
+                    if symmetrize is not None:
+                        g_t = symmetrize(g_t)
+                    decreased = float(np.linalg.norm(g_t)) < gnorm
+                else:
+                    decreased = e_t <= energy + 1e-4 * t * slope
+                if decreased:
                     u, energy = trial, e_t
                     accepted = True
                     break
@@ -266,15 +279,23 @@ def find_saddle(model: PotentialModel, cell: Supercell,
     """
     if method not in ("auto", "follow", "symmetric"):
         raise ValueError("method must be auto, follow or symmetric")
+    fell_back = False
     if method in ("auto", "follow"):
         try:
             return _saddle_follow(model, cell, guess_pair, initial_guess, max_iter, step_max)
-        except (RuntimeError, AmbiguousSpectrumError):
+        except (RuntimeError, AmbiguousSpectrumError) as exc:
             if method == "follow" or model.mirror is None:
                 raise
+            logger.warning("eigenvector following failed at N=%d (%s: %s); "
+                           "falling back to the symmetric route",
+                           cell.N, type(exc).__name__, exc)
+            fell_back = True
     if model.mirror is None:
         raise CertificationError("symmetric saddle search requires a declared mirror")
-    return _saddle_symmetric(model, cell, max_iter)
+    point = _saddle_symmetric(model, cell, max_iter)
+    if fell_back:
+        point.route = "symmetric_fallback"
+    return point
 
 
 def _initial_saddle_guess(cell: Supercell, guess_pair, initial_guess) -> np.ndarray:
@@ -296,19 +317,21 @@ def _saddle_follow(model: PotentialModel, cell: Supercell, guess_pair,
     u = _initial_saddle_guess(cell, guess_pair, initial_guess)
     u -= u.mean(axis=0)
     n, m = cell.n, cell.spec.m
+    precond = FApplier(cell, model).squared().apply
     track = None
+    V = None                        # the previous step's two softest modes warm-start the next
     gnorm_prev = np.inf
     for n_iter in range(1, max_iter + 1):
         fld = DisplacementField(cell, u)
         g = gradient_periodic(model, fld).reshape(-1)
         gnorm = float(np.linalg.norm(g))
-        if gnorm <= tol:
-            break
         H = hessian(model, fld)
         matvec = lambda v: np.asarray(H.mat @ v)
         scale = _operator_norm_estimate(matvec, n * m)
         # constants shifted out of view: the two softest non-translation modes
-        w, V = _extremal_eig(matvec, cell, scale, k=2, mode="SA")
+        w, V = _extremal_eig(matvec, cell, scale, k=2, mode="SA", precond=precond, X0=V)
+        if gnorm <= tol:
+            break
         cand = [(float(w[j]), V[:, j]) for j in range(len(w))]
         if track is not None and len(cand) > 1:
             overlaps = [abs(v @ track) for _, v in cand]
@@ -338,18 +361,18 @@ def _saddle_follow(model: PotentialModel, cell: Supercell, guess_pair,
         raise RuntimeError(f"saddle search did not converge in {max_iter} iterations "
                            f"(|g|={gnorm_prev:g})")
 
-    fld = DisplacementField(cell, u - u.mean(axis=0))
-    g = gradient_periodic(model, fld)
-    gnorm = float(np.linalg.norm(g))
+    # the softest mode of the converged point comes from its last eigen solve
     cls, _ = _certify_spectrum(model, fld, "saddle")
-    H = hessian(model, fld)
-    lam, phi = smallest_eigenpair(H)
+    lam = float(w[0])
     if lam >= 0:
         raise CertificationError("converged point has no unstable mode", cls)
+    phi = V[:, 0] - _mean_project(V[:, 0], n, m)
+    phi /= np.linalg.norm(phi)
     sig = _fhf_sigma_bounds(model, fld, expected_negative=1)
     energy = energy_periodic(model, fld).value
     return StationaryPoint("saddle", fld, energy, gnorm, cls, sig,
-                           model.model_hash(), n_iter, lam=float(lam), phi=phi)
+                           model.model_hash(), n_iter, lam=lam, phi=phi.reshape(n, m),
+                           route="follow")
 
 
 def _saddle_symmetric(model: PotentialModel, cell: Supercell, max_iter: int) -> StationaryPoint:
@@ -363,7 +386,8 @@ def _saddle_symmetric(model: PotentialModel, cell: Supercell, max_iter: int) -> 
         raise CertificationError("symmetric stationary point is not index-1", cls)
     sig = _fhf_sigma_bounds(model, fld, expected_negative=1)
     return StationaryPoint("saddle", fld, point.energy, point.gradient_norm, cls, sig,
-                           model.model_hash(), point.n_iter, lam=float(lam), phi=phi)
+                           model.model_hash(), point.n_iter, lam=float(lam), phi=phi,
+                           route="symmetric")
 
 
 def continue_in_N(model: PotentialModel, point: StationaryPoint,

@@ -26,6 +26,7 @@ def test_point_roundtrip_and_model_guard(tmp_path):
     assert back is not None
     assert back.energy == pt.energy
     assert np.array_equal(back.u.values, pt.u.values)
+    assert back.route is None
     other = preset_model("square_anharmonic")
     assert load_point(tmp_path, "min_N3", other, cell) is None
 
@@ -83,3 +84,10 @@ def test_rate_report_json_fields(tmp_path):
     assert payload["certificates"]["minimum"]
     assert payload["certificates"]["saddle"]
     assert len(payload["sigma_saddle"]) == 2
+    save_point(tmp_path, "saddle_N4", saddle)
+    assert load_point(tmp_path, "saddle_N4", model, cell).route == "follow"
+    meta_path = tmp_path / "saddle_N4.json"
+    meta = json.loads(meta_path.read_text())
+    del meta["route"]                   # a point written before routes were recorded
+    meta_path.write_text(json.dumps(meta))
+    assert load_point(tmp_path, "saddle_N4", model, cell).route is None

@@ -283,8 +283,15 @@ class TestSiteTraces:
         assert abs(traces.sum() - v) < 1e-9 * max(1.0, abs(v))
         assert info["method"] == "dense"
 
-    def test_chebyshev_matches_dense(self):
-        model, cell, u = stable_state("square_misfit", N=4, scale=0.03)
+    @pytest.mark.parametrize("state", ["random_N4", "relaxed_N12"])
+    def test_chebyshev_matches_dense(self, state):
+        if state == "random_N4":
+            model, cell, u = stable_state("square_misfit", N=4, scale=0.03)
+        else:
+            from latthermo import relax_minimum
+            model = preset_model("square_misfit")
+            cell = Supercell(model.spec, 12)
+            u = relax_minimum(model, cell).u
         H = hessian(model, u)
         sites = np.arange(0, cell.n, 7)
         dense, _ = site_log_traces(H, model, sites, method="dense")

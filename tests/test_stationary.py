@@ -46,6 +46,14 @@ def mirror_image(model, cell, values):
     return values[perm] @ np.asarray(model.mirror, float).T
 
 
+def double_well_minimum(N, kick=(0.15, 0.0)):
+    model = preset_model("square_double_well")
+    cell = Supercell(model.spec, N)
+    guess = np.zeros((cell.n, 2))
+    guess[cell.index((0, 0))] = kick
+    return model, cell, relax_minimum(model, cell, initial_guess=guess)
+
+
 class TestRelaxMinimum:
     def test_homogeneous_zero_is_fixed_point(self):
         model = preset_model("square_anharmonic")
@@ -95,6 +103,16 @@ class TestRelaxMinimum:
         assert abs(pt.energy - pt2.energy) < 1e-10
         assert np.max(np.abs(pt.u.values - pt2.u.values)) < 1e-7
 
+    @pytest.mark.parametrize("N, kick", [(4, (0.135, 0.0)), (4, (0.145, -0.005)),
+                                         (6, (0.13, 0.01))])
+    def test_converges_below_energy_rounding(self, N, kick):
+        # the last Newton steps predict energy drops below the rounding of E
+        _, cell, pt = double_well_minimum(N, kick)
+        _, _, shipped = double_well_minimum(N)
+        assert pt.gradient_norm <= tol_grad(cell)
+        assert pt.certificate.n_negative == 0
+        assert abs(pt.energy - shipped.energy) < 1e-10
+
     def test_minimiser_field_decay(self):
         model = preset_model("square_misfit")
         cell = Supercell(model.spec, 12)
@@ -106,11 +124,7 @@ class TestRelaxMinimum:
 
 class TestFindSaddle:
     def setup_method(self):
-        self.model = preset_model("square_double_well")
-        self.cell = Supercell(self.model.spec, 4)
-        kick = np.zeros((self.cell.n, 2))
-        kick[self.cell.index((0, 0))] = [0.15, 0.0]
-        self.minimum = relax_minimum(self.model, self.cell, initial_guess=kick)
+        self.model, self.cell, self.minimum = double_well_minimum(4)
 
     def test_two_mirror_minima(self):
         vals2 = mirror_image(self.model, self.cell, self.minimum.u.values)
@@ -130,22 +144,38 @@ class TestFindSaddle:
         phi_ref = mirror_image(self.model, self.cell, sd.phi)
         assert np.linalg.norm(phi_ref + sd.phi) < 1e-8
 
-    def test_lambda_matches_dense_oracle(self):
-        vals2 = mirror_image(self.model, self.cell, self.minimum.u.values)
-        sd = find_saddle(self.model, self.cell,
-                         guess_pair=(self.minimum.u.values, vals2))
-        H = hessian(self.model, sd.u).dense()
+    @pytest.mark.parametrize("N", [4, 8])         # N=8 (512 dofs) leaves the dense route
+    def test_lambda_matches_dense_oracle(self, N):
+        model, cell, minimum = double_well_minimum(N)
+        vals2 = mirror_image(model, cell, minimum.u.values)
+        sd = find_saddle(model, cell, guess_pair=(minimum.u.values, vals2))
+        H = hessian(model, sd.u).dense()
         w = np.sort(np.linalg.eigvalsh(H))
         assert abs(sd.lam - w[0]) < 0.2 * abs(w[0])
         assert abs(sd.lam - w[0]) < 1e-9   # in fact they agree to solver accuracy
 
-    def test_symmetric_route_agrees_with_following(self):
-        vals2 = mirror_image(self.model, self.cell, self.minimum.u.values)
-        sd1 = find_saddle(self.model, self.cell,
-                          guess_pair=(self.minimum.u.values, vals2), method="follow")
-        sd2 = find_saddle(self.model, self.cell, method="symmetric")
+    @pytest.mark.parametrize("N", [4, 16, 20, 24])
+    def test_symmetric_route_agrees_with_following(self, N):
+        model, cell, minimum = double_well_minimum(N)
+        vals2 = mirror_image(model, cell, minimum.u.values)
+        sd1 = find_saddle(model, cell, guess_pair=(minimum.u.values, vals2), method="auto")
+        sd2 = find_saddle(model, cell, method="symmetric")
+        assert sd1.route == "follow"
+        assert sd2.route == "symmetric"
         assert abs(sd1.energy - sd2.energy) < 1e-8
         assert np.max(np.abs(sd1.u.values - sd2.u.values)) < 1e-6
+
+    def test_fallback_is_recorded(self, monkeypatch, caplog):
+        from latthermo import stationary
+
+        def no_follow(*args, **kwargs):
+            raise RuntimeError("following failed")
+
+        monkeypatch.setattr(stationary, "_saddle_follow", no_follow)
+        with caplog.at_level("WARNING", logger="latthermo.stationary"):
+            sd = find_saddle(self.model, self.cell, method="auto")
+        assert sd.route == "symmetric_fallback"
+        assert "following failed" in caplog.text
 
     def test_converging_to_minimum_is_an_error(self):
         model = preset_model("square_misfit")
