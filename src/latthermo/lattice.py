@@ -3,7 +3,8 @@
 The supercell of level N collects the lattice points inside B(-N,N]^d; its
 dual group is the finite k-grid on which the discrete Fourier transform is
 orthogonal. All site bookkeeping is done in integer coordinates x with
-site = A x, which keeps wrapping and membership tests exact.
+site = A x, which keeps wrapping and membership tests exact; a diagonal
+form of 2N A^-1 B puts sites and k-points of every cell on one FFT grid.
 """
 
 from __future__ import annotations
@@ -189,24 +190,46 @@ def _enumerate_cell(C: np.ndarray, N: int) -> np.ndarray:
     return pts[order]
 
 
-def _wrap_points(x: np.ndarray, C: np.ndarray, N: int) -> np.ndarray:
-    """Canonical representatives of x modulo 2N C Z^d (exact integer arithmetic)."""
-    adj, det = _adjugate_int(C)
-    D = 2 * N * det
-    if D < 0:
-        adj, D = -adj, -D
-    a = x @ adj.T                        # det * C^-1 x
-    # want z with (a - det*2N*C... ) : t = a/D, z = ceil(t - 1/2) = floor((2a + D - 1)/(2D))
-    z = (2 * a + D - 1) // (2 * D)
-    return x - 2 * N * (z @ C.T)
+def _diagonal_form(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """Unimodular U, V with U M V = diag(s), s > 0, in exact integer arithmetic.
+
+    Then x -> U x mod s maps Z^d / M Z^d onto Z/s_1 + ... + Z/s_d. The s_i
+    need not divide each other (any diagonal form will do); a diagonal M
+    with positive entries gives U = V = I.
+    """
+    d = M.shape[0]
+    I, O = np.eye(d, dtype=np.int64), np.zeros((d, d), dtype=np.int64)
+    # row operations act on [M | I] and column operations on [M ; I], so the
+    # block right of M accumulates U and the block below it V
+    W = np.block([[M, I], [I, O]]).astype(object)       # Python integers: no overflow
+    for t in range(d):
+        while np.any(W[t + 1:d, t] != 0) or np.any(W[t, t + 1:d] != 0):
+            # move the smallest nonzero entry of row t or column t to the pivot
+            line = [(i, t) for i in range(t, d)] + [(t, j) for j in range(t + 1, d)]
+            i, j = min((c for c in line if W[c] != 0), key=lambda c: abs(W[c]))
+            W[[t, i]] = W[[i, t]]
+            W[:, [t, j]] = W[:, [j, t]]
+            for i in range(t + 1, d):
+                W[i] -= W[i, t] // W[t, t] * W[t]
+            for j in range(t + 1, d):
+                W[:, j] -= W[t, j] // W[t, t] * W[:, t]
+        if W[t, t] < 0:
+            W[t] *= -1
+    U, V = W[:d, d:].astype(np.int64), W[d:, :d].astype(np.int64)
+    s = tuple(int(v) for v in np.diagonal(W))[:d]
+    if (not np.array_equal(U @ M @ V, np.diag(s)) or min(s) < 1
+            or abs(_adjugate_int(U)[1]) != 1 or abs(_adjugate_int(V)[1]) != 1):
+        raise ConfigurationError("diagonal form of the supercell matrix failed")
+    return U, V, s
 
 
 class Supercell:
     """Periodic supercell of level N: site enumeration, wrapping, stencils, DFT.
 
     Sites are stored in integer coordinates (rows of ``x``); real positions
-    are ``x @ A.T``. A fast FFT transform is used when A^-1 B is diagonal,
-    otherwise a dense DFT matrix over the exact dual group.
+    are ``x @ A.T``. With unimodular U, V and U (2N C) V = diag(s), site x
+    sits in slot U x mod s of an s-shaped grid and dual label y in slot
+    V^T y mod s: on every cell, lookup is a table read and the DFT an FFT.
     """
 
     def __init__(self, spec: LatticeSpec, N: int, check_interaction: bool = True):
@@ -221,32 +244,35 @@ class Supercell:
             raise ConfigurationError(f"site enumeration produced {self.n} sites, expected {expect}")
         self.pos = self.x @ spec.A.T
         self.r = np.linalg.norm(self.pos, axis=1)
-        self._index: dict[tuple, int] = {tuple(p): i for i, p in enumerate(self.x.tolist())}
-        # the interaction ball must embed into the cell for stencil energetics
-        ball = spec.stencil_x
-        wrapped = _wrap_points(ball, spec.C, N)
-        self.interaction_fits = bool(np.array_equal(ball, wrapped))
+        self._U, V, self._fft_shape = _diagonal_form(2 * self.N * spec.C)
+        self._x_slots = self._slots(self.x, self._U)
+        self._site_at_slot = np.argsort(self._x_slots)      # inverse permutation
+        self._neighbors = self.site_indices(self.x[:, None, :] + spec.stencil_x[None, :, :])
+        # the interaction ball must embed into the cell for stencil energetics;
+        # the origin's neighbours are the wrapped ball
+        origin = self._site_at_slot[0]
+        self.interaction_fits = bool(np.array_equal(self.x[self._neighbors[origin]],
+                                                    spec.stencil_x))
         if check_interaction and not self.interaction_fits:
             raise PreconditionError(f"N={N} too small for r_cut={spec.r_cut}")
-        self._neighbors = self.site_indices(self.x[:, None, :] + spec.stencil_x[None, :, :])
         self.dual = self._build_dual()
-        self._fft_shape = self._diagonal_fft_shape()
-        self._dft_matrix_cache: np.ndarray | None = None
+        self._y_slots = self._slots(self.dual.y, V.T)
+        self._dual_at_slot = np.argsort(self._y_slots)
 
     # -- site bookkeeping -------------------------------------------------
 
+    def _slots(self, x: np.ndarray, T: np.ndarray) -> np.ndarray:
+        """Flat grid slots ravel(T x mod s) of (..., d) integer points."""
+        r = np.mod(np.asarray(x, dtype=np.int64) @ T.T, self._fft_shape)
+        return np.ravel_multi_index(tuple(np.moveaxis(r, -1, 0)), self._fft_shape)
+
     def wrap(self, x: np.ndarray) -> np.ndarray:
-        return _wrap_points(np.asarray(x, dtype=np.int64), self.spec.C, self.N)
+        """Canonical representatives (rows of ``self.x``) of points x modulo 2N C Z^d."""
+        return self.x[self.site_indices(x)]
 
     def site_indices(self, x: np.ndarray) -> np.ndarray:
         """Ordinals of (...,(d)) integer points after periodic wrapping."""
-        x = np.asarray(x, dtype=np.int64)
-        shape = x.shape[:-1]
-        w = self.wrap(x.reshape(-1, x.shape[-1]))
-        idx = np.fromiter(
-            (self._index[tuple(p)] for p in w.tolist()), dtype=np.int64, count=w.shape[0]
-        )
-        return idx.reshape(shape)
+        return self._site_at_slot[self._slots(x, self._U)]
 
     def index(self, x: Iterable[int]) -> int:
         return int(self.site_indices(np.asarray(list(x), dtype=np.int64)[None, :])[0])
@@ -275,57 +301,29 @@ class Supercell:
         k = (np.pi / self.N) * np.linalg.solve(self.spec.B.T, y.T).T
         return DualGrid(N=self.N, y=y, k=k)
 
-    def _diagonal_fft_shape(self) -> tuple[int, ...] | None:
-        C = self.spec.C
-        if np.array_equal(C, np.diag(np.diag(C))) and np.all(np.diag(C) > 0):
-            return tuple(int(2 * self.N * c) for c in np.diag(C))
-        return None
-
-    def _dft_matrix(self) -> np.ndarray:
-        if self._dft_matrix_cache is None:
-            # phase k.ell = (pi/N) y^T C^-1 x
-            Cinv = np.linalg.inv(self.spec.C.astype(float))
-            phase = (np.pi / self.N) * (self.dual.y @ Cinv @ self.x.T)
-            self._dft_matrix_cache = np.exp(1j * phase)
-        return self._dft_matrix_cache
-
-    def _grid_scatter_indices(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-        shape = self._fft_shape
-        gx = tuple(np.mod(self.x[:, i], shape[i]) for i in range(self.spec.d))
-        gy = tuple(np.mod(self.dual.y[:, i], shape[i]) for i in range(self.spec.d))
-        return gx, gy
+    def _fft(self, f: np.ndarray, at_slot: np.ndarray, out_slots: np.ndarray,
+             transform: Callable) -> np.ndarray:
+        """Lay f out on the s-grid, transform the grid axes, read it back at out_slots."""
+        grid = f[at_slot].astype(complex, copy=False).reshape(self._fft_shape + f.shape[1:])
+        grid = transform(grid, axes=tuple(range(self.spec.d)))
+        return grid.reshape((self.n,) + f.shape[1:])[out_slots]
 
     def dft(self, f: np.ndarray) -> np.ndarray:
-        """g_hat(k) = sum_ell e^{i k.ell} f(ell); f has shape (n, ...)."""
+        """g_hat(k) = sum_ell e^{i k.ell} f(ell); f has shape (n, ...).
+
+        k.ell = 2 pi (V^T y)^T diag(s)^-1 (U x), so this is an inverse FFT of shape s.
+        """
         f = np.asarray(f)
         if f.shape[0] != self.n:
             raise ValueError(f"field has {f.shape[0]} entries, cell has {self.n} sites")
-        if self._fft_shape is None:
-            E = self._dft_matrix()
-            return np.tensordot(E, f, axes=(1, 0))
-        shape = self._fft_shape
-        gx, gy = self._grid_scatter_indices()
-        grid = np.zeros(shape + f.shape[1:], dtype=complex)
-        grid[gx] = f
-        d = self.spec.d
-        ghat = np.fft.ifftn(grid, axes=tuple(range(d))) * np.prod(shape)
-        return ghat[gy]
+        return self._fft(f, self._site_at_slot, self._y_slots, np.fft.ifftn) * self.n
 
     def idft(self, fhat: np.ndarray) -> np.ndarray:
         """Inverse transform: f(ell) = |B_N|^-1 sum_k e^{-i k.ell} g_hat(k)."""
         fhat = np.asarray(fhat, dtype=complex)
         if fhat.shape[0] != self.n:
             raise ValueError("spectrum size does not match dual grid")
-        if self._fft_shape is None:
-            E = self._dft_matrix()
-            return np.tensordot(E.conj().T, fhat, axes=(1, 0)) / self.n
-        shape = self._fft_shape
-        gx, gy = self._grid_scatter_indices()
-        grid = np.zeros(shape + fhat.shape[1:], dtype=complex)
-        grid[gy] = fhat
-        d = self.spec.d
-        f = np.fft.fftn(grid, axes=tuple(range(d))) / np.prod(shape)
-        return f[gx]
+        return self._fft(fhat, self._dual_at_slot, self._x_slots, np.fft.fftn) / self.n
 
     # -- fields -----------------------------------------------------------
 

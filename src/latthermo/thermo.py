@@ -15,10 +15,11 @@ import scipy.sparse as sp
 
 from .assembly import hessian, variation_contractions
 from .fitting import RateFit, envelope_decay
-from .lattice import DisplacementField
-from .potentials import PotentialModel
+from .lattice import DisplacementField, Supercell
+from .potentials import PotentialModel, symbol_h_batch
 from .spectral import (
     DENSE_LIMIT,
+    AmbiguousSpectrumError,
     KernelTable,
     generalized_eigen,
     kernel_FN,
@@ -132,9 +133,9 @@ def _resolve_state(model: PotentialModel, state) -> tuple[DisplacementField, str
     raise TypeError("state must be a StationaryPoint or DisplacementField")
 
 
-def _logdet_plus_hessian(model: PotentialModel, u: DisplacementField, kind: str,
+def _logdet_plus_hessian(model: PotentialModel, u: DisplacementField,
                          expected_negative: int, lam: float | None) -> float:
-    H = hessian(model, u, kind=kind)
+    H = hessian(model, u, kind="defect")
     dim = u.cell.n * u.cell.spec.m
     if dim <= DENSE_LIMIT:
         val, _ = logdet_plus(H, expected_zero=u.cell.spec.m,
@@ -147,6 +148,20 @@ def _logdet_plus_hessian(model: PotentialModel, u: DisplacementField, kind: str,
     return logdet_plus_factorized(H, negatives=negatives)
 
 
+def _logdet_plus_homogeneous(model: PotentialModel, cell: Supercell) -> float:
+    """log det+ H_N^hom in closed form: sum over k != 0 of log det h_hat(k).
+
+    H_N^hom is block-diagonal on the dual grid; its k = 0 block holds the m
+    translation zeros that det+ leaves out.
+    """
+    zero = np.all(cell.dual.y == 0, axis=1)
+    w = np.linalg.eigvalsh(symbol_h_batch(model, cell.dual.k[~zero]))
+    if np.any(w <= 0):
+        raise AmbiguousSpectrumError(
+            f"thermo: homogeneous symbol has eigenvalue {w.min():g} <= 0 at k != 0 (N={cell.N})")
+    return float(np.sum(np.log(w)))
+
+
 def entropy_total(model: PotentialModel, state) -> float:
     """S_N(u): entropy difference against the homogeneous supercell.
 
@@ -155,8 +170,8 @@ def entropy_total(model: PotentialModel, state) -> float:
     """
     u, kind, lam = _resolve_state(model, state)
     expected_neg = 1 if kind == "saddle" else 0
-    ld_def = _logdet_plus_hessian(model, u, "defect", expected_neg, lam)
-    ld_hom = _logdet_plus_hessian(model, u.cell.zero_field(), "homogeneous", 0, None)
+    ld_def = _logdet_plus_hessian(model, u, expected_neg, lam)
+    ld_hom = _logdet_plus_homogeneous(model, u.cell)
     return -0.5 * ld_def + 0.5 * ld_hom
 
 

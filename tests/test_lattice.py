@@ -78,6 +78,52 @@ class TestSupercell:
         assert np.array_equal(idx, np.arange(cell.n))
 
 
+# cells whose diagonal form is the identity, a shear, an orientation flip
+# (det A^-1 B < 0) and a non-diagonal 3-d cell; N keeps every point with
+# |x_i| <= 50 within naive_wrap's search window
+INDEX_CASES = [
+    ("square", np.eye(2), 4),
+    ("sheared", np.array([[2.0, 1.0], [0.0, 1.0]]), 4),
+    ("negative_det", np.array([[1.0, 1.0], [1.0, 0.0]]), 7),
+    ("cubic_nondiagonal", np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 2.0]]), 8),
+]
+
+
+class TestIndexPath:
+    @pytest.mark.parametrize("name,B,N", INDEX_CASES, ids=[c[0] for c in INDEX_CASES])
+    def test_site_indices_match_naive_wrap(self, name, B, N):
+        d = B.shape[0]
+        spec = LatticeSpec(A=np.eye(d), B=B, m=1, r_cut=1.5)
+        cell = build_supercell(spec, N)
+        ordinal = {tuple(p): i for i, p in enumerate(cell.x.tolist())}
+        rng = np.random.default_rng(10)
+        xs = rng.integers(-50, 51, size=(40 if d == 2 else 15, d))
+        expect = [ordinal[naive_wrap(x, spec.C, N)] for x in xs]
+        assert np.array_equal(cell.site_indices(xs), expect)
+        w = cell.wrap(xs)
+        assert np.array_equal(cell.wrap(w), w)
+
+    @pytest.mark.parametrize("name,B,N", INDEX_CASES, ids=[c[0] for c in INDEX_CASES])
+    def test_dft_matches_naive_phases(self, name, B, N):
+        d = B.shape[0]
+        cell = build_supercell(LatticeSpec(A=np.eye(d), B=B, m=1, r_cut=1.5), 2,
+                               check_interaction=False)
+        f = np.random.default_rng(12).standard_normal((cell.n, 2))
+        fhat = cell.dft(f)
+        assert np.allclose(fhat, naive_dft(cell, f), atol=1e-9)
+        assert np.max(np.abs(cell.idft(fhat) - f)) < 1e-12
+
+    @pytest.mark.parametrize("name,B,N", INDEX_CASES, ids=[c[0] for c in INDEX_CASES])
+    def test_interaction_fits_matches_naive_wrap(self, name, B, N):
+        d = B.shape[0]
+        for r_cut, level in ((1.5, 1), (2.5, 1), (1.5, N)):
+            spec = LatticeSpec(A=np.eye(d), B=B, m=1, r_cut=r_cut)
+            cell = build_supercell(spec, level, check_interaction=False)
+            ball = [tuple(p) for p in spec.stencil_x.tolist()]
+            fits = all(naive_wrap(p, spec.C, level) == p for p in ball)
+            assert cell.interaction_fits == fits
+
+
 class TestStencil:
     def test_constant_field_zero(self):
         cell = build_supercell(spec_square(m=2), 2)
@@ -269,7 +315,7 @@ class TestCutoff:
 
 
 def test_large_fft_roundtrip_exact():
-    # FFT fast path at N=16, d=2: round trip and Parseval to 1e-12 relative
+    # FFT at N=16, d=2: round trip and Parseval to 1e-12 relative
     cell = build_supercell(spec_square(), 16)
     rng = np.random.default_rng(9)
     f = rng.standard_normal(cell.n)
@@ -277,3 +323,18 @@ def test_large_fft_roundtrip_exact():
     back = cell.idft(fhat)
     assert np.max(np.abs(back.real - f)) < 1e-12 * np.max(np.abs(f))
     assert np.isclose(np.sum(f**2), np.sum(np.abs(fhat) ** 2) / cell.n, rtol=1e-12)
+
+
+def test_large_sheared_fft_roundtrip():
+    # sheared cell at N=40: n = 12800, where an n x n DFT matrix would take 2.6 GB
+    spec = LatticeSpec(A=np.eye(2), B=np.array([[2.0, 1.0], [0.0, 1.0]]), m=1, r_cut=1.5)
+    cell = build_supercell(spec, 40)
+    assert cell.n == 12800
+    rng = np.random.default_rng(11)
+    f = rng.standard_normal((cell.n, 2))
+    fhat = cell.dft(f)
+    back = cell.idft(fhat)
+    assert np.max(np.abs(back - f)) < 1e-12 * np.max(np.abs(f))
+    sample = rng.choice(cell.n, size=64, replace=False)
+    oracle = np.exp(1j * (cell.dual.k[sample] @ cell.pos.T)) @ f
+    assert np.max(np.abs(fhat[sample] - oracle)) < 1e-9 * np.sum(np.abs(f))

@@ -17,7 +17,13 @@ from latthermo import (
     site_entropies,
     site_entropy_first_variation,
 )
-from latthermo.spectral import site_log_traces
+from latthermo.spectral import (
+    AmbiguousSpectrumError,
+    logdet_plus,
+    logdet_plus_factorized,
+    site_log_traces,
+)
+from latthermo.thermo import _logdet_plus_homogeneous
 
 
 def solved_double_well(N=4):
@@ -268,16 +274,22 @@ def test_renormalised_partial_sums_cauchy():
     assert residual < 20 * ren.tail_estimate + 1e-6
 
 
-def test_sheared_supercell_pipeline():
-    # full pipeline on a non-diagonal supercell (naive transform engine):
-    # operator identity, relaxation, entropy decomposition
-    from latthermo import LatticeSpec, conjugate_operator, projector_constants
+def sheared_misfit_model():
+    """square_misfit's bond classes and origin override on the cell B = [[2,1],[0,1]]."""
+    from latthermo import LatticeSpec
     from latthermo.potentials import MorseBondPotential, PotentialModel, _morse_classes
     spec = LatticeSpec(A=np.eye(2), B=np.array([[2.0, 1.0], [0.0, 1.0]]), m=2, r_cut=1.5)
     D, a = _morse_classes(spec.stencil, nn=(0.5, 1.5), nnn=(0.25, 1.2))
     hom = MorseBondPotential.from_morse(spec.stencil, 2, D, a)
     dv = MorseBondPotential.from_morse(spec.stencil, 2, 1.3 * D, a, shift=0.12)
-    model = PotentialModel(spec, hom, {(0, 0): dv}, name="sheared_misfit")
+    return PotentialModel(spec, hom, {(0, 0): dv}, name="sheared_misfit")
+
+
+def test_sheared_supercell_pipeline():
+    # full pipeline on a non-diagonal supercell (FFT through the diagonal form):
+    # operator identity, relaxation, entropy decomposition
+    model = sheared_misfit_model()
+    spec = model.spec
 
     cell = Supercell(spec, 3)
     FN = kernel_FN(model, cell)
@@ -290,3 +302,27 @@ def test_sheared_supercell_pipeline():
     prof = site_entropies(model, pt)
     S = entropy_total(model, pt)
     assert abs(prof.total - S) < 1e-8
+
+
+@pytest.mark.parametrize("case", ["sheared_dense", "diagonal_factorized"])
+def test_homogeneous_logdet_closed_form(case):
+    # sum over k != 0 of log det h_hat(k) against two routes through the assembled H^hom
+    if case == "sheared_dense":
+        model = sheared_misfit_model()
+        cell = Supercell(model.spec, 6)
+    else:
+        model = preset_model("square_misfit")
+        cell = Supercell(model.spec, 8)
+    H_hom = hessian(model, cell.zero_field(), kind="homogeneous")
+    if case == "sheared_dense":
+        oracle, _ = logdet_plus(H_hom, expected_zero=model.spec.m)
+    else:
+        oracle = logdet_plus_factorized(H_hom)
+    closed = _logdet_plus_homogeneous(model, cell)
+    assert closed == pytest.approx(oracle, rel=1e-10)
+
+
+def test_homogeneous_logdet_rejects_unstable_symbol():
+    model = preset_model("square_unstable")
+    with pytest.raises(AmbiguousSpectrumError, match="thermo: homogeneous symbol"):
+        _logdet_plus_homogeneous(model, Supercell(model.spec, 4))
