@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import load_config
-from .harness import RunConfig, emit, fit_rate, sweep
+from .harness import RunConfig, _kick_field, _mirror_image, emit, fit_rate, sweep
 from .lattice import Supercell
 from .potentials import stability_scan
 from .serialize import atomic_write_text, save_point
@@ -52,24 +52,20 @@ def _solve_single(cfg: RunConfig, N: int, kind: str):
     cell = Supercell(cfg.model.spec, N)
     guess = None
     if cfg.kick_vector is not None and cfg.kick_site is not None:
-        guess = np.zeros((cell.n, cell.spec.m))
-        guess[cell.index(cfg.kick_site)] = cfg.kick_vector
+        guess = _kick_field(cell, cfg.kick_site, cfg.kick_vector)
     minimum = relax_minimum(cfg.model, cell, initial_guess=guess, max_iter=cfg.max_iter)
     if kind == "minimum":
-        return minimum, cell
+        return minimum
     pair = None
     if cfg.model.mirror is not None:
-        perm = cell.site_permutation(cfg.model.mirror)
-        mirrored = minimum.u.values[perm] @ np.asarray(cfg.model.mirror, float).T
-        pair = (minimum.u.values, mirrored)
-    return (minimum, find_saddle(cfg.model, cell, guess_pair=pair,
-                                 max_iter=cfg.max_iter)), cell
+        pair = (minimum.u.values, _mirror_image(minimum, cfg.model).values)
+    return minimum, find_saddle(cfg.model, cell, guess_pair=pair, max_iter=cfg.max_iter)
 
 
 def _cmd_relax(args) -> int:
     cfg = _load(args)
     N = args.N or max(cfg.N_list)
-    point, _ = _solve_single(cfg, N, "minimum")
+    point = _solve_single(cfg, N, "minimum")
     save_point(cfg.out / "points", f"min_N{N}", point)
     print(f"minimum at N={N}: E={point.energy!r} |g|={point.gradient_norm:.3e} "
           f"iters={point.n_iter}")
@@ -79,7 +75,7 @@ def _cmd_relax(args) -> int:
 def _cmd_saddle(args) -> int:
     cfg = _load(args)
     N = args.N or max(cfg.N_list)
-    (minimum, saddle), _ = _solve_single(cfg, N, "saddle")
+    minimum, saddle = _solve_single(cfg, N, "saddle")
     save_point(cfg.out / "points", f"min_N{N}", minimum)
     save_point(cfg.out / "points", f"saddle_N{N}", saddle)
     print(f"saddle at N={N}: E={saddle.energy!r} lambda={saddle.lam!r} "
@@ -90,7 +86,7 @@ def _cmd_saddle(args) -> int:
 def _cmd_entropy(args) -> int:
     cfg = _load(args)
     N = args.N or max(cfg.N_list)
-    point, _ = _solve_single(cfg, N, "minimum")
+    point = _solve_single(cfg, N, "minimum")
     S = entropy_total(cfg.model, point)
     print(f"S_N at minimum, N={N}: {S!r}")
     if args.sites:
@@ -106,13 +102,7 @@ def _cmd_entropy(args) -> int:
         if cfg.N_ref is None or cfg.R_sum is None:
             print("renormalised entropy needs run.N_ref and run.R_sum", file=sys.stderr)
             return 2
-        cell_ref = Supercell(cfg.model.spec, cfg.N_ref)
-        guess = None
-        if cfg.kick_vector is not None and cfg.kick_site is not None:
-            guess = np.zeros((cell_ref.n, cell_ref.spec.m))
-            guess[cell_ref.index(cfg.kick_site)] = cfg.kick_vector
-        ref_point = relax_minimum(cfg.model, cell_ref, initial_guess=guess,
-                                  max_iter=cfg.max_iter)
+        ref_point = _solve_single(cfg, cfg.N_ref, "minimum")
         ren = renormalised_entropy(cfg.model, ref_point, R_sum=cfg.R_sum)
         print(f"renormalised S (N_ref={cfg.N_ref}, R_sum={cfg.R_sum}): {ren.value!r} "
               f"tail<={ren.tail_estimate:.2e} decay={ren.decay_fit.exponent:.2f}")
@@ -122,10 +112,11 @@ def _cmd_entropy(args) -> int:
 def _cmd_rate(args) -> int:
     cfg = _load(args)
     N = args.N or max(cfg.N_list)
-    (minimum, saddle), _ = _solve_single(cfg, N, "saddle")
+    minimum, saddle = _solve_single(cfg, N, "saddle")
+    rate = htst_rate(cfg.model, minimum, saddle, beta=cfg.beta[0])
     reports = []
     for b in cfg.beta:
-        rep = htst_rate(cfg.model, minimum, saddle, beta=b)
+        rep = rate.at_beta(b)
         reports.append(rep.to_json_dict())
         print(f"beta={b:g}: K={rep.K!r} logK={rep.logK!r} dE={rep.dE!r} dS={rep.dS!r}"
               + (" [dE<=0 warning]" if rep.direction_warning else ""))

@@ -16,7 +16,7 @@ from .lattice import DisplacementField, Supercell
 from .potentials import PotentialModel, stability_scan
 from .serialize import atomic_write_text, certificate_hash, load_point, save_point
 from .stationary import StationaryPoint, find_saddle, relax_minimum
-from .thermo import delta_S_saddle, entropy_total, htst_rate
+from .thermo import entropy_total, htst_rate
 
 __all__ = ["RunConfig", "ConvergenceTable", "sweep", "fit_rate", "richardson", "emit"]
 
@@ -28,6 +28,8 @@ ROW_COLUMNS = [
     "cert_min", "cert_saddle",
     "err_E", "err_S", "err_dE", "err_dS", "err_K", "err_lam", "err_mu",
 ]
+ERROR_COLUMNS = [("E_min", "err_E"), ("S_min", "err_S"), ("dE", "err_dE"), ("dS", "err_dS"),
+                 ("K", "err_K"), ("lam", "err_lam"), ("mu", "err_mu")]
 
 
 @dataclass
@@ -74,10 +76,6 @@ class ConvergenceTable:
 
     def ok_rows(self) -> list[dict]:
         return [r for r in self.rows if r["status"] == "ok"]
-
-    def column(self, key: str, rows: list[dict] | None = None) -> np.ndarray:
-        src = self.rows if rows is None else rows
-        return np.array([r[key] for r in src if r.get(key) is not None], dtype=float)
 
 
 def richardson(Ns: np.ndarray, values: np.ndarray, exponent: float) -> tuple[float, float]:
@@ -136,28 +134,31 @@ def solve_row(config: RunConfig, N: int) -> dict:
         guess = _kick_field(cell, config.kick_site, config.kick_vector)
     minimum = load_or_solve(f"min_N{N}", lambda: relax_minimum(
         model, cell, initial_guess=guess, max_iter=config.max_iter))
-    row.update(E_min=minimum.energy, S_min=entropy_total(model, minimum),
-               grad_min=minimum.gradient_norm, cert_min=certificate_hash(minimum.certificate))
+    row.update(E_min=minimum.energy, grad_min=minimum.gradient_norm,
+               cert_min=certificate_hash(minimum.certificate))
+    if not config.wants_saddle:
+        row["S_min"] = entropy_total(model, minimum)
+        return row
 
-    if config.wants_saddle:
-        def solve_saddle():
-            pair = None
-            if model.mirror is not None:
-                pair = (minimum.u.values, _mirror_image(minimum, model).values)
-            return find_saddle(model, cell, guess_pair=pair, max_iter=config.max_iter)
+    def solve_saddle():
+        pair = None
+        if model.mirror is not None:
+            pair = (minimum.u.values, _mirror_image(minimum, model).values)
+        return find_saddle(model, cell, guess_pair=pair, max_iter=config.max_iter)
 
-        saddle = load_or_solve(f"saddle_N{N}", solve_saddle)
-        ds = delta_S_saddle(model, minimum, saddle)
-        rate = htst_rate(model, minimum, saddle, beta=config.beta[0])
-        row.update(E_saddle=saddle.energy, S_saddle=entropy_total(model, saddle),
-                   grad_saddle=saddle.gradient_norm, dE=rate.dE, dS=rate.dS,
-                   K=rate.K, lam=rate.lam, mu=rate.mu,
-                   dS_split_gap=abs(ds.splitting - ds.direct),
-                   K_product_gap=abs(rate.K - rate.product_form_K) / rate.K,
-                   cert_saddle=certificate_hash(saddle.certificate))
-        for b in config.beta[1:]:
-            # the expression htst_rate evaluates, so K_beta_* equals its K bit for bit
-            row[f"K_beta_{b:g}"] = float(np.exp(-b * rate.dE + rate.dS))
+    saddle = load_or_solve(f"saddle_N{N}", solve_saddle)
+    # the pair's one thermo evaluation: S, dS, mu and the cross-checks all come from it
+    rate = htst_rate(model, minimum, saddle, beta=config.beta[0])
+    ds = rate.delta_S
+    row.update(S_min=ds.S_min, E_saddle=saddle.energy, S_saddle=ds.S_saddle,
+               grad_saddle=saddle.gradient_norm, dE=rate.dE, dS=rate.dS,
+               K=rate.K, lam=rate.lam, mu=rate.mu,
+               dS_split_gap=abs(ds.splitting - ds.direct),
+               K_product_gap=(None if rate.product_form_K is None
+                              else abs(rate.K - rate.product_form_K) / rate.K),
+               cert_saddle=certificate_hash(saddle.certificate))
+    for b in config.beta[1:]:
+        row[f"K_beta_{b:g}"] = rate.at_beta(b).K
     return row
 
 
@@ -192,9 +193,7 @@ def sweep(config: RunConfig) -> ConvergenceTable:
     ok = [r for r in rows if r["status"] == "ok"]
     limits: dict[str, dict] = {}
     fits: dict[str, dict] = {}
-    targets = [("E_min", "err_E"), ("S_min", "err_S"), ("dE", "err_dE"),
-               ("dS", "err_dS"), ("K", "err_K"), ("lam", "err_lam"), ("mu", "err_mu")]
-    for col, errcol in targets:
+    for col, errcol in ERROR_COLUMNS:
         vals = [(r["N"], r[col]) for r in ok if r[col] is not None]
         if len(vals) < 3:
             continue
@@ -267,9 +266,7 @@ def plot_data_csv(table: ConvergenceTable) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
     writer.writerow(["quantity", "N", "error"])
-    for col, errcol in [("E_min", "err_E"), ("S_min", "err_S"), ("dE", "err_dE"),
-                        ("dS", "err_dS"), ("K", "err_K"), ("lam", "err_lam"),
-                        ("mu", "err_mu")]:
+    for col, errcol in ERROR_COLUMNS:
         for r in table.rows:
             if r.get(errcol):
                 writer.writerow([col, r["N"], repr(float(r[errcol]))])

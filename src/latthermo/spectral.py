@@ -593,6 +593,30 @@ def _fhf_matvec(F: FApplier, H: LinearLatticeOperator):
     return mv
 
 
+def _fhf_positive_bounds(matvec, cell: Supercell, expected_negative: int):
+    """Bounds of the positive spectrum of F_N H F_N with its negative modes deflated.
+
+    Returns (sig_lo, sig_hi, deflate, negatives); deflate holds the unit modes.
+    """
+    n, m = cell.n, cell.spec.m
+    scale = max(_operator_norm_estimate(matvec, n * m), 1.0)
+    deflate = []
+    negatives = []
+    if expected_negative:
+        wneg, Vneg = _extremal_eig(matvec, cell, scale, k=expected_negative, mode="SA",
+                                   tol=1e-13)
+        for j in range(expected_negative):
+            if wneg[j] >= 0:
+                raise AmbiguousSpectrumError("expected negative mode not found")
+            vec = Vneg[:, j] - _mean_project(Vneg[:, j], n, m)
+            vec /= np.linalg.norm(vec)
+            deflate.append(vec)
+            negatives.append(float(wneg[j]))
+    w_lo, _ = _extremal_eig(matvec, cell, scale, k=1, mode="SA", deflate=deflate)
+    w_hi, _ = _extremal_eig(matvec, cell, scale, k=1, mode="LA", deflate=deflate)
+    return float(w_lo[0]), float(w_hi[0]), deflate, negatives
+
+
 def generalized_eigen(H: LinearLatticeOperator, model: PotentialModel,
                       H_hom: LinearLatticeOperator | None = None,
                       tol: float = 1e-8, seed: int = 11) -> tuple[float, np.ndarray]:
@@ -679,22 +703,7 @@ def site_log_traces(H: LinearLatticeOperator, model: PotentialModel,
 
     F = FApplier(cell, model)
     matvec = _fhf_matvec(F, H)
-    scale = max(_operator_norm_estimate(matvec, dim), 1.0)
-    deflate = []
-    negatives = []
-    if expected_negative:
-        wneg, Vneg = _extremal_eig(matvec, cell, scale, k=expected_negative, mode="SA",
-                                   tol=1e-13)
-        for j in range(expected_negative):
-            if wneg[j] >= 0:
-                raise AmbiguousSpectrumError("expected negative mode not found")
-            vec = Vneg[:, j] - _mean_project(Vneg[:, j], n, m)
-            vec /= np.linalg.norm(vec)
-            deflate.append(vec)
-            negatives.append(float(wneg[j]))
-    w_lo, _ = _extremal_eig(matvec, cell, scale, k=1, mode="SA", deflate=deflate)
-    w_hi, _ = _extremal_eig(matvec, cell, scale, k=1, mode="LA", deflate=deflate)
-    sig_lo, sig_hi = float(w_lo[0]), float(w_hi[0])
+    sig_lo, sig_hi, deflate, negatives = _fhf_positive_bounds(matvec, cell, expected_negative)
     if sig_lo <= 0:
         raise AmbiguousSpectrumError(f"positive spectrum lower bound {sig_lo:g} <= 0")
     a, b = 0.95 * sig_lo, 1.05 * sig_hi

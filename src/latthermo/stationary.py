@@ -23,6 +23,7 @@ from .spectral import (
     ModeClassification,
     _extremal_eig,
     _fhf_matvec,
+    _fhf_positive_bounds,
     _mean_project,
     _operator_norm_estimate,
     _translation_modes,
@@ -87,18 +88,17 @@ def _bordered_solve(H: sp.spmatrix, nu: float, rhs: np.ndarray, cell: Supercell)
     return sol[:dim]
 
 
-def _certify_spectrum(model: PotentialModel, u: DisplacementField, kind: str,
-                      with_overrides: bool = True) -> tuple[ModeClassification, float]:
+def _certify_spectrum(model: PotentialModel, u: DisplacementField, kind: str) -> ModeClassification:
     """Partial spectral classification from the extremal spectrum of the Hessian."""
     cell = u.cell
     m = cell.spec.m
-    H = hessian(model, u, kind="defect" if with_overrides else "homogeneous")
+    H = hessian(model, u, kind="defect")
     matvec = lambda v: np.asarray(H.mat @ v)
-    scale = _operator_norm_estimate(matvec, cell.n * m)
     expected_neg = 1 if kind == "saddle" else 0
     k_small = min(m + expected_neg + 2, cell.n * m - 1)
-    w_small, _ = _extremal_eig(matvec, cell, scale, k=k_small, mode="SA", shiftless=True)
-    w_large, _ = _extremal_eig(matvec, cell, scale, k=1, mode="LA", shiftless=True)
+    # shiftless and undeflated: the solves apply no shift, so they need no norm scale
+    w_small, _ = _extremal_eig(matvec, cell, 0.0, k=k_small, mode="SA", shiftless=True)
+    w_large, _ = _extremal_eig(matvec, cell, 0.0, k=1, mode="LA", shiftless=True)
     eigs = np.concatenate([w_small, w_large])
     cls = classify_eigenvalues(eigs, expected_zero=m, complete=False)
     cls.n_positive = cell.n * m - cls.n_zero - cls.n_negative
@@ -106,33 +106,22 @@ def _certify_spectrum(model: PotentialModel, u: DisplacementField, kind: str,
         raise CertificationError(
             f"{kind} certificate: expected {expected_neg} negative modes, "
             f"found {cls.n_negative}", cls)
-    return cls, scale
+    return cls
 
 
 def _fhf_sigma_bounds(model: PotentialModel, u: DisplacementField,
                       expected_negative: int) -> tuple[float, float]:
     """Measured [sigma_lo, sigma_hi] of the positive spectrum of F_N H F_N + pi_N."""
-    cell = u.cell
     H = hessian(model, u, kind="defect")
-    F = FApplier(cell, model)
-    matvec = _fhf_matvec(F, H)
-    scale = max(_operator_norm_estimate(matvec, cell.n * cell.spec.m), 1.0)
-    deflate = []
-    if expected_negative:
-        wneg, Vneg = _extremal_eig(matvec, cell, scale, k=expected_negative, mode="SA")
-        for j in range(expected_negative):
-            v = Vneg[:, j] - _mean_project(Vneg[:, j], cell.n, cell.spec.m)
-            deflate.append(v / np.linalg.norm(v))
-    lo, _ = _extremal_eig(matvec, cell, scale, k=1, mode="SA", deflate=deflate)
-    hi, _ = _extremal_eig(matvec, cell, scale, k=1, mode="LA", deflate=deflate)
+    matvec = _fhf_matvec(FApplier(u.cell, model), H)
+    lo, hi, _, _ = _fhf_positive_bounds(matvec, u.cell, expected_negative)
     # pi_N contributes eigenvalue 1, inside [lo, hi] for the shipped corpus
-    return float(lo[0]), float(hi[0])
+    return lo, hi
 
 
 def certify(model: PotentialModel, point: "StationaryPoint") -> ModeClassification:
     """Re-run the spectral certificate of a converged point."""
-    cls, _ = _certify_spectrum(model, point.u, point.kind)
-    return cls
+    return _certify_spectrum(model, point.u, point.kind)
 
 
 def relax_minimum(model: PotentialModel, cell: Supercell,
@@ -216,7 +205,7 @@ def relax_minimum(model: PotentialModel, cell: Supercell,
         # certification happens in the caller
         return StationaryPoint("minimum", fld, energy, gnorm, None, (np.nan, np.nan),
                                model.model_hash(), n_iter, gradient_history=history)
-    cls, _ = _certify_spectrum(model, fld, "minimum")
+    cls = _certify_spectrum(model, fld, "minimum")
     sig = _fhf_sigma_bounds(model, fld, expected_negative=0)
     return StationaryPoint("minimum", fld, energy, gnorm, cls, sig,
                            model.model_hash(), n_iter, gradient_history=history)
@@ -362,7 +351,7 @@ def _saddle_follow(model: PotentialModel, cell: Supercell, guess_pair,
                            f"(|g|={gnorm_prev:g})")
 
     # the softest mode of the converged point comes from its last eigen solve
-    cls, _ = _certify_spectrum(model, fld, "saddle")
+    cls = _certify_spectrum(model, fld, "saddle")
     lam = float(w[0])
     if lam >= 0:
         raise CertificationError("converged point has no unstable mode", cls)
@@ -379,7 +368,7 @@ def _saddle_symmetric(model: PotentialModel, cell: Supercell, max_iter: int) -> 
     symmetrize = _mirror_symmetrizer(cell, model.mirror)
     point = relax_minimum(model, cell, max_iter=max_iter, symmetrize=symmetrize)
     fld = point.u
-    cls, _ = _certify_spectrum(model, fld, "saddle")
+    cls = _certify_spectrum(model, fld, "saddle")
     H = hessian(model, fld)
     lam, phi = smallest_eigenpair(H)
     if lam >= 0:

@@ -9,7 +9,7 @@ approximates the infinite-lattice entropy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse as sp
 
@@ -92,28 +92,62 @@ class DeltaSReport:
     splitting: float             # site-sum + eigenvalue corrections route
     lam: float
     mu: float
-    imaginary_residue: float     # symbolic i*pi bookkeeping, must cancel
+    S_min: float                 # S_N of each point (det+ route); direct = S_saddle - S_min
+    S_saddle: float
 
 
 @dataclass
 class RateReport:
+    """HTST rate of one (minimum, saddle) pair at inverse temperature ``beta``.
+
+    The fields not taken by ``__init__`` follow from ``beta`` and the pair's
+    one thermo evaluation, so ``at_beta`` needs no new thermo work.
+    """
+
     beta: float
-    dE: float
-    dS: float
-    F_min: float
-    F_saddle: float
-    K: float
-    logK: float
-    lam: float
-    mu: float
-    product_form_K: float
-    relative_error_bound: float
-    direction_warning: bool
-    N: int = 0
+    E_min: float
+    E_saddle: float
+    delta_S: DeltaSReport
+    product_form_dS: float | None    # bordered-LU eigenvalue products; None above DENSE_LIMIT
+    N: int
+    d: int
     model_hash: str = ""
     sigma_min: tuple = ()
     sigma_saddle: tuple = ()
     certificates: dict = field(default_factory=dict)
+    dE: float = field(init=False)
+    dS: float = field(init=False)
+    lam: float = field(init=False)
+    mu: float = field(init=False)
+    logK: float = field(init=False)
+    K: float = field(init=False)
+    F_min: float = field(init=False)
+    F_saddle: float = field(init=False)
+    product_form_K: float | None = field(init=False)
+    relative_error_bound: float = field(init=False)
+    direction_warning: bool = field(init=False)
+
+    def __post_init__(self):
+        if self.beta <= 0:
+            raise ValueError("inverse temperature must be positive")
+        beta, ds = self.beta, self.delta_S
+        self.dE = self.E_saddle - self.E_min
+        self.dS, self.lam, self.mu = ds.value, ds.lam, ds.mu
+        logK = -beta * self.dE + self.dS
+        self.logK = float(logK)
+        self.K = float(np.exp(logK))
+        self.F_min = self.E_min - ds.S_min / beta
+        self.F_saddle = self.E_saddle - ds.S_saddle / beta
+        self.product_form_K = (None if self.product_form_dS is None
+                               else float(np.exp(-beta * self.dE + self.product_form_dS)))
+        nd = float(self.N) ** (-self.d)
+        self.relative_error_bound = float(
+            np.exp(beta * nd) * (beta * nd + nd * np.log(max(self.N, 3)) ** 5))
+        self.direction_warning = bool(self.dE <= 0)
+
+    def at_beta(self, beta: float) -> "RateReport":
+        """The same pair at inverse temperature ``beta``."""
+        return replace(self, beta=beta)
 
     def to_json_dict(self) -> dict:
         out = {k: getattr(self, k) for k in
@@ -131,21 +165,6 @@ def _resolve_state(model: PotentialModel, state) -> tuple[DisplacementField, str
     if isinstance(state, DisplacementField):
         return state, "state", None
     raise TypeError("state must be a StationaryPoint or DisplacementField")
-
-
-def _logdet_plus_hessian(model: PotentialModel, u: DisplacementField,
-                         expected_negative: int, lam: float | None) -> float:
-    H = hessian(model, u, kind="defect")
-    dim = u.cell.n * u.cell.spec.m
-    if dim <= DENSE_LIMIT:
-        val, _ = logdet_plus(H, expected_zero=u.cell.spec.m,
-                             expected_negative=expected_negative)
-        return val
-    if expected_negative and lam is None:
-        from .spectral import smallest_eigenpair
-        lam, _ = smallest_eigenpair(H)
-    negatives = [lam] * expected_negative if expected_negative else ()
-    return logdet_plus_factorized(H, negatives=negatives)
 
 
 def _logdet_plus_homogeneous(model: PotentialModel, cell: Supercell) -> float:
@@ -170,7 +189,14 @@ def entropy_total(model: PotentialModel, state) -> float:
     """
     u, kind, lam = _resolve_state(model, state)
     expected_neg = 1 if kind == "saddle" else 0
-    ld_def = _logdet_plus_hessian(model, u, expected_neg, lam)
+    if expected_neg and lam is None:
+        raise ValueError("saddle point must carry its unstable eigenvalue lam")
+    H = hessian(model, u, kind="defect")
+    m = u.cell.spec.m
+    if u.cell.n * m <= DENSE_LIMIT:
+        ld_def, _ = logdet_plus(H, expected_zero=m, expected_negative=expected_neg)
+    else:
+        ld_def = logdet_plus_factorized(H, negatives=[lam] * expected_neg)
     ld_hom = _logdet_plus_homogeneous(model, u.cell)
     return -0.5 * ld_def + 0.5 * ld_hom
 
@@ -299,8 +325,8 @@ def delta_S_saddle(model: PotentialModel, min_point: StationaryPoint,
 
     Direct: det+ on both Hessians. Splitting: the site-entropy sum of the
     saddle plus the -1/2 log |mu| + 1/2 log |lambda| correction from the
-    generalized and standard unstable eigenvalues. The complex-log phases
-    (one i pi from each negative eigenvalue) cancel symbolically.
+    generalized and standard unstable eigenvalues; the i pi phases of
+    log lambda and -log mu cancel.
     """
     if saddle_point.lam is None or saddle_point.lam >= 0:
         raise ValueError("saddle point must carry a negative unstable eigenvalue")
@@ -316,59 +342,45 @@ def delta_S_saddle(model: PotentialModel, min_point: StationaryPoint,
     direct = S_saddle_direct - S_min
 
     prof = site_entropies(model, saddle_point)
-    # one +i pi from log lambda, one -i pi from -log mu: net zero
-    imag_residue = 0.5 * np.pi - 0.5 * np.pi
     S_saddle_split = prof.total - 0.5 * np.log(abs(mu)) + 0.5 * np.log(abs(lam))
     splitting = S_saddle_split - S_min
     return DeltaSReport(value=direct, direct=direct, splitting=splitting,
-                        lam=float(lam), mu=float(mu), imaginary_residue=imag_residue)
+                        lam=float(lam), mu=float(mu), S_min=S_min, S_saddle=S_saddle_direct)
 
 
-def _eigenvalue_product_rate(model: PotentialModel, min_point: StationaryPoint,
-                             saddle_point: StationaryPoint, beta: float,
-                             dE: float) -> float:
-    """Vineyard form sqrt(prod lambda_min / prod lambda_saddle) e^{-beta dE}."""
-    cell = min_point.u.cell
-    m = cell.spec.m
-    H_min = hessian(model, min_point.u, kind="defect")
-    H_sad = hessian(model, saddle_point.u, kind="defect")
-    neg_min = 1 if min_point.kind == "saddle" else 0
-    ld_min, _ = logdet_plus(H_min, expected_zero=m, expected_negative=neg_min)
-    ld_sad, _ = logdet_plus(H_sad, expected_zero=m, expected_negative=1)
-    return float(np.exp(0.5 * (ld_min - ld_sad) - beta * dE))
+def _product_form_dS(model: PotentialModel, min_point: StationaryPoint,
+                     saddle_point: StationaryPoint) -> float:
+    """1/2 log (prod lambda_min / prod lambda_saddle) over the positive eigenvalues.
+
+    Both log det+ come from the bordered sparse LU (known negatives divided
+    out): up to DENSE_LIMIT a route independent of the dense det+ of dS.
+    """
+    ld = [logdet_plus_factorized(hessian(model, p.u, kind="defect"),
+                                 negatives=[p.lam] if p.kind == "saddle" else [])
+          for p in (min_point, saddle_point)]
+    return 0.5 * (ld[0] - ld[1])
 
 
 def htst_rate(model: PotentialModel, min_point: StationaryPoint,
               saddle_point: StationaryPoint, beta: float = 1.0) -> RateReport:
     """HTST transition rate K_N = exp(-beta (dE - dS / beta)).
 
-    Cross-checked against the positive-eigenvalue product form; reports the
-    structural relative-error bound e^{beta N^-d} (beta N^-d + N^-d log^5 N)
-    with unit constants as a diagnostic.
+    One thermo evaluation of the pair; ``RateReport.at_beta`` gives other
+    temperatures. Cross-checked against the eigenvalue product form up to
+    DENSE_LIMIT (above it both det+ would be the same LU: no product form).
+    Reports the structural relative-error bound e^{beta N^-d}
+    (beta N^-d + N^-d log^5 N) with unit constants as a diagnostic.
     """
     if beta <= 0:
         raise ValueError("inverse temperature must be positive")
-    dE = saddle_point.energy - min_point.energy
+    cell = min_point.u.cell
     ds = delta_S_saddle(model, min_point, saddle_point)
-    dS = ds.value
-    logK = -beta * dE + dS
-    K = float(np.exp(logK))
-    F_min = min_point.energy - entropy_total(model, min_point) / beta
-    F_sad = saddle_point.energy - entropy_total(model, saddle_point) / beta
-    dim = min_point.u.cell.n * min_point.u.cell.spec.m
-    if dim <= DENSE_LIMIT:
-        K_prod = _eigenvalue_product_rate(model, min_point, saddle_point, beta, dE)
-    else:
-        K_prod = K
-    N = min_point.u.cell.N
-    d = min_point.u.cell.spec.d
-    nd = float(N) ** (-d)
-    bound = np.exp(beta * nd) * (beta * nd + nd * np.log(max(N, 3)) ** 5)
+    prod_dS = None
+    if cell.n * cell.spec.m <= DENSE_LIMIT:
+        prod_dS = _product_form_dS(model, min_point, saddle_point)
     from .serialize import certificate_hash
-    return RateReport(beta=beta, dE=dE, dS=dS, F_min=F_min, F_saddle=F_sad,
-                      K=K, logK=float(logK), lam=ds.lam, mu=ds.mu,
-                      product_form_K=K_prod, relative_error_bound=float(bound),
-                      direction_warning=bool(dE <= 0), N=N,
+    return RateReport(beta=beta, E_min=min_point.energy, E_saddle=saddle_point.energy,
+                      delta_S=ds, product_form_dS=prod_dS, N=cell.N, d=cell.spec.d,
                       model_hash=model.model_hash(),
                       sigma_min=min_point.sigma, sigma_saddle=saddle_point.sigma,
                       certificates={"minimum": certificate_hash(min_point.certificate),

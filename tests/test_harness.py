@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -14,10 +16,11 @@ from latthermo.harness import (
     RunConfig,
     emit,
     richardson,
+    solve_row,
     sweep,
     table_to_csv,
 )
-from latthermo import preset_model
+from latthermo import preset_model, spectral, thermo
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -150,6 +153,31 @@ class TestSweep:
         table = sweep(cfg)
         assert all(r["status"].startswith("error") for r in table.rows)
         assert len(table.rows) == 3
+
+    def test_saddle_row_evaluates_the_pair_once(self, monkeypatch):
+        # every latthermo binding of a counted function is wrapped, as an outside tracer would
+        calls = Counter()
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls[fn.__name__] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for fn in (thermo.entropy_total, thermo.site_entropies, thermo.delta_S_saddle,
+                   spectral.generalized_eigen):
+            wrapper = counted(fn)
+            for name, mod in list(sys.modules.items()):
+                if mod is not None and name.split(".")[0] == "latthermo":
+                    for attr, val in list(vars(mod).items()):
+                        if val is fn:
+                            monkeypatch.setattr(mod, attr, wrapper)
+        cfg = RunConfig(model=preset_model("square_double_well"), N_list=[4], beta=[1.0, 2.0],
+                        kick_site=(0, 0), kick_vector=np.array([0.15, 0.0]))
+        row = solve_row(cfg, 4)
+        assert row["status"] == "ok" and row["K_beta_2"] > 0
+        assert calls == {"entropy_total": 2, "site_entropies": 1, "delta_S_saddle": 1,
+                         "generalized_eigen": 1}
 
     def test_unstable_model_refused(self):
         model = preset_model("square_unstable")

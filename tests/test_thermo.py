@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from latthermo.spectral import (
     logdet_plus_factorized,
     site_log_traces,
 )
+from latthermo import thermo
 from latthermo.thermo import _logdet_plus_homogeneous
 
 
@@ -197,13 +200,36 @@ class TestDeltaSAndRate:
         rep = delta_S_saddle(model, minimum, saddle)
         assert rep.lam < 0 and rep.mu < 0
         assert abs(rep.splitting - rep.direct) < 1e-8
-        assert rep.imaginary_residue == 0.0
 
     def test_rate_product_form_cross_check(self):
         model, cell, minimum, saddle = solved_double_well(4)
         rep = htst_rate(model, minimum, saddle, beta=1.0)
         assert rep.dE > 0 and not rep.direction_warning
         assert abs(rep.K - rep.product_form_K) < 1e-8 * rep.K
+
+    def test_product_form_is_an_independent_route(self, monkeypatch):
+        # a shift in the dense det+ of the saddle moves K but not the LU product form
+        model, cell, minimum, saddle = solved_double_well(4)
+        dense = thermo.logdet_plus
+
+        def shifted(op, expected_zero, expected_negative=None):
+            val, cls = dense(op, expected_zero, expected_negative)
+            return (val + 1e-6 if expected_negative == 1 else val), cls
+
+        monkeypatch.setattr(thermo, "logdet_plus", shifted)
+        rep = htst_rate(model, minimum, saddle, beta=1.0)
+        assert abs(rep.K - rep.product_form_K) > 1e-8 * rep.K
+
+    def test_no_product_form_above_dense_limit(self, monkeypatch):
+        # det+ through the bordered LU with the carried lam; no product form to compare
+        model, cell, minimum, saddle = solved_double_well(4)
+        dense = htst_rate(model, minimum, saddle, beta=1.0)
+        monkeypatch.setattr(thermo, "DENSE_LIMIT", cell.n * cell.spec.m - 1)
+        rep = htst_rate(model, minimum, saddle, beta=1.0)
+        assert rep.product_form_K is None
+        assert rep.K == pytest.approx(dense.K, rel=1e-10)
+        with pytest.raises(ValueError, match="unstable eigenvalue"):
+            entropy_total(model, replace(saddle, lam=None))
 
     def test_beta_scaling_affine(self):
         model, cell, minimum, saddle = solved_double_well(3)
@@ -216,6 +242,12 @@ class TestDeltaSAndRate:
         assert abs(coef[0] + rep.dE) < 1e-10
         assert abs(coef[1] - rep.dS) < 1e-10
         assert resid < 1e-10
+        # one evaluation serves every beta, bit for bit
+        for b in (0.5, 2.0, 4.0):
+            view, direct = rep.at_beta(b), htst_rate(model, minimum, saddle, beta=b)
+            for key in ("K", "logK", "F_min", "F_saddle", "product_form_K",
+                        "relative_error_bound"):
+                assert getattr(view, key) == getattr(direct, key), (b, key)
 
     def test_direction_warning(self):
         model, cell, minimum, saddle = solved_double_well(3)
