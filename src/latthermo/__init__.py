@@ -12,10 +12,7 @@ from .lattice import (
     LatticeSpec,
     PreconditionError,
     Supercell,
-    build_supercell,
     cutoff_T_R,
-    periodic_projection,
-    stencil_difference,
 )
 from .potentials import (
     HarmonicBondPotential,
@@ -34,15 +31,12 @@ from .assembly import (
     energy_periodic,
     gradient_periodic,
     hessian,
-    hessian_interp,
-    hessian_truncated,
     variation_contractions,
 )
 from .spectral import (
     AmbiguousSpectrumError,
     KernelTable,
     ModeClassification,
-    SpectralDecomposition,
     conjugate_operator,
     generalized_eigen,
     kernel_F,

@@ -22,8 +22,6 @@ __all__ = [
     "energy_homogeneous",
     "gradient_periodic",
     "hessian",
-    "hessian_interp",
-    "hessian_truncated",
     "variation_contractions",
 ]
 
@@ -83,15 +81,6 @@ class LinearLatticeOperator:
 
     def __rmul__(self, c: float) -> "LinearLatticeOperator":
         return LinearLatticeOperator(self.cell, c * self.mat, "composite")
-
-    def export_coo(self, path) -> None:
-        """Write (row_site, col_site, i, j, value) text for external inspection."""
-        coo = sp.coo_matrix(self.mat)
-        m = self.m
-        with open(path, "w") as fh:
-            fh.write("# row_site col_site i j value\n")
-            for r, c, v in zip(coo.row, coo.col, coo.data):
-                fh.write(f"{r // m} {c // m} {r % m} {c % m} {float(v)!r}\n")
 
 
 @dataclass
@@ -225,40 +214,6 @@ def hessian(model: PotentialModel, u: DisplacementField,
     H = _hessian_matrix(model, u, with_overrides=(kind == "defect"))
     tag = "hessian" if kind == "defect" else "hessian_hom"
     return LinearLatticeOperator(u.cell, H, tag)
-
-
-def hessian_interp(model: PotentialModel, u: DisplacementField, t: float) -> LinearLatticeOperator:
-    """Homotopy (1-t) H_hom + t H(u), blockwise."""
-    if not 0.0 <= t <= 1.0:
-        raise ValueError("interpolation parameter t must lie in [0, 1]")
-    zero = u.cell.zero_field()
-    Hh = hessian(model, zero, kind="homogeneous")
-    Hd = hessian(model, u, kind="defect")
-    return LinearLatticeOperator(u.cell, (1.0 - t) * Hh.mat + t * Hd.mat, "hessian_interp")
-
-
-def hessian_truncated(model: PotentialModel, u: DisplacementField, M: float) -> LinearLatticeOperator:
-    """Far-field-linearized Hessian: nabla^2 V(0) inside |ell| <= M, nabla^2 V(Du)
-    outside, homogeneous V everywhere (defect overrides removed)."""
-    if M < 0:
-        raise ValueError("truncation radius must be nonnegative")
-    cell = u.cell
-    G = u.gradients()
-    inner = cell.r <= M + 1e-12
-    pot = model.homogeneous
-    G_eff = G.copy()
-    G_eff[inner] = 0.0
-    rows, cols, vals = [], [], []
-    idx = np.arange(cell.n)
-    for lo in range(0, cell.n, _CHUNK):
-        sl = idx[lo:lo + _CHUNK]
-        _assemble_quadratic(cell, pot.hess_batch(G_eff[sl]), sl, rows, cols, vals)
-    dim = cell.n * cell.spec.m
-    H = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim),
-    ).tocsr()
-    return LinearLatticeOperator(cell, H, "hessian_truncated")
 
 
 def variation_contractions(model: PotentialModel, u: DisplacementField,

@@ -104,8 +104,10 @@ def _cmd_entropy(args) -> int:
             return 2
         ref_point = _solve_single(cfg, cfg.N_ref, "minimum")
         ren = renormalised_entropy(cfg.model, ref_point, R_sum=cfg.R_sum)
+        # no decay is fitted when every renormalised term vanishes
+        decay = "" if ren.decay_fit is None else f" decay={ren.decay_fit.exponent:.2f}"
         print(f"renormalised S (N_ref={cfg.N_ref}, R_sum={cfg.R_sum}): {ren.value!r} "
-              f"tail<={ren.tail_estimate:.2e} decay={ren.decay_fit.exponent:.2f}")
+              f"tail<={ren.tail_estimate:.2e}{decay}")
     return 0
 
 

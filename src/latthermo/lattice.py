@@ -20,11 +20,6 @@ __all__ = [
     "Supercell",
     "DualGrid",
     "DisplacementField",
-    "build_supercell",
-    "stencil_difference",
-    "dft",
-    "idft",
-    "periodic_projection",
     "cutoff_T_R",
 ]
 
@@ -330,37 +325,22 @@ class Supercell:
     def zero_field(self) -> "DisplacementField":
         return DisplacementField(self, np.zeros((self.n, self.spec.m)))
 
-    def field(self, values: np.ndarray, layout: str = "periodic",
-              support_radius: float | None = None) -> "DisplacementField":
-        return DisplacementField(self, np.asarray(values, dtype=float),
-                                 layout=layout, support_radius=support_radius)
-
     def stencil_gradients(self, values: np.ndarray) -> np.ndarray:
         """(n, |R|, m) finite-difference gradients Du for all sites at once."""
         return values[self._neighbors] - values[:, None, :]
 
 
-def build_supercell(spec: LatticeSpec, N: int, check_interaction: bool = True) -> Supercell:
-    return Supercell(spec, N, check_interaction=check_interaction)
-
-
 @dataclass
 class DisplacementField:
-    """Map from supercell sites to R^m, periodic or compactly supported."""
+    """Map from supercell sites to R^m."""
 
     cell: Supercell
     values: np.ndarray
-    layout: str = "periodic"
-    support_radius: float | None = None
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         if v.shape != (self.cell.n, self.cell.spec.m):
             raise ValueError(f"values must have shape ({self.cell.n}, {self.cell.spec.m})")
-        if self.layout not in ("periodic", "compact"):
-            raise ValueError("layout must be 'periodic' or 'compact'")
-        if self.layout == "compact" and self.support_radius is None:
-            raise ValueError("compact layout requires a support radius")
         self.values = v
 
     @property
@@ -374,8 +354,7 @@ class DisplacementField:
         return self.values.mean(axis=0)
 
     def zero_mean(self) -> "DisplacementField":
-        return DisplacementField(self.cell, self.values - self.mean(), self.layout,
-                                 self.support_radius)
+        return DisplacementField(self.cell, self.values - self.mean())
 
     def gradients(self) -> np.ndarray:
         return self.cell.stencil_gradients(self.values)
@@ -384,49 +363,7 @@ class DisplacementField:
         """Field ell -> u(ell - a) for a lattice translation a."""
         sx = np.asarray(list(shift_x), dtype=np.int64)
         src = self.cell.site_indices(self.cell.x - sx[None, :])
-        return DisplacementField(self.cell, self.values[src], self.layout, self.support_radius)
-
-
-def stencil_difference(u: DisplacementField, x: Iterable[int]) -> np.ndarray:
-    """Finite-difference gradient Du(ell) as an (|R|, m) tuple in stencil order."""
-    cell = u.cell
-    i = cell.index(x)
-    return u.values[cell.neighbors[i]] - u.values[i]
-
-
-def dft(u: DisplacementField | np.ndarray, cell: Supercell | None = None) -> np.ndarray:
-    if isinstance(u, DisplacementField):
-        return u.cell.dft(u.values)
-    if cell is None:
-        raise ValueError("cell required for raw arrays")
-    return cell.dft(u)
-
-
-def idft(fhat: np.ndarray, cell: Supercell) -> np.ndarray:
-    return cell.idft(fhat)
-
-
-def periodic_projection(f_hat: Callable[[np.ndarray], np.ndarray], cell: Supercell,
-                        skip_zero: bool = False) -> np.ndarray:
-    """Sample a reciprocal-space symbol on the dual grid and transform back.
-
-    f_hat maps a (nk, d) array of k-points to (nk, ...) values. With
-    ``skip_zero`` the k=0 term is omitted (for symbols singular at the
-    origin); the result then has zero mean over the cell.
-    """
-    k = cell.dual.k
-    zero = np.all(cell.dual.y == 0, axis=1)
-    if skip_zero:
-        vals_nz = np.asarray(f_hat(k[~zero]), dtype=complex)
-        vals = np.zeros((cell.n,) + vals_nz.shape[1:], dtype=complex)
-        vals[~zero] = vals_nz
-    else:
-        vals = np.asarray(f_hat(k), dtype=complex)
-        if vals.shape[0] != cell.n:
-            raise ValueError("symbol returned wrong number of values")
-    out = cell.idft(vals)
-    imag = np.max(np.abs(out.imag)) if out.size else 0.0
-    return out.real if imag < 1e-9 * (1 + np.max(np.abs(out.real))) else out
+        return DisplacementField(self.cell, self.values[src])
 
 
 def _taper_profile(r: np.ndarray, r_inner: float, r_outer: float) -> np.ndarray:
@@ -456,4 +393,4 @@ def cutoff_T_R(u: DisplacementField, R: float) -> DisplacementField:
     w = eta[:, None] * (u.values - c) + c
     w[eta >= 1.0] = u.values[eta >= 1.0]       # inner region bit-exact
     w[eta <= 0.0] = c                          # outer region exactly constant
-    return DisplacementField(cell, w, layout="compact", support_radius=R)
+    return DisplacementField(cell, w)

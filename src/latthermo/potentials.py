@@ -22,7 +22,6 @@ __all__ = [
     "HarmonicBondPotential",
     "MorseBondPotential",
     "PotentialModel",
-    "SymbolMatrix",
     "evaluate",
     "symbol_h",
     "stability_scan",
@@ -333,10 +332,6 @@ class PotentialModel:
         zero = np.zeros((self.spec.nR, self.spec.m))
         return self.homogeneous.hess(zero)
 
-    def third0(self) -> np.ndarray:
-        zero = np.zeros((self.spec.nR, self.spec.m))
-        return self.homogeneous.third(zero)
-
     def model_hash(self) -> str:
         payload = {
             "A": self.spec.A.tolist(), "B": self.spec.B.tolist(),
@@ -346,23 +341,6 @@ class PotentialModel:
         }
         text = json.dumps(payload, sort_keys=True)
         return hashlib.sha256(text.encode()).hexdigest()[:12]
-
-
-@dataclass
-class SymbolMatrix:
-    """Fourier symbol of the homogeneous Hessian at one k-point."""
-
-    k: np.ndarray
-    raw: np.ndarray
-    sine: np.ndarray
-
-    @property
-    def h_hat(self) -> np.ndarray:
-        return self.raw
-
-    @property
-    def agreement(self) -> float:
-        return float(np.max(np.abs(self.raw - self.sine)))
 
 
 def _sine_coefficients(model: PotentialModel):
@@ -387,10 +365,13 @@ def _sine_coefficients(model: PotentialModel):
     return coeffs
 
 
-def symbol_h(model: PotentialModel, k: np.ndarray) -> SymbolMatrix:
-    """Homogeneous Hessian symbol, in the raw difference form and the sine form.
+def symbol_h(model: PotentialModel, k: np.ndarray) -> np.ndarray:
+    """Homogeneous Hessian symbol at one k in the raw difference form; (m, m).
 
-    Both are returned; they agree to round-off for point-symmetric potentials.
+    The definition, sum over rho, sigma of (e^{-i k.rho} - 1) nabla^2 V(0)
+    (e^{i k.sigma} - 1), serves as the reference for ``symbol_h_batch``,
+    whose sine form every stage uses; the two agree to round-off for
+    point-symmetric potentials.
     """
     spec = model.spec
     k = np.asarray(k, dtype=float)
@@ -399,15 +380,7 @@ def symbol_h(model: PotentialModel, k: np.ndarray) -> SymbolMatrix:
     left = np.repeat(np.exp(-1j * phase) - 1.0, spec.m)
     right = np.repeat(np.exp(1j * phase) - 1.0, spec.m)
     weighted = (left[:, None] * right[None, :]) * H2
-    raw = weighted.reshape(spec.nR, spec.m, spec.nR, spec.m).sum(axis=(0, 2))
-
-    sine = np.zeros((spec.m, spec.m))
-    for sig, E in _sine_coefficients(model).items():
-        if all(v == 0 for v in sig):
-            continue
-        arg = 0.5 * float(k @ (spec.A @ np.asarray(sig, dtype=float)))
-        sine += -2.0 * E * np.sin(arg) ** 2
-    return SymbolMatrix(k=k, raw=raw, sine=sine)
+    return weighted.reshape(spec.nR, spec.m, spec.nR, spec.m).sum(axis=(0, 2))
 
 
 def symbol_h_batch(model: PotentialModel, ks: np.ndarray) -> np.ndarray:
@@ -423,15 +396,16 @@ def symbol_h_batch(model: PotentialModel, ks: np.ndarray) -> np.ndarray:
     return out
 
 
-def _acoustic_limit(model: PotentialModel, khat: np.ndarray) -> np.ndarray:
-    """lim_{eps->0} h_hat(eps khat)/eps^2 from the sine form."""
+def _acoustic_limits(model: PotentialModel, khats: np.ndarray) -> np.ndarray:
+    """lim_{eps->0} h_hat(eps khat)/eps^2 from the sine form, for every row
+    khat of ``khats``; shape (ndirs, m, m)."""
     spec = model.spec
-    out = np.zeros((spec.m, spec.m))
+    out = np.zeros((khats.shape[0], spec.m, spec.m))
     for sig, E in _sine_coefficients(model).items():
         if all(v == 0 for v in sig):
             continue
-        proj = float(khat @ (spec.A @ np.asarray(sig, dtype=float)))
-        out += -0.5 * proj**2 * E
+        proj = khats @ (spec.A @ np.asarray(sig, dtype=float))
+        out += -0.5 * proj[:, None, None] ** 2 * E
     return out
 
 
@@ -471,10 +445,9 @@ def stability_scan(model: PotentialModel, resolution: int = 64) -> StabilityRepo
         z = 1 - 2 * (i + 0.5) / 1000
         r = np.sqrt(1 - z**2)
         dirs = np.stack([r * np.cos(g * i), r * np.sin(g * i), z], axis=1)
-    for khat in dirs:
-        ev = np.linalg.eigvalsh(_acoustic_limit(model, khat))
-        c0 = min(c0, float(ev.min()))
-        c1 = max(c1, float(ev.max()))
+    ev = np.linalg.eigvalsh(_acoustic_limits(model, dirs))
+    c0 = min(c0, float(ev.min()))
+    c1 = max(c1, float(ev.max()))
     return StabilityReport(c0=c0, c1=c1, passed=c0 > 0, grid_points=mesh.shape[0])
 
 

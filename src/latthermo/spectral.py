@@ -24,7 +24,6 @@ from .potentials import PotentialModel, symbol_h_batch
 __all__ = [
     "AmbiguousSpectrumError",
     "ModeClassification",
-    "SpectralDecomposition",
     "KernelTable",
     "symbol_F",
     "kernel_FN",
@@ -32,7 +31,6 @@ __all__ = [
     "projector_constants",
     "conjugate_operator",
     "classify_eigenvalues",
-    "spectral_decomposition",
     "logdet_plus",
     "logdet_plus_factorized",
     "matrix_log_plus",
@@ -80,24 +78,6 @@ class ModeClassification:
             "sigma_max": self.sigma_max,
             "complete": self.complete,
         }
-
-    def audit_text(self) -> str:
-        """Human-readable classification audit (structured text)."""
-        lines = [f"tau_zero {self.tau_zero!r}",
-                 f"counts zero={self.n_zero} negative={self.n_negative} "
-                 f"positive={self.n_positive} complete={self.complete}",
-                 f"sigma [{self.sigma_min!r}, {self.sigma_max!r}]"]
-        labels = self.labels if self.labels else [""] * len(self.eigenvalues)
-        for lam, lab in zip(np.asarray(self.eigenvalues).ravel(), labels):
-            lines.append(f"  {lam!r} {lab}")
-        return "\n".join(lines) + "\n"
-
-
-@dataclass
-class SpectralDecomposition:
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    classification: ModeClassification
 
 
 def classify_eigenvalues(eigs: np.ndarray, expected_zero: int,
@@ -226,13 +206,17 @@ class KernelTable:
         atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def kernel_FN(model: PotentialModel, cell: Supercell) -> KernelTable:
-    """Periodic kernel F_N via the dual grid with the k=0 term excluded."""
-    k = cell.dual.k
+def _fhat_dual(model: PotentialModel, cell: Supercell) -> np.ndarray:
+    """F_hat = h_hat^{-1/2} on the cell's dual grid, zero at k = 0; (n, m, m)."""
     zero = np.all(cell.dual.y == 0, axis=1)
     fh = np.zeros((cell.n, model.spec.m, model.spec.m), dtype=complex)
-    fh[~zero] = _inverse_sqrt_batch(symbol_h_batch(model, k[~zero]))
-    vals = cell.idft(fh)
+    fh[~zero] = _inverse_sqrt_batch(symbol_h_batch(model, cell.dual.k[~zero]))
+    return fh
+
+
+def kernel_FN(model: PotentialModel, cell: Supercell) -> KernelTable:
+    """Periodic kernel F_N via the dual grid with the k=0 term excluded."""
+    vals = cell.idft(_fhat_dual(model, cell))
     imag = float(np.max(np.abs(vals.imag)))
     if imag > 1e-10 * (1 + np.max(np.abs(vals.real))):
         raise FloatingPointError(f"periodic kernel has imaginary residue {imag:g}")
@@ -284,13 +268,6 @@ def _dense(op) -> np.ndarray:
     if isinstance(op, LinearLatticeOperator):
         return op.dense()
     return np.asarray(op)
-
-
-def spectral_decomposition(op, expected_zero: int) -> SpectralDecomposition:
-    A = _dense(op)
-    w, V = np.linalg.eigh(A)
-    cls = classify_eigenvalues(w, expected_zero)
-    return SpectralDecomposition(eigenvalues=w, eigenvectors=V, classification=cls)
 
 
 def logdet_plus(op, expected_zero: int,
@@ -565,11 +542,7 @@ class FApplier:
     def __init__(self, cell: Supercell, model: PotentialModel):
         self.cell = cell
         self.m = model.spec.m
-        k = cell.dual.k
-        zero = np.all(cell.dual.y == 0, axis=1)
-        fh = np.zeros((cell.n, self.m, self.m), dtype=complex)
-        fh[~zero] = _inverse_sqrt_batch(symbol_h_batch(model, k[~zero]))
-        self.fhat = fh
+        self.fhat = _fhat_dual(model, cell)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """v: (dim,) or (dim, batch) flattened fields; returns same shape."""
@@ -596,10 +569,14 @@ def _fhf_matvec(F: FApplier, H: LinearLatticeOperator):
 def _fhf_positive_bounds(matvec, cell: Supercell, expected_negative: int):
     """Bounds of the positive spectrum of F_N H F_N with its negative modes deflated.
 
-    Returns (sig_lo, sig_hi, deflate, negatives); deflate holds the unit modes.
+    The top eigenvalue is solved first, unshifted: the translation zeros and
+    the negative modes lie below it. It then scales the shifts of the lower
+    solves. Returns (sig_lo, sig_hi, deflate, negatives); deflate holds the
+    unit modes.
     """
     n, m = cell.n, cell.spec.m
-    scale = max(_operator_norm_estimate(matvec, n * m), 1.0)
+    w_hi, _ = _extremal_eig(matvec, cell, 0.0, k=1, mode="LA", shiftless=True)
+    scale = max(float(w_hi[0]), 1.0)
     deflate = []
     negatives = []
     if expected_negative:
@@ -613,7 +590,6 @@ def _fhf_positive_bounds(matvec, cell: Supercell, expected_negative: int):
             deflate.append(vec)
             negatives.append(float(wneg[j]))
     w_lo, _ = _extremal_eig(matvec, cell, scale, k=1, mode="SA", deflate=deflate)
-    w_hi, _ = _extremal_eig(matvec, cell, scale, k=1, mode="LA", deflate=deflate)
     return float(w_lo[0]), float(w_hi[0]), deflate, negatives
 
 

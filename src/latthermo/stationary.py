@@ -396,6 +396,5 @@ def continue_in_N(model: PotentialModel, point: StationaryPoint,
     ext = DisplacementField(cell_new, old.values[idx_old])
     r_old = old.cell.N * float(np.linalg.svd(old.cell.spec.B, compute_uv=False)[-1])
     if r_old >= 4.0 * old.cell.spec.r_cut + 1e-9:
-        w = cutoff_T_R(ext, r_old)
-        ext = DisplacementField(cell_new, w.values)
+        ext = cutoff_T_R(ext, r_old)
     return ext.zero_mean()

@@ -8,8 +8,6 @@ from latthermo import (
     energy_periodic,
     gradient_periodic,
     hessian,
-    hessian_interp,
-    hessian_truncated,
     variation_contractions,
 )
 from latthermo.potentials import PRESETS
@@ -151,54 +149,6 @@ class TestGradientHessian:
             w = np.linalg.eigvalsh(H.dense())
             assert w.min() > -1e-10
             assert (np.abs(w) < 1e-10).sum() == cell.spec.m
-
-
-class TestInterpAndTruncated:
-    def test_interp_endpoints_and_affine(self):
-        model, cell, u = small_state("square_misfit", scale=0.05)
-        H0 = hessian_interp(model, u, 0.0)
-        H1 = hessian_interp(model, u, 1.0)
-        Hh = hessian(model, cell.zero_field(), kind="homogeneous")
-        Hd = hessian(model, u, kind="defect")
-        assert abs(H0.mat - Hh.mat).max() < 1e-14
-        assert abs(H1.mat - Hd.mat).max() < 1e-14
-        Ht = hessian_interp(model, u, 0.3)
-        affine = Hh.mat + 0.3 * (Hd.mat - Hh.mat)
-        assert abs(Ht.mat - affine).max() < 1e-13
-
-    def test_interp_out_of_range(self):
-        model, cell, u = small_state("square_misfit")
-        with pytest.raises(ValueError):
-            hessian_interp(model, u, 1.5)
-
-    def test_truncated_all_linearized_equals_hom(self):
-        model, cell, u = small_state("square_misfit", scale=0.05)
-        HM = hessian_truncated(model, u, M=100.0)
-        Hh = hessian(model, cell.zero_field(), kind="homogeneous")
-        assert abs(HM.mat - Hh.mat).max() < 1e-13
-
-    def test_truncated_per_site_rule(self):
-        model, cell, u = small_state("square_anharmonic", scale=0.08, seed=12)
-        M = 2.0
-        HM = hessian_truncated(model, u, M=M)
-        # oracle: assemble from a field zeroed on the inner region
-        hom = model.homogenized()
-        G = u.gradients()
-        inner = cell.r <= M + 1e-12
-        # rebuild by brute force from per-site tensors
-        from latthermo.assembly import _assemble_quadratic
-        import scipy.sparse as sp
-        rows, cols, vals = [], [], []
-        G_eff = G.copy()
-        G_eff[inner] = 0.0
-        idx = np.arange(cell.n)
-        T = hom.homogeneous.hess_batch(G_eff)
-        _assemble_quadratic(cell, T, idx, rows, cols, vals)
-        dim = cell.n * cell.spec.m
-        oracle = sp.coo_matrix((np.concatenate(vals),
-                                (np.concatenate(rows), np.concatenate(cols))),
-                               shape=(dim, dim)).tocsr()
-        assert abs(HM.mat - oracle).max() < 1e-14
 
 
 class TestVariations:

@@ -290,3 +290,23 @@ run:
     out = capsys.readouterr().out
     assert rc == 0
     assert "renormalised S" in out
+
+
+def test_cli_renormalised_entropy_defect_free(tmp_path, capsys):
+    # every renormalised term vanishes, so no decay is fitted and none is printed
+    cfg_text = """
+model:
+  preset: square_anharmonic
+run:
+  N_list: [4]
+  N_ref: 8
+  R_sum: 2
+"""
+    p = tmp_path / "cfg.yaml"
+    p.write_text(cfg_text)
+    rc = cli_main(["entropy", "--config", str(p), "--out", str(tmp_path / "out"),
+                   "--renormalised"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "renormalised S (N_ref=8, R_sum=2.0)" in out
+    assert "decay=" not in out

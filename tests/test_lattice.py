@@ -8,10 +8,8 @@ from latthermo import (
     DisplacementField,
     LatticeSpec,
     PreconditionError,
-    build_supercell,
+    Supercell,
     cutoff_T_R,
-    periodic_projection,
-    stencil_difference,
 )
 from latthermo.fitting import fit_rate
 
@@ -41,17 +39,17 @@ def naive_dft(cell, f):
 class TestSupercell:
     def test_unit_cell_sites(self):
         # geometry-only: at N=1 no spanning stencil embeds, so skip that check
-        cell = build_supercell(spec_square(), 1, check_interaction=False)
+        cell = Supercell(spec_square(), 1, check_interaction=False)
         assert cell.n == 4
         assert sorted(map(tuple, cell.x.tolist())) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     def test_doubled_cell_count(self):
         spec = LatticeSpec(A=np.eye(2), B=2 * np.eye(2), m=1, r_cut=1.5)
-        assert build_supercell(spec, 1).n == 16
+        assert Supercell(spec, 1).n == 16
 
     def test_3d_count(self):
         spec = LatticeSpec(A=np.eye(3), B=np.eye(3), m=1, r_cut=1.5)
-        assert build_supercell(spec, 2).n == 64
+        assert Supercell(spec, 2).n == 64
 
     def test_non_integer_cell_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -59,11 +57,11 @@ class TestSupercell:
 
     def test_too_small_cell_rejected(self):
         with pytest.raises(PreconditionError):
-            build_supercell(spec_square(r_cut=2.5), 1)
+            Supercell(spec_square(r_cut=2.5), 1)
 
     def test_wrap_periodicity(self):
         spec = LatticeSpec(A=np.eye(2), B=np.array([[2.0, 1.0], [0.0, 1.0]]), m=1, r_cut=1.5)
-        cell = build_supercell(spec, 2)
+        cell = Supercell(spec, 2)
         rng = np.random.default_rng(0)
         xs = rng.integers(-20, 20, size=(50, 2))
         zs = rng.integers(-3, 3, size=(50, 2))
@@ -73,7 +71,7 @@ class TestSupercell:
             assert tuple(cell.wrap(x[None])[0]) == naive_wrap(x, spec.C, cell.N)
 
     def test_inverse_map_bijective(self):
-        cell = build_supercell(spec_square(), 3)
+        cell = Supercell(spec_square(), 3)
         idx = cell.site_indices(cell.x)
         assert np.array_equal(idx, np.arange(cell.n))
 
@@ -94,7 +92,7 @@ class TestIndexPath:
     def test_site_indices_match_naive_wrap(self, name, B, N):
         d = B.shape[0]
         spec = LatticeSpec(A=np.eye(d), B=B, m=1, r_cut=1.5)
-        cell = build_supercell(spec, N)
+        cell = Supercell(spec, N)
         ordinal = {tuple(p): i for i, p in enumerate(cell.x.tolist())}
         rng = np.random.default_rng(10)
         xs = rng.integers(-50, 51, size=(40 if d == 2 else 15, d))
@@ -106,8 +104,8 @@ class TestIndexPath:
     @pytest.mark.parametrize("name,B,N", INDEX_CASES, ids=[c[0] for c in INDEX_CASES])
     def test_dft_matches_naive_phases(self, name, B, N):
         d = B.shape[0]
-        cell = build_supercell(LatticeSpec(A=np.eye(d), B=B, m=1, r_cut=1.5), 2,
-                               check_interaction=False)
+        cell = Supercell(LatticeSpec(A=np.eye(d), B=B, m=1, r_cut=1.5), 2,
+                         check_interaction=False)
         f = np.random.default_rng(12).standard_normal((cell.n, 2))
         fhat = cell.dft(f)
         assert np.allclose(fhat, naive_dft(cell, f), atol=1e-9)
@@ -118,7 +116,7 @@ class TestIndexPath:
         d = B.shape[0]
         for r_cut, level in ((1.5, 1), (2.5, 1), (1.5, N)):
             spec = LatticeSpec(A=np.eye(d), B=B, m=1, r_cut=r_cut)
-            cell = build_supercell(spec, level, check_interaction=False)
+            cell = Supercell(spec, level, check_interaction=False)
             ball = [tuple(p) for p in spec.stencil_x.tolist()]
             fits = all(naive_wrap(p, spec.C, level) == p for p in ball)
             assert cell.interaction_fits == fits
@@ -126,30 +124,30 @@ class TestIndexPath:
 
 class TestStencil:
     def test_constant_field_zero(self):
-        cell = build_supercell(spec_square(m=2), 2)
+        cell = Supercell(spec_square(m=2), 2)
         u = DisplacementField(cell, np.ones((cell.n, 2)) * 0.7)
-        assert np.allclose(stencil_difference(u, (0, 0)), 0.0)
+        assert np.allclose(u.gradients()[cell.index((0, 0))], 0.0)
 
     def test_linear_field(self):
-        cell = build_supercell(spec_square(m=2), 2)
+        cell = Supercell(spec_square(m=2), 2)
         # affine maps are not periodic; emulate via direct formula on the stencil
         G = np.array([[0.3, -0.1], [0.2, 0.5]])
         vals = cell.pos @ G.T
         u = DisplacementField(cell, vals)
         expected = cell.spec.stencil @ G.T
-        got = stencil_difference(u, (1, 1))
+        got = u.gradients()[cell.index((1, 1))]
         interior_ok = np.allclose(got, expected)
         # site (1,1) at N=2 has all neighbours inside the cell, so no wrap
         assert interior_ok
 
     def test_random_field_wrap_oracle(self):
         spec = spec_square(m=2)
-        cell = build_supercell(spec, 2)
+        cell = Supercell(spec, 2)
         rng = np.random.default_rng(1)
         u = DisplacementField(cell, rng.standard_normal((cell.n, 2)))
         for trial in range(5):
             x = rng.integers(-6, 6, size=2)
-            got = stencil_difference(u, x)
+            got = u.gradients()[cell.index(x)]
             for j, rho in enumerate(spec.stencil_x):
                 a = u.values[cell.index(naive_wrap(x + rho, spec.C, cell.N))]
                 b = u.values[cell.index(naive_wrap(x, spec.C, cell.N))]
@@ -170,7 +168,7 @@ CELL_CASES = [
 class TestDFT:
     @pytest.mark.parametrize("name,spec,N", CELL_CASES, ids=[c[0] for c in CELL_CASES])
     def test_roundtrip_and_oracle(self, name, spec, N):
-        cell = build_supercell(spec, N)
+        cell = Supercell(spec, N)
         rng = np.random.default_rng(2)
         f = rng.standard_normal(cell.n)
         fhat = cell.dft(f)
@@ -180,27 +178,27 @@ class TestDFT:
         assert np.max(np.abs(back.imag)) < 1e-12
 
     def test_delta_transforms_to_one(self):
-        cell = build_supercell(spec_square(), 2)
+        cell = Supercell(spec_square(), 2)
         f = np.zeros(cell.n)
         f[cell.index((0, 0))] = 1.0
         assert np.allclose(cell.dft(f), 1.0)
 
     def test_constant_transforms_to_delta(self):
-        cell = build_supercell(spec_square(), 2)
+        cell = Supercell(spec_square(), 2)
         fhat = cell.dft(np.ones(cell.n))
         zero = np.all(cell.dual.y == 0, axis=1)
         assert np.allclose(fhat[zero], cell.n)
         assert np.max(np.abs(fhat[~zero])) < 1e-9
 
     def test_parseval(self):
-        cell = build_supercell(spec_square(), 4)
+        cell = Supercell(spec_square(), 4)
         rng = np.random.default_rng(3)
         f = rng.standard_normal(cell.n)
         fhat = cell.dft(f)
         assert np.isclose(np.sum(f**2), np.sum(np.abs(fhat) ** 2) / cell.n, rtol=1e-12)
 
     def test_character_orthogonality(self):
-        cell = build_supercell(spec_square(), 3)
+        cell = Supercell(spec_square(), 3)
         rng = np.random.default_rng(4)
         for _ in range(20):
             i, j = rng.integers(0, cell.n, size=2)
@@ -210,46 +208,13 @@ class TestDFT:
 
 
 class TestPeriodicProjection:
-    def test_unit_symbol_gives_delta(self):
-        cell = build_supercell(spec_square(), 3)
-        f = periodic_projection(lambda k: np.ones(len(k)), cell)
-        expected = np.zeros(cell.n)
-        expected[cell.index((0, 0))] = 1.0
-        assert np.allclose(f, expected, atol=1e-12)
-
-    def test_shift_symbol_gives_shifted_delta(self):
-        cell = build_supercell(spec_square(), 3)
-        a = np.array([2.0, -1.0])
-        f = periodic_projection(lambda k: np.exp(1j * (k @ a)), cell)
-        expected = np.zeros(cell.n)
-        expected[cell.index((2, -1))] = 1.0
-        assert np.allclose(f, expected, atol=1e-12)
-
-    def test_projection_equals_poisson_sum(self):
-        # symbol with exponentially decaying kernel: tail beyond the wrap sum is tiny
-        spec = spec_square()
-        cell = build_supercell(spec, 3)
-        big = build_supercell(spec, 24)
-
-        def sym(k):
-            return np.exp(np.cos(k[:, 0]) + np.cos(k[:, 1]))
-
-        f_N = periodic_projection(sym, cell)
-        f_big = periodic_projection(sym, big)
-        poisson = np.zeros(cell.n)
-        # images stay strictly inside the reference cell (no wrap aliasing)
-        for z in itertools.product(range(-3, 4), repeat=2):
-            shift = cell.x + 2 * cell.N * np.asarray(z)
-            poisson += f_big[big.site_indices(shift)]
-        assert np.max(np.abs(f_N - poisson)) < 1e-12
-
     def test_poisson_tail_rate(self):
         # |f - f_N|_sup for f ~ (1+|l|)^-4 in d=2 decays like N^-4 (one power
         # above the summability threshold per extra decay order)
         Ns = [8, 12, 16, 24, 32]
         errs = []
         for N in Ns:
-            cell = build_supercell(spec_square(), N)
+            cell = Supercell(spec_square(), N)
             f_exact = (1.0 + cell.r) ** -4.0
             f_N = f_exact.copy()
             for z in itertools.product(range(-3, 4), repeat=2):
@@ -264,7 +229,7 @@ class TestPeriodicProjection:
 
 class TestCutoff:
     def make_cell(self):
-        return build_supercell(spec_square(m=2), 16)
+        return Supercell(spec_square(m=2), 16)
 
     def test_constant_passthrough(self):
         cell = self.make_cell()
@@ -316,7 +281,7 @@ class TestCutoff:
 
 def test_large_fft_roundtrip_exact():
     # FFT at N=16, d=2: round trip and Parseval to 1e-12 relative
-    cell = build_supercell(spec_square(), 16)
+    cell = Supercell(spec_square(), 16)
     rng = np.random.default_rng(9)
     f = rng.standard_normal(cell.n)
     fhat = cell.dft(f)
@@ -328,7 +293,7 @@ def test_large_fft_roundtrip_exact():
 def test_large_sheared_fft_roundtrip():
     # sheared cell at N=40: n = 12800, where an n x n DFT matrix would take 2.6 GB
     spec = LatticeSpec(A=np.eye(2), B=np.array([[2.0, 1.0], [0.0, 1.0]]), m=1, r_cut=1.5)
-    cell = build_supercell(spec, 40)
+    cell = Supercell(spec, 40)
     assert cell.n == 12800
     rng = np.random.default_rng(11)
     f = rng.standard_normal((cell.n, 2))

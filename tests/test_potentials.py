@@ -7,7 +7,7 @@ from latthermo import (
     stability_scan,
     symbol_h,
 )
-from latthermo.potentials import PRESETS
+from latthermo.potentials import PRESETS, _acoustic_limits, symbol_h_batch
 
 
 def random_gradient(pot, rng, scale=0.1):
@@ -112,19 +112,26 @@ class TestDerivatives:
         assert np.all(pot.c3 < 0)
 
 
+def sine_symbol(model, k):
+    """The sine form every stage uses, at one k."""
+    return symbol_h_batch(model, np.asarray(k, dtype=float)[None])[0]
+
+
 class TestSymbol:
+    """The raw difference form ``symbol_h`` against the sine form ``symbol_h_batch``."""
+
     def test_chain_hand_value(self):
         model = preset_model("chain_harmonic")
         for k in [0.3, 1.0, 2.5]:
-            sm = symbol_h(model, np.array([k]))
-            assert abs(sm.raw[0, 0].real - 4 * np.sin(k / 2) ** 2) < 1e-12
-            assert sm.agreement < 1e-12
+            raw = symbol_h(model, np.array([k]))
+            assert abs(raw[0, 0].real - 4 * np.sin(k / 2) ** 2) < 1e-12
+            assert np.max(np.abs(raw - sine_symbol(model, [k]))) < 1e-12
 
     def test_zero_momentum_vanishes(self):
         for name in ["square_harmonic", "square_anharmonic"]:
-            sm = symbol_h(PRESETS[name](), np.zeros(2))
-            assert np.max(np.abs(sm.raw)) < 1e-12
-            assert np.max(np.abs(sm.sine)) < 1e-12
+            model = PRESETS[name]()
+            assert np.max(np.abs(symbol_h(model, np.zeros(2)))) < 1e-12
+            assert np.max(np.abs(sine_symbol(model, np.zeros(2)))) < 1e-12
 
     def test_raw_equals_sine_random_k(self):
         rng = np.random.default_rng(3)
@@ -132,9 +139,9 @@ class TestSymbol:
             model = PRESETS[name]()
             for _ in range(10):
                 k = rng.uniform(-np.pi, np.pi, size=model.spec.d)
-                sm = symbol_h(model, k)
-                assert sm.agreement < 1e-12
-                herm = np.max(np.abs(sm.raw - sm.raw.conj().T))
+                raw = symbol_h(model, k)
+                assert np.max(np.abs(raw - sine_symbol(model, k))) < 1e-12
+                herm = np.max(np.abs(raw - raw.conj().T))
                 assert herm < 1e-12
 
     def test_symbol_positive_semidefinite_for_stable_models(self):
@@ -143,7 +150,7 @@ class TestSymbol:
             model = PRESETS[name]()
             for _ in range(50):
                 k = rng.uniform(-np.pi, np.pi, size=2)
-                w = np.linalg.eigvalsh(symbol_h(model, k).sine)
+                w = np.linalg.eigvalsh(sine_symbol(model, k))
                 assert w.min() > -1e-12
 
 
@@ -165,6 +172,19 @@ class TestStabilityScan:
         assert not rep.passed
         assert rep.c0 <= 0
 
+    def test_acoustic_limits_match_small_k_symbol(self):
+        # every direction's limit h_hat(eps khat)/eps^2 against the sine form at
+        # eps = 1e-4, where sin^2 x = x^2 (1 + O(x^2)) leaves a 1e-8 relative gap
+        rng = np.random.default_rng(13)
+        eps = 1e-4
+        for name in ["chain_misfit", "square_anharmonic", "square_unstable", "cube_harmonic"]:
+            model = PRESETS[name]()
+            khats = rng.standard_normal((16, model.spec.d))
+            khats /= np.linalg.norm(khats, axis=1, keepdims=True)
+            limits = _acoustic_limits(model, khats)
+            near = symbol_h_batch(model, eps * khats) / eps**2
+            assert np.max(np.abs(limits - near)) < 1e-6 * np.max(np.abs(limits)), name
+
 
 def test_symbol_conjugate_symmetry():
     # h(-k) is the complex conjugate of h(k)
@@ -172,6 +192,6 @@ def test_symbol_conjugate_symmetry():
     model = preset_model("square_anharmonic")
     for _ in range(10):
         k = rng.uniform(-np.pi, np.pi, size=2)
-        hp = symbol_h(model, k).raw
-        hm = symbol_h(model, -k).raw
+        hp = symbol_h(model, k)
+        hm = symbol_h(model, -k)
         assert np.max(np.abs(hm - hp.conj())) < 1e-12

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 
-from latthermo import DisplacementField, Supercell, hessian, kernel_FN, preset_model
+from latthermo import DisplacementField, Supercell, kernel_FN, preset_model
 from latthermo.serialize import load_field_csv, load_point, save_field_csv, save_point
 from latthermo.stationary import relax_minimum
 
@@ -31,19 +31,6 @@ def test_point_roundtrip_and_model_guard(tmp_path):
     assert load_point(tmp_path, "min_N3", other, cell) is None
 
 
-def test_operator_coo_export(tmp_path):
-    model = preset_model("square_misfit")
-    cell = Supercell(model.spec, 2)
-    H = hessian(model, cell.zero_field(), kind="homogeneous")
-    path = tmp_path / "H.coo"
-    H.export_coo(path)
-    rows = [ln.split() for ln in path.read_text().splitlines() if not ln.startswith("#")]
-    dense = np.zeros((cell.n * 2, cell.n * 2))
-    for r_site, c_site, i, j, v in rows:
-        dense[int(r_site) * 2 + int(i), int(c_site) * 2 + int(j)] += float(v)
-    assert np.allclose(dense, H.dense())
-
-
 def test_kernel_table_csv(tmp_path):
     model = preset_model("square_misfit")
     cell = Supercell(model.spec, 3)
@@ -55,15 +42,6 @@ def test_kernel_table_csv(tmp_path):
     first = lines[1].split(",")
     x = (int(first[0]), int(first[1]))
     assert np.isclose(float(first[1 + 1]), FN.value_at(x)[0, 0])
-
-
-def test_classification_audit_text():
-    model = preset_model("square_misfit")
-    cell = Supercell(model.spec, 3)
-    pt = relax_minimum(model, cell)
-    text = pt.certificate.audit_text()
-    assert "counts zero=2 negative=0" in text
-    assert "sigma [" in text
 
 
 def test_rate_report_json_fields(tmp_path):

@@ -25,7 +25,6 @@ from latthermo.spectral import (
     log_plus_contour,
     logdet_plus_factorized,
     site_log_traces,
-    spectral_decomposition,
 )
 
 
@@ -310,19 +309,6 @@ class TestSiteTraces:
 
 
 class TestClassification:
-    def test_spectral_decomposition_residuals(self):
-        model, cell, u = stable_state("square_misfit", N=3, scale=0.02)
-        H = hessian(model, u)
-        dec = spectral_decomposition(H, expected_zero=2)
-        A = H.dense()
-        norm = np.max(np.abs(dec.eigenvalues))
-        for j in range(0, cell.n * 2, 5):
-            v = dec.eigenvectors[:, j]
-            res = np.linalg.norm(A @ v - dec.eigenvalues[j] * v)
-            assert res < 1e-9 * norm
-        G = dec.eigenvectors.T @ dec.eigenvectors
-        assert np.max(np.abs(G - np.eye(G.shape[0]))) < 1e-10
-
     def test_expected_zero_mismatch_raises(self):
         with pytest.raises(AmbiguousSpectrumError):
             classify_eigenvalues(np.array([0.0, 1.0, 2.0]), expected_zero=2)
