@@ -44,7 +44,6 @@ from .spectral import (
     logdet_plus,
     matrix_log_plus,
     projector_constants,
-    smallest_eigenpair,
     symbol_F,
 )
 from .stationary import (

@@ -5,15 +5,17 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import logging
 import os
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
+from .assembly import gradient_periodic
 from .lattice import DisplacementField, Supercell
 from .spectral import ModeClassification
-from .stationary import StationaryPoint
+from .stationary import StationaryPoint, finish_point, tol_grad
 
 __all__ = [
     "atomic_write_text",
@@ -23,6 +25,8 @@ __all__ = [
     "load_point",
     "certificate_hash",
 ]
+
+logger = logging.getLogger(__name__)
 
 
 def atomic_write_text(path: Path, text: str) -> None:
@@ -102,7 +106,14 @@ def save_point(outdir: Path, name: str, point: StationaryPoint) -> None:
 
 
 def load_point(outdir: Path, name: str, model, cell: Supercell) -> StationaryPoint | None:
-    """Reload a persisted stationary point if it matches model and cell."""
+    """Reload a persisted stationary point of this model and cell, revalidated.
+
+    The gradient norm is recomputed against ``tol_grad``, and ``finish_point``
+    re-runs the certificate and rebuilds the spectral record; a saddle's
+    stored lam must match the certificate's to 1e-8 relative. A point that
+    fails a check is logged by check name and not returned, so the caller
+    solves it again.
+    """
     outdir = Path(outdir)
     meta_path = outdir / f"{name}.json"
     field_path = outdir / f"{name}.csv"
@@ -111,20 +122,22 @@ def load_point(outdir: Path, name: str, model, cell: Supercell) -> StationaryPoi
     meta = json.loads(meta_path.read_text())
     if meta["model_hash"] != model.model_hash() or meta["N"] != cell.N:
         return None
+
+    def rejected(check: str, detail: str) -> None:
+        logger.warning("resumed point %s failed its %s check (%s); solving it again",
+                       name, check, detail)
+
     u = load_field_csv(field_path, cell)
-    cert = None
-    if meta["certificate"] is not None:
-        c = meta["certificate"]
-        cert = ModeClassification(
-            eigenvalues=np.array([float(v) for v in c["eigenvalues"]]),
-            labels=[], tau_zero=c["tau_zero"], n_zero=c["n_zero"],
-            n_negative=c["n_negative"], n_positive=c["n_positive"],
-            sigma_min=c["sigma_min"], sigma_max=c["sigma_max"],
-            complete=c["complete"])
-    return StationaryPoint(
-        kind=meta["kind"], u=u, energy=float(meta["energy"]),
-        gradient_norm=float(meta["gradient_norm"]), certificate=cert,
-        sigma=(float(meta["sigma"][0]), float(meta["sigma"][1])),
-        model_hash=meta["model_hash"], n_iter=meta["n_iter"],
-        lam=None if meta["lam"] is None else float(meta["lam"]),
-        route=meta.get("route"))
+    gnorm = float(np.linalg.norm(gradient_periodic(model, u)))
+    if gnorm > tol_grad(cell):
+        return rejected("gradient", f"|g|={gnorm:g} > tol_grad={tol_grad(cell):g}")
+    try:
+        point = finish_point(model, u, meta["kind"], float(meta["energy"]), gnorm,
+                             meta["n_iter"], route=meta.get("route"))
+    except RuntimeError as exc:
+        return rejected("certificate", f"{type(exc).__name__}: {exc}")
+    if point.lam is not None:
+        stored = None if meta["lam"] is None else float(meta["lam"])
+        if stored is None or abs(stored - point.lam) > 1e-8 * abs(point.lam):
+            return rejected("lam", f"stored {stored!r}, certificate {point.lam!r}")
+    return point

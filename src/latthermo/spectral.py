@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import LinearLatticeOperator
+from .assembly import LinearLatticeOperator, hessian
 from .lattice import Supercell
 from .potentials import PotentialModel, symbol_h_batch
 
@@ -35,7 +35,6 @@ __all__ = [
     "logdet_plus_factorized",
     "matrix_log_plus",
     "log_plus_contour",
-    "smallest_eigenpair",
     "generalized_eigen",
     "FApplier",
     "site_log_traces",
@@ -500,42 +499,6 @@ def _extremal_eig(matvec, cell: Supercell, norm_scale: float, k: int = 1,
     return w[order], V[:, order]
 
 
-def _operator_norm_estimate(matvec, dim: int, iters: int = 30, seed: int = 3) -> float:
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    lam = 1.0
-    for _ in range(iters):
-        w = matvec(v)
-        lam = float(np.linalg.norm(w))
-        if lam == 0:
-            return 1.0
-        v = w / lam
-    return lam
-
-
-def smallest_eigenpair(H: LinearLatticeOperator, tol: float = 1e-9,
-                       seed: int = 7) -> tuple[float, np.ndarray]:
-    """Minimal eigenvalue of a symmetric lattice operator on the zero-mean subspace.
-
-    Returns (lambda, phi) with phi a unit-norm zero-mean field (n, m);
-    residual is checked against tol * ||H||.
-    """
-    cell = H.cell
-    n, m = cell.n, cell.spec.m
-    matvec = lambda v: np.asarray(H.mat @ v)
-    scale = _operator_norm_estimate(matvec, n * m)
-    w, V = _extremal_eig(matvec, cell, scale, k=1, mode="SA", seed=seed)
-    phi = V[:, 0]
-    phi = phi - _mean_project(phi, n, m)
-    phi /= np.linalg.norm(phi)
-    lam = float(phi @ matvec(phi))
-    res = np.linalg.norm(matvec(phi) - lam * phi)
-    if res > max(tol, 1e-9) * max(scale, 1.0):
-        raise RuntimeError(f"eigenpair residual {res:g} above tolerance")
-    return lam, phi.reshape(n, m)
-
-
 class FApplier:
     """Matrix-free application of the periodic kernel F_N through the dual grid."""
 
@@ -566,61 +529,44 @@ def _fhf_matvec(F: FApplier, H: LinearLatticeOperator):
     return mv
 
 
-def _fhf_positive_bounds(matvec, cell: Supercell, expected_negative: int):
-    """Bounds of the positive spectrum of F_N H F_N with its negative modes deflated.
-
-    The top eigenvalue is solved first, unshifted: the translation zeros and
-    the negative modes lie below it. It then scales the shifts of the lower
-    solves. Returns (sig_lo, sig_hi, deflate, negatives); deflate holds the
-    unit modes.
-    """
-    n, m = cell.n, cell.spec.m
-    w_hi, _ = _extremal_eig(matvec, cell, 0.0, k=1, mode="LA", shiftless=True)
-    scale = max(float(w_hi[0]), 1.0)
-    deflate = []
-    negatives = []
-    if expected_negative:
-        wneg, Vneg = _extremal_eig(matvec, cell, scale, k=expected_negative, mode="SA",
-                                   tol=1e-13)
-        for j in range(expected_negative):
-            if wneg[j] >= 0:
-                raise AmbiguousSpectrumError("expected negative mode not found")
-            vec = Vneg[:, j] - _mean_project(Vneg[:, j], n, m)
-            vec /= np.linalg.norm(vec)
-            deflate.append(vec)
-            negatives.append(float(wneg[j]))
-    w_lo, _ = _extremal_eig(matvec, cell, scale, k=1, mode="SA", deflate=deflate)
-    return float(w_lo[0]), float(w_hi[0]), deflate, negatives
-
-
 def generalized_eigen(H: LinearLatticeOperator, model: PotentialModel,
-                      H_hom: LinearLatticeOperator | None = None,
-                      tol: float = 1e-8, seed: int = 11) -> tuple[float, np.ndarray]:
-    """Minimal generalized eigenvalue H psi = mu H_hom psi on the zero-mean subspace.
+                      expected_negative: int = 0, tol: float = 1e-8):
+    """The one F_N H F_N solve of a point: positive bounds and negative pairs.
 
-    Computed through the conjugated operator F_N H F_N, whose nonzero spectrum
-    equals the generalized spectrum; psi = F_N w is normalized to
-    <H_hom psi, psi> = 1. The residual of the generalized eigenproblem is
-    checked when H_hom is given.
+    The nonzero spectrum of F_N H F_N is the generalized spectrum of
+    H psi = mu H_hom psi on the zero-mean subspace, with psi = F_N w. The top
+    eigenvalue is solved first, unshifted: the translation zeros and the
+    negative modes lie below it. It then scales the shifts of the lower
+    solves. Each negative pair is checked as a generalized eigenpair against
+    the assembled H_hom. Returns (sigma_lo, sigma_hi, mus, modes): the bounds
+    of the positive spectrum with the negative modes deflated, the negative
+    eigenvalues and their unit zero-mean modes w.
     """
     cell = H.cell
     n, m = cell.n, cell.spec.m
     F = FApplier(cell, model)
     matvec = _fhf_matvec(F, H)
-    scale = max(_operator_norm_estimate(matvec, n * m), 1.0)
-    w, V = _extremal_eig(matvec, cell, scale, k=1, mode="SA", seed=seed)
-    wvec = V[:, 0]
-    wvec = wvec - _mean_project(wvec, n, m)
-    wvec /= np.linalg.norm(wvec)
-    mu = float(wvec @ matvec(wvec))
-    psi = F.apply(wvec)
-    if H_hom is not None:
-        lhs = np.asarray(H.mat @ psi)
-        rhs = np.asarray(H_hom.mat @ psi)
-        res = np.linalg.norm(lhs - mu * rhs)
-        if res > max(tol, 1e-9) * max(np.linalg.norm(lhs), 1e-12):
-            raise RuntimeError(f"generalized eigenpair residual {res:g} above tolerance")
-    return mu, psi.reshape(n, m)
+    w_hi, _ = _extremal_eig(matvec, cell, 0.0, k=1, mode="LA", shiftless=True)
+    scale = max(float(w_hi[0]), 1.0)
+    mus, modes = [], []
+    if expected_negative:
+        wneg, Vneg = _extremal_eig(matvec, cell, scale, k=expected_negative, mode="SA",
+                                   tol=1e-13)
+        H_hom = hessian(model, cell.zero_field(), kind="homogeneous")
+        for mu, vec in zip(wneg, Vneg.T):
+            if mu >= 0:
+                raise AmbiguousSpectrumError("expected negative mode not found")
+            vec = vec - _mean_project(vec, n, m)
+            vec /= np.linalg.norm(vec)
+            psi = F.apply(vec)
+            lhs = np.asarray(H.mat @ psi)
+            res = np.linalg.norm(lhs - mu * np.asarray(H_hom.mat @ psi))
+            if res > tol * max(np.linalg.norm(lhs), 1e-12):
+                raise RuntimeError(f"generalized eigenpair residual {res:g} above tolerance")
+            mus.append(float(mu))
+            modes.append(vec)
+    w_lo, _ = _extremal_eig(matvec, cell, scale, k=1, mode="SA", deflate=modes)
+    return float(w_lo[0]), float(w_hi[0]), mus, modes
 
 
 # ---------------------------------------------------------------------------
@@ -647,12 +593,14 @@ def _cheb_log_poly(a: float, b: float, tol: float = 1e-11):
 
 def site_log_traces(H: LinearLatticeOperator, model: PotentialModel,
                     sites: np.ndarray, expected_negative: int = 0,
-                    method: str = "auto") -> tuple[np.ndarray, dict]:
+                    method: str = "auto", spectrum: tuple | None = None) -> tuple[np.ndarray, dict]:
     """tr [log+ (F_N H F_N)]_{ell ell} for the requested site ordinals.
 
     Dense eigendecomposition when the operator fits, otherwise a Chebyshev
     expansion of log on the measured positive spectral interval applied to
-    deflated site basis columns (matrix-free F through the dual grid).
+    deflated site basis columns (matrix-free F through the dual grid). The
+    Chebyshev route takes the bounds and negative modes from ``spectrum``, a
+    point's carried ``generalized_eigen`` result, and solves them otherwise.
     Returns (traces, info) with measured spectral bounds in info.
     """
     cell = H.cell
@@ -677,9 +625,10 @@ def site_log_traces(H: LinearLatticeOperator, model: PotentialModel,
         info = {"method": "dense", "sigma_min": cls.sigma_min, "sigma_max": cls.sigma_max}
         return traces, info
 
-    F = FApplier(cell, model)
-    matvec = _fhf_matvec(F, H)
-    sig_lo, sig_hi, deflate, negatives = _fhf_positive_bounds(matvec, cell, expected_negative)
+    matvec = _fhf_matvec(FApplier(cell, model), H)
+    if spectrum is None:
+        spectrum = generalized_eigen(H, model, expected_negative)
+    sig_lo, sig_hi, negatives, deflate = spectrum
     if sig_lo <= 0:
         raise AmbiguousSpectrumError(f"positive spectrum lower bound {sig_lo:g} <= 0")
     a, b = 0.95 * sig_lo, 1.05 * sig_hi

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import energy_periodic, gradient_periodic, hessian
+from .assembly import LinearLatticeOperator, energy_periodic, gradient_periodic, hessian
 from .lattice import DisplacementField, Supercell, cutoff_T_R
 from .potentials import PotentialModel
 from .spectral import (
@@ -22,13 +22,10 @@ from .spectral import (
     FApplier,
     ModeClassification,
     _extremal_eig,
-    _fhf_matvec,
-    _fhf_positive_bounds,
     _mean_project,
-    _operator_norm_estimate,
     _translation_modes,
     classify_eigenvalues,
-    smallest_eigenpair,
+    generalized_eigen,
 )
 
 __all__ = [
@@ -39,6 +36,7 @@ __all__ = [
     "find_saddle",
     "continue_in_N",
     "certify",
+    "finish_point",
 ]
 
 logger = logging.getLogger(__name__)
@@ -64,13 +62,16 @@ class StationaryPoint:
     energy: float
     gradient_norm: float
     certificate: ModeClassification
-    sigma: tuple[float, float]      # measured bounds of F_N H F_N + pi_N
+    sigma: tuple[float, float]      # positive spectrum of F_N H F_N, negatives deflated
     model_hash: str
     n_iter: int
     lam: float | None = None        # unstable eigenvalue at a saddle
     phi: np.ndarray | None = None   # unstable mode at a saddle
     gradient_history: list = field(default_factory=list)
     route: str | None = None        # saddle route: follow, symmetric or symmetric_fallback
+    mu: float | None = None         # negative eigenvalue of F_N H F_N at a saddle
+    w: np.ndarray | None = None     # its unit mode; psi = F_N w
+    H: LinearLatticeOperator | None = field(default=None, repr=False, compare=False)
 
     @property
     def N(self) -> int:
@@ -88,50 +89,78 @@ def _bordered_solve(H: sp.spmatrix, nu: float, rhs: np.ndarray, cell: Supercell)
     return sol[:dim]
 
 
-def _certify_spectrum(model: PotentialModel, u: DisplacementField, kind: str) -> ModeClassification:
-    """Partial spectral classification from the extremal spectrum of the Hessian."""
-    cell = u.cell
-    m = cell.spec.m
-    H = hessian(model, u, kind="defect")
+def _certify_spectrum(H: LinearLatticeOperator, kind: str):
+    """Partial spectral classification from the extremal spectrum of the Hessian.
+
+    Returns (classification, lam, phi). At a saddle (lam, phi) is the unstable
+    pair of the certificate's own solve, with a checked residual.
+    """
+    cell = H.cell
+    n, m = cell.n, cell.spec.m
     matvec = lambda v: np.asarray(H.mat @ v)
     expected_neg = 1 if kind == "saddle" else 0
-    k_small = min(m + expected_neg + 2, cell.n * m - 1)
+    k_small = min(m + expected_neg + 2, n * m - 1)
     # shiftless and undeflated: the solves apply no shift, so they need no norm scale
-    w_small, _ = _extremal_eig(matvec, cell, 0.0, k=k_small, mode="SA", shiftless=True)
+    w_small, V_small = _extremal_eig(matvec, cell, 0.0, k=k_small, mode="SA", shiftless=True)
     w_large, _ = _extremal_eig(matvec, cell, 0.0, k=1, mode="LA", shiftless=True)
     eigs = np.concatenate([w_small, w_large])
     cls = classify_eigenvalues(eigs, expected_zero=m, complete=False)
-    cls.n_positive = cell.n * m - cls.n_zero - cls.n_negative
+    cls.n_positive = n * m - cls.n_zero - cls.n_negative
     if cls.n_negative != expected_neg:
         raise CertificationError(
             f"{kind} certificate: expected {expected_neg} negative modes, "
             f"found {cls.n_negative}", cls)
-    return cls
-
-
-def _fhf_sigma_bounds(model: PotentialModel, u: DisplacementField,
-                      expected_negative: int) -> tuple[float, float]:
-    """Measured [sigma_lo, sigma_hi] of the positive spectrum of F_N H F_N + pi_N."""
-    H = hessian(model, u, kind="defect")
-    matvec = _fhf_matvec(FApplier(u.cell, model), H)
-    lo, hi, _, _ = _fhf_positive_bounds(matvec, u.cell, expected_negative)
-    # pi_N contributes eigenvalue 1, inside [lo, hi] for the shipped corpus
-    return lo, hi
+    if not expected_neg:
+        return cls, None, None
+    lam = float(w_small[0])
+    phi = V_small[:, 0] - _mean_project(V_small[:, 0], n, m)
+    phi /= np.linalg.norm(phi)
+    res = float(np.linalg.norm(matvec(phi) - lam * phi))
+    if res > 1e-9 * max(float(np.max(np.abs(eigs))), 1.0):
+        raise CertificationError(f"unstable eigenpair residual {res:g} above tolerance", cls)
+    return cls, lam, phi.reshape(n, m)
 
 
 def certify(model: PotentialModel, point: "StationaryPoint") -> ModeClassification:
-    """Re-run the spectral certificate of a converged point."""
-    return _certify_spectrum(model, point.u, point.kind)
+    """Re-run the spectral certificate of a converged point on a fresh Hessian."""
+    return _certify_spectrum(hessian(model, point.u), point.kind)[0]
+
+
+def finish_point(model: PotentialModel, u: DisplacementField, kind: str, energy: float,
+                 gradient_norm: float, n_iter: int, H: LinearLatticeOperator | None = None,
+                 route: str | None = None, history: list | None = None) -> StationaryPoint:
+    """Certify a converged field and build its spectral record.
+
+    ``H`` is the Hessian the solver already assembled at ``u``, if any; it is
+    assembled here otherwise. One certificate and one F_N H F_N solve give
+    every spectral fact of the point, and the point keeps H for thermo.
+    """
+    H = hessian(model, u) if H is None else H
+    cls, lam, phi = _certify_spectrum(H, kind)
+    lo, hi, mus, modes = generalized_eigen(H, model, expected_negative=cls.n_negative)
+    return StationaryPoint(kind, u, energy, gradient_norm, cls, (lo, hi), model.model_hash(),
+                           n_iter, lam=lam, phi=phi, gradient_history=history or [],
+                           route=route, mu=mus[0] if mus else None,
+                           w=modes[0].reshape(u.values.shape) if modes else None, H=H)
 
 
 def relax_minimum(model: PotentialModel, cell: Supercell,
                   initial_guess: DisplacementField | np.ndarray | None = None,
-                  max_iter: int = 100, symmetrize=None) -> StationaryPoint:
+                  max_iter: int = 100) -> StationaryPoint:
     """Damped-Newton minimisation of the defect supercell energy.
 
-    Returns a certified minimum with zero-mean gauge. ``symmetrize`` is an
-    optional field projector applied to iterates and gradients (used by the
-    symmetric saddle search).
+    Returns a certified minimum with zero-mean gauge.
+    """
+    fld, energy, gnorm, n_iter, history = _newton_relax(model, cell, initial_guess, max_iter)
+    return finish_point(model, fld, "minimum", energy, gnorm, n_iter, history=history)
+
+
+def _newton_relax(model: PotentialModel, cell: Supercell, initial_guess, max_iter: int,
+                  symmetrize=None):
+    """Damped Newton to |g| <= tol_grad; returns (field, E, |g|, iterations, |g| history).
+
+    ``symmetrize`` is an optional field projector applied to iterates and
+    gradients (used by the symmetric saddle search).
     """
     tol = tol_grad(cell)
     if initial_guess is None:
@@ -200,15 +229,7 @@ def relax_minimum(model: PotentialModel, cell: Supercell,
     gnorm = float(np.linalg.norm(g))
     if gnorm > tol:
         raise RuntimeError(f"converged point has residual {gnorm:g} > {tol:g}")
-    if symmetrize is not None:
-        # symmetric-subspace solve used internally by the saddle search;
-        # certification happens in the caller
-        return StationaryPoint("minimum", fld, energy, gnorm, None, (np.nan, np.nan),
-                               model.model_hash(), n_iter, gradient_history=history)
-    cls = _certify_spectrum(model, fld, "minimum")
-    sig = _fhf_sigma_bounds(model, fld, expected_negative=0)
-    return StationaryPoint("minimum", fld, energy, gnorm, cls, sig,
-                           model.model_hash(), n_iter, gradient_history=history)
+    return fld, energy, gnorm, n_iter, history
 
 
 def _mirror_symmetrizer(cell: Supercell, Q: np.ndarray):
@@ -315,12 +336,12 @@ def _saddle_follow(model: PotentialModel, cell: Supercell, guess_pair,
         g = gradient_periodic(model, fld).reshape(-1)
         gnorm = float(np.linalg.norm(g))
         H = hessian(model, fld)
-        matvec = lambda v: np.asarray(H.mat @ v)
-        scale = _operator_norm_estimate(matvec, n * m)
-        # constants shifted out of view: the two softest non-translation modes
-        w, V = _extremal_eig(matvec, cell, scale, k=2, mode="SA", precond=precond, X0=V)
         if gnorm <= tol:
             break
+        matvec = lambda v: np.asarray(H.mat @ v)
+        scale = float(abs(H.mat).sum(axis=1).max())     # Gershgorin bound on ||H||
+        # constants shifted out of view: the two softest non-translation modes
+        w, V = _extremal_eig(matvec, cell, scale, k=2, mode="SA", precond=precond, X0=V)
         cand = [(float(w[j]), V[:, j]) for j in range(len(w))]
         if track is not None and len(cand) > 1:
             overlaps = [abs(v @ track) for _, v in cand]
@@ -350,33 +371,14 @@ def _saddle_follow(model: PotentialModel, cell: Supercell, guess_pair,
         raise RuntimeError(f"saddle search did not converge in {max_iter} iterations "
                            f"(|g|={gnorm_prev:g})")
 
-    # the softest mode of the converged point comes from its last eigen solve
-    cls = _certify_spectrum(model, fld, "saddle")
-    lam = float(w[0])
-    if lam >= 0:
-        raise CertificationError("converged point has no unstable mode", cls)
-    phi = V[:, 0] - _mean_project(V[:, 0], n, m)
-    phi /= np.linalg.norm(phi)
-    sig = _fhf_sigma_bounds(model, fld, expected_negative=1)
-    energy = energy_periodic(model, fld).value
-    return StationaryPoint("saddle", fld, energy, gnorm, cls, sig,
-                           model.model_hash(), n_iter, lam=lam, phi=phi.reshape(n, m),
-                           route="follow")
+    return finish_point(model, fld, "saddle", energy_periodic(model, fld).value, gnorm,
+                        n_iter, H=H, route="follow")
 
 
 def _saddle_symmetric(model: PotentialModel, cell: Supercell, max_iter: int) -> StationaryPoint:
     symmetrize = _mirror_symmetrizer(cell, model.mirror)
-    point = relax_minimum(model, cell, max_iter=max_iter, symmetrize=symmetrize)
-    fld = point.u
-    cls = _certify_spectrum(model, fld, "saddle")
-    H = hessian(model, fld)
-    lam, phi = smallest_eigenpair(H)
-    if lam >= 0:
-        raise CertificationError("symmetric stationary point is not index-1", cls)
-    sig = _fhf_sigma_bounds(model, fld, expected_negative=1)
-    return StationaryPoint("saddle", fld, point.energy, point.gradient_norm, cls, sig,
-                           model.model_hash(), point.n_iter, lam=float(lam), phi=phi,
-                           route="symmetric")
+    fld, energy, gnorm, n_iter, _ = _newton_relax(model, cell, None, max_iter, symmetrize)
+    return finish_point(model, fld, "saddle", energy, gnorm, n_iter, route="symmetric")
 
 
 def continue_in_N(model: PotentialModel, point: StationaryPoint,

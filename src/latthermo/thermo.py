@@ -21,7 +21,6 @@ from .spectral import (
     DENSE_LIMIT,
     AmbiguousSpectrumError,
     KernelTable,
-    generalized_eigen,
     kernel_FN,
     logdet_plus,
     logdet_plus_factorized,
@@ -159,11 +158,14 @@ class RateReport:
         return out
 
 
-def _resolve_state(model: PotentialModel, state) -> tuple[DisplacementField, str, float | None]:
+def _resolve_state(model: PotentialModel, state):
+    """(field, kind, lam, H, carried F_N H F_N spectrum); only a bare field assembles."""
     if isinstance(state, StationaryPoint):
-        return state.u, state.kind, state.lam
+        mus = [] if state.mu is None else [state.mu]
+        modes = [] if state.w is None else [state.w.reshape(-1)]
+        return state.u, state.kind, state.lam, state.H, (*state.sigma, mus, modes)
     if isinstance(state, DisplacementField):
-        return state, "state", None
+        return state, "state", None, hessian(model, state, kind="defect"), None
     raise TypeError("state must be a StationaryPoint or DisplacementField")
 
 
@@ -187,11 +189,10 @@ def entropy_total(model: PotentialModel, state) -> float:
     At a saddle the single negative eigenvalue is excluded along with the
     translation zeros (det+ semantics).
     """
-    u, kind, lam = _resolve_state(model, state)
+    u, kind, lam, H, _ = _resolve_state(model, state)
     expected_neg = 1 if kind == "saddle" else 0
     if expected_neg and lam is None:
         raise ValueError("saddle point must carry its unstable eigenvalue lam")
-    H = hessian(model, u, kind="defect")
     m = u.cell.spec.m
     if u.cell.n * m <= DENSE_LIMIT:
         ld_def, _ = logdet_plus(H, expected_zero=m, expected_negative=expected_neg)
@@ -208,14 +209,14 @@ def site_entropies(model: PotentialModel, state,
     For minima these sum exactly to S_N; at a saddle they sum to the
     log+ part of the splitting identity (see delta_S_saddle).
     """
-    u, kind, _ = _resolve_state(model, state)
+    u, kind, _, H, spectrum = _resolve_state(model, state)
     cell = u.cell
     expected_neg = 1 if kind == "saddle" else 0
     if sites is None:
         sites = np.arange(cell.n)
     sites = np.asarray(sites, dtype=int)
-    H = hessian(model, u, kind="defect")
-    traces, info = site_log_traces(H, model, sites, expected_negative=expected_neg)
+    traces, info = site_log_traces(H, model, sites, expected_negative=expected_neg,
+                                   spectrum=spectrum)
     values = -0.5 * traces
     return EntropyProfile(N=cell.N, variant=kind, sites=sites, radii=cell.r[sites],
                           values=values, total=float(values.sum()), info=info)
@@ -279,7 +280,7 @@ def renormalised_entropy(model: PotentialModel, u_ref, R_sum: float,
     |ell| <= R_sum, fits their decay and reports a geometric tail bound.
     Refuses to extrapolate when the fitted decay is slower than -(d + 1/2).
     """
-    u, kind, _ = _resolve_state(model, u_ref)
+    u = u_ref.u if isinstance(u_ref, StationaryPoint) else u_ref
     cell = u.cell
     d = cell.spec.d
     if cell.N < 4 * R_sum:
@@ -325,17 +326,12 @@ def delta_S_saddle(model: PotentialModel, min_point: StationaryPoint,
 
     Direct: det+ on both Hessians. Splitting: the site-entropy sum of the
     saddle plus the -1/2 log |mu| + 1/2 log |lambda| correction from the
-    generalized and standard unstable eigenvalues; the i pi phases of
-    log lambda and -log mu cancel.
+    generalized and standard unstable eigenvalues that the saddle carries;
+    the i pi phases of log lambda and -log mu cancel.
     """
-    if saddle_point.lam is None or saddle_point.lam >= 0:
-        raise ValueError("saddle point must carry a negative unstable eigenvalue")
-    H_s = hessian(model, saddle_point.u, kind="defect")
-    H_hom = hessian(model, saddle_point.u.cell.zero_field(), kind="homogeneous")
-    mu, _ = generalized_eigen(H_s, model, H_hom)
-    if mu >= 0:
-        raise ValueError(f"generalized eigenvalue {mu:g} is not negative at the saddle")
-    lam = saddle_point.lam
+    lam, mu = saddle_point.lam, saddle_point.mu      # certified negative where present
+    if lam is None or mu is None:
+        raise ValueError("saddle point must carry its unstable eigenvalues lam and mu")
 
     S_min = entropy_total(model, min_point)
     S_saddle_direct = entropy_total(model, saddle_point)
@@ -355,8 +351,7 @@ def _product_form_dS(model: PotentialModel, min_point: StationaryPoint,
     Both log det+ come from the bordered sparse LU (known negatives divided
     out): up to DENSE_LIMIT a route independent of the dense det+ of dS.
     """
-    ld = [logdet_plus_factorized(hessian(model, p.u, kind="defect"),
-                                 negatives=[p.lam] if p.kind == "saddle" else [])
+    ld = [logdet_plus_factorized(p.H, negatives=[p.lam] if p.kind == "saddle" else [])
           for p in (min_point, saddle_point)]
     return 0.5 * (ld[0] - ld[1])
 

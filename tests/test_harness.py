@@ -20,7 +20,7 @@ from latthermo.harness import (
     sweep,
     table_to_csv,
 )
-from latthermo import preset_model, spectral, thermo
+from latthermo import assembly, preset_model, spectral, thermo
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -157,6 +157,7 @@ class TestSweep:
     def test_saddle_row_evaluates_the_pair_once(self, monkeypatch):
         # every latthermo binding of a counted function is wrapped, as an outside tracer would
         calls = Counter()
+        assembled = Counter()
 
         def counted(fn):
             def wrapper(*args, **kwargs):
@@ -164,9 +165,15 @@ class TestSweep:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for fn in (thermo.entropy_total, thermo.site_entropies, thermo.delta_S_saddle,
-                   spectral.generalized_eigen):
-            wrapper = counted(fn)
+        hessian = assembly.hessian
+
+        def keyed_hessian(model, u, kind="defect"):
+            assembled[(u.cell.N, kind, u.values.tobytes())] += 1
+            return hessian(model, u, kind)
+
+        for fn, wrapper in [(hessian, keyed_hessian)] + [
+                (fn, counted(fn)) for fn in (thermo.entropy_total, thermo.site_entropies,
+                                             thermo.delta_S_saddle, spectral.generalized_eigen)]:
             for name, mod in list(sys.modules.items()):
                 if mod is not None and name.split(".")[0] == "latthermo":
                     for attr, val in list(vars(mod).items()):
@@ -176,8 +183,10 @@ class TestSweep:
                         kick_site=(0, 0), kick_vector=np.array([0.15, 0.0]))
         row = solve_row(cfg, 4)
         assert row["status"] == "ok" and row["K_beta_2"] > 0
+        # one F_N H F_N solve per point, and no Hessian input assembled twice
         assert calls == {"entropy_total": 2, "site_entropies": 1, "delta_S_saddle": 1,
-                         "generalized_eigen": 1}
+                         "generalized_eigen": 2}
+        assert assembled and max(assembled.values()) == 1
 
     def test_unstable_model_refused(self):
         model = preset_model("square_unstable")

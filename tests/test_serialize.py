@@ -1,10 +1,17 @@
 import json
+import logging
 
 import numpy as np
 
 from latthermo import DisplacementField, Supercell, kernel_FN, preset_model
-from latthermo.serialize import load_field_csv, load_point, save_field_csv, save_point
-from latthermo.stationary import relax_minimum
+from latthermo.serialize import (
+    certificate_hash,
+    load_field_csv,
+    load_point,
+    save_field_csv,
+    save_point,
+)
+from latthermo.stationary import find_saddle, relax_minimum
 
 
 def test_field_csv_roundtrip(tmp_path):
@@ -27,8 +34,52 @@ def test_point_roundtrip_and_model_guard(tmp_path):
     assert back.energy == pt.energy
     assert np.array_equal(back.u.values, pt.u.values)
     assert back.route is None
+    # revalidated, not parsed back: the record is rebuilt from the field
+    assert back.H is not None
+    assert back.sigma == pt.sigma
+    assert certificate_hash(back.certificate) == certificate_hash(pt.certificate)
     other = preset_model("square_anharmonic")
     assert load_point(tmp_path, "min_N3", other, cell) is None
+
+
+def _double_well_pair(N=4):
+    model = preset_model("square_double_well")
+    cell = Supercell(model.spec, N)
+    kick = np.zeros((cell.n, 2))
+    kick[cell.index((0, 0))] = [0.15, 0.0]
+    minimum = relax_minimum(model, cell, initial_guess=kick)
+    perm = cell.site_permutation(model.mirror)
+    mirrored = minimum.u.values[perm] @ np.asarray(model.mirror, float).T
+    saddle = find_saddle(model, cell, guess_pair=(minimum.u.values, mirrored))
+    return model, cell, minimum, saddle
+
+
+def test_resumed_point_off_its_gradient_tolerance_is_rejected(tmp_path, caplog):
+    model = preset_model("square_misfit")
+    cell = Supercell(model.spec, 4)
+    save_point(tmp_path, "min_N4", relax_minimum(model, cell))
+    field_path = tmp_path / "min_N4.csv"
+    u = load_field_csv(field_path, cell)
+    values = u.values.copy()
+    values[cell.index((1, 0))] += [1e-3, 0.0]
+    save_field_csv(field_path, DisplacementField(cell, values))
+    with caplog.at_level(logging.WARNING, logger="latthermo.serialize"):
+        assert load_point(tmp_path, "min_N4", model, cell) is None
+    assert "gradient check" in caplog.text
+
+
+def test_resumed_saddle_with_edited_lam_is_rejected(tmp_path, caplog):
+    model, cell, _, saddle = _double_well_pair()
+    save_point(tmp_path, "saddle_N4", saddle)
+    back = load_point(tmp_path, "saddle_N4", model, cell)
+    assert back is not None and back.lam == saddle.lam and back.mu == saddle.mu
+    meta_path = tmp_path / "saddle_N4.json"
+    meta = json.loads(meta_path.read_text())
+    meta["lam"] = repr(saddle.lam * (1 + 1e-6))
+    meta_path.write_text(json.dumps(meta))
+    with caplog.at_level(logging.WARNING, logger="latthermo.serialize"):
+        assert load_point(tmp_path, "saddle_N4", model, cell) is None
+    assert "lam check" in caplog.text
 
 
 def test_kernel_table_csv(tmp_path):
@@ -45,15 +96,8 @@ def test_kernel_table_csv(tmp_path):
 
 
 def test_rate_report_json_fields(tmp_path):
-    from latthermo import find_saddle, htst_rate
-    model = preset_model("square_double_well")
-    cell = Supercell(model.spec, 4)
-    kick = np.zeros((cell.n, 2))
-    kick[cell.index((0, 0))] = [0.15, 0.0]
-    minimum = relax_minimum(model, cell, initial_guess=kick)
-    perm = cell.site_permutation(model.mirror)
-    mirrored = minimum.u.values[perm] @ np.asarray(model.mirror, float).T
-    saddle = find_saddle(model, cell, guess_pair=(minimum.u.values, mirrored))
+    from latthermo import htst_rate
+    model, cell, minimum, saddle = _double_well_pair()
     rep = htst_rate(model, minimum, saddle, beta=1.0)
     payload = rep.to_json_dict()
     text = json.dumps(payload)      # must be JSON-serializable

@@ -14,13 +14,13 @@ from latthermo import (
     matrix_log_plus,
     preset_model,
     projector_constants,
-    smallest_eigenpair,
     symbol_F,
 )
 from latthermo.assembly import LinearLatticeOperator
 from latthermo.potentials import PRESETS, symbol_h_batch
 from latthermo.spectral import (
     FApplier,
+    _extremal_eig,
     classify_eigenvalues,
     log_plus_contour,
     logdet_plus_factorized,
@@ -233,41 +233,53 @@ class TestEigenpairs:
         w -= w.mean()
         w /= np.linalg.norm(w)
         A = 3.0 * np.eye(cell.n) - 2.5 * np.outer(w, w)
-        op = LinearLatticeOperator(cell, A, "composite")
-        lam, phi = smallest_eigenpair(op)
-        assert abs(lam - 0.5) < 1e-9
-        assert abs(abs(phi.reshape(-1) @ w) - 1.0) < 1e-8
+        lam, phi = _extremal_eig(lambda v: A @ v, cell, 3.0, k=1, mode="SA")
+        assert abs(lam[0] - 0.5) < 1e-9
+        assert abs(abs(phi[:, 0] @ w) - 1.0) < 1e-8
 
     def test_hom_smallest_matches_symbol(self):
         model = preset_model("square_anharmonic")
         cell = Supercell(model.spec, 4)
         H = hessian(model, cell.zero_field(), kind="homogeneous")
-        lam, phi = smallest_eigenpair(H)
+        gershgorin = float(abs(H.mat).sum(axis=1).max())
+        lam, _ = _extremal_eig(lambda v: H.mat @ v, cell, gershgorin, k=1, mode="SA")
         ks = cell.dual.k
         nonzero = ~np.all(cell.dual.y == 0, axis=1)
         w = np.linalg.eigvalsh(symbol_h_batch(model, ks[nonzero]))
-        assert abs(lam - w.min()) < 1e-9
+        assert abs(lam[0] - w.min()) < 1e-9
 
     def test_generalized_identity_and_scaling(self):
         model, cell, _ = stable_state("square_anharmonic", N=3)
         Hh = hessian(model, cell.zero_field(), kind="homogeneous")
-        mu, psi = generalized_eigen(Hh, model, Hh)
-        assert abs(mu - 1.0) < 1e-8
+        lo, hi, mus, _ = generalized_eigen(Hh, model)
+        assert abs(lo - 1.0) < 1e-8 and abs(hi - 1.0) < 1e-8 and mus == []
         H2 = LinearLatticeOperator(cell, 2.0 * Hh.mat, "composite")
-        mu2, _ = generalized_eigen(H2, model, Hh)
-        assert abs(mu2 - 2.0) < 1e-8
+        lo2, hi2, _, _ = generalized_eigen(H2, model)
+        assert abs(lo2 - 2.0) < 1e-8 and abs(hi2 - 2.0) < 1e-8
 
     def test_generalized_matches_dense_oracle(self):
         model, cell, u = stable_state("square_misfit", N=3, scale=0.05, seed=7)
         H = hessian(model, u)
-        Hh = hessian(model, cell.zero_field(), kind="homogeneous")
-        mu, psi = generalized_eigen(H, model, Hh)
+        lo, _, _, _ = generalized_eigen(H, model)
         FN = kernel_FN(model, cell)
         A = conjugate_operator(FN, H, include_pi=False).dense()
         w = np.sort(np.linalg.eigvalsh(A))
         w_nonzero = w[np.abs(w) > 1e-10 * np.max(np.abs(w))]
-        assert abs(mu - w_nonzero.min()) < 1e-8
-        # normalization <H_hom psi, psi> = 1
+        assert abs(lo - w_nonzero.min()) < 1e-8
+        # a negative pair: the double-well saddle; psi = F_N w has <H_hom psi, psi> = 1
+        from latthermo import find_saddle, relax_minimum
+        model = preset_model("square_double_well")
+        cell = Supercell(model.spec, 4)
+        kick = np.zeros((cell.n, 2))
+        kick[cell.index((0, 0))] = [0.15, 0.0]
+        minimum = relax_minimum(model, cell, initial_guess=kick)
+        perm = cell.site_permutation(model.mirror)
+        mirrored = minimum.u.values[perm] @ np.asarray(model.mirror, float).T
+        saddle = find_saddle(model, cell, guess_pair=(minimum.u.values, mirrored))
+        _, _, mus, modes = generalized_eigen(saddle.H, model, expected_negative=1)
+        assert len(mus) == 1 and mus[0] < 0
+        psi = FApplier(cell, model).apply(modes[0])
+        Hh = hessian(model, cell.zero_field(), kind="homogeneous")
         assert abs(Hh.quadratic(psi) - 1.0) < 1e-8
 
 
