@@ -184,6 +184,22 @@ def _assemble_quadratic(cell: Supercell, site_tensors, idx: np.ndarray,
     _scatter_local(cell, idx, local, rows, cols, vals)
 
 
+def _nonzero_csr(cell: Supercell, rows, cols, vals) -> sp.csr_matrix:
+    """Sum the scattered local matrices into CSR storing only nonzero entries.
+
+    For bond-sum potentials every cross-bond block of a local matrix is an
+    exact zero; CSR would otherwise keep those entries.
+    """
+    dim = cell.n * cell.spec.m
+    M = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(dim, dim),
+    ).tocsr()
+    M.sum_duplicates()
+    M.eliminate_zeros()
+    return M
+
+
 def _hessian_matrix(model: PotentialModel, u: DisplacementField,
                     with_overrides: bool) -> sp.csr_matrix:
     cell = u.cell
@@ -193,13 +209,7 @@ def _hessian_matrix(model: PotentialModel, u: DisplacementField,
         for lo in range(0, idx.size, _CHUNK):
             sl = idx[lo:lo + _CHUNK]
             _assemble_quadratic(cell, pot.hess_batch(G[sl]), sl, rows, cols, vals)
-    dim = cell.n * cell.spec.m
-    H = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim),
-    ).tocsr()
-    H.sum_duplicates()
-    return H
+    return _nonzero_csr(cell, rows, cols, vals)
 
 
 def hessian(model: PotentialModel, u: DisplacementField,
@@ -230,7 +240,6 @@ def variation_contractions(model: PotentialModel, u: DisplacementField,
     Gv = v.gradients()
     Gw = w.gradients() if w is not None else None
     rows, cols, vals = [], [], []
-    nR, m = cell.spec.nR, cell.spec.m
     for pot, idx in _site_potential_groups(model, cell, with_overrides):
         for lo in range(0, idx.size, _CHUNK):
             sl = idx[lo:lo + _CHUNK]
@@ -241,9 +250,4 @@ def variation_contractions(model: PotentialModel, u: DisplacementField,
                 T4 = pot.fourth_batch(G[sl])
                 T = np.einsum("nabcdefgh,nef,ngh->nabcd", T4, Gv[sl], Gw[sl], optimize=True)
             _assemble_quadratic(cell, T, sl, rows, cols, vals)
-    dim = cell.n * m
-    H = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim),
-    ).tocsr()
-    return LinearLatticeOperator(cell, H, "hessian_variation")
+    return LinearLatticeOperator(cell, _nonzero_csr(cell, rows, cols, vals), "hessian_variation")

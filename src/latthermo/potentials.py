@@ -136,22 +136,30 @@ class HarmonicBondPotential(SitePotential):
         return {"kind": "harmonic", "K": self.K.tolist(), "b": self.b.tolist()}
 
 
-def _norm_derivative_tensors(y: np.ndarray):
+def _norm_derivative_tensors(y: np.ndarray, order: int = 4):
     """Derivative tensors of x -> |y|, y = x + rho, batched over (..., m).
 
-    Returns (s, n, s2, s3, s4): the norm, unit vector, and the second to
-    fourth derivative tensors of the norm.
+    Returns (s, n, s2, s3, s4) up to derivative ``order``: the norm, unit
+    vector, and the second to fourth derivative tensors of the norm.
     """
     s = np.linalg.norm(y, axis=-1)
     if np.any(s < 1e-12):
         raise FloatingPointError("bond length collapsed to zero")
+    if order == 0:
+        return (s,)
     n = y / s[..., None]
+    if order == 1:
+        return s, n
     m = y.shape[-1]
     eye = np.eye(m)
     P = eye - n[..., :, None] * n[..., None, :]
     s2 = P / s[..., None, None]
+    if order == 2:
+        return s, n, s2
     pn = P[..., :, :, None] * n[..., None, None, :]          # P_ij n_k
     s3 = -(pn + np.moveaxis(pn, -1, -2) + np.moveaxis(pn, -1, -3)) / s[..., None, None, None] ** 2
+    if order == 3:
+        return s, n, s2, s3
     nn = n[..., :, None] * n[..., None, :]
     pnn = P[..., :, :, None, None] * nn[..., None, None, :, :]   # P_ij n_k n_l
     sym_pnn = (
@@ -207,23 +215,22 @@ class MorseBondPotential(SitePotential):
             return c3 + c4 * t
         return np.broadcast_to(c4, t.shape)
 
-    def _sigma(self, G: np.ndarray):
-        y = G + self.stencil
-        s, n, s2, s3, s4 = _norm_derivative_tensors(y)
-        t = s - self.rho_len - self.shift
-        return t, n, s2, s3, s4
+    def _sigma(self, G: np.ndarray, order: int):
+        """Bond stretch t and the norm's derivative tensors up to ``order``."""
+        s, *tensors = _norm_derivative_tensors(G + self.stencil, order)
+        return s - self.rho_len - self.shift, *tensors
 
     def value_batch(self, G):
-        t, *_ = self._sigma(G)
+        t, = self._sigma(G, 0)
         t0 = -self.shift
         return (self._phi(t, 0) - self._phi(t0, 0)[None, :]).sum(axis=1)
 
     def grad_batch(self, G):
-        t, n, *_ = self._sigma(G)
+        t, n = self._sigma(G, 1)
         return self._phi(t, 1)[..., None] * n
 
     def _bond_hess(self, G):
-        t, n, s2, _, _ = self._sigma(G)
+        t, n, s2 = self._sigma(G, 2)
         p1, p2 = self._phi(t, 1), self._phi(t, 2)
         nn = n[..., :, None] * n[..., None, :]
         return p2[..., None, None] * nn + p1[..., None, None] * s2
@@ -232,7 +239,7 @@ class MorseBondPotential(SitePotential):
         return _blockdiag(G.shape[0], self.nR, self.m, self._bond_hess(G), 2)
 
     def _bond_third(self, G):
-        t, n, s2, s3, _ = self._sigma(G)
+        t, n, s2, s3 = self._sigma(G, 3)
         p1, p2, p3 = self._phi(t, 1), self._phi(t, 2), self._phi(t, 3)
         nnn = n[..., :, None, None] * n[..., None, :, None] * n[..., None, None, :]
         ns2 = n[..., :, None, None] * s2[..., None, :, :]
@@ -245,7 +252,7 @@ class MorseBondPotential(SitePotential):
         return _blockdiag(G.shape[0], self.nR, self.m, self._bond_third(G), 3)
 
     def _bond_fourth(self, G):
-        t, n, s2, s3, s4 = self._sigma(G)
+        t, n, s2, s3, s4 = self._sigma(G, 4)
         p1, p2, p3, p4 = (self._phi(t, j) for j in (1, 2, 3, 4))
         nn = n[..., :, None] * n[..., None, :]
         n4 = nn[..., :, :, None, None] * nn[..., None, None, :, :]

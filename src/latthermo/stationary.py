@@ -21,9 +21,9 @@ from .spectral import (
     AmbiguousSpectrumError,
     FApplier,
     ModeClassification,
+    _bordered,
     _extremal_eig,
     _mean_project,
-    _translation_modes,
     classify_eigenvalues,
     generalized_eigen,
 )
@@ -80,12 +80,9 @@ class StationaryPoint:
 
 def _bordered_solve(H: sp.spmatrix, nu: float, rhs: np.ndarray, cell: Supercell) -> np.ndarray:
     """Solve (H + nu I) p = rhs on the zero-mean subspace via translation borders."""
-    n, m = cell.n, cell.spec.m
-    dim = n * m
-    Z = sp.csc_matrix(_translation_modes(n, m))
+    dim = cell.n * cell.spec.m
     K = H + nu * sp.identity(dim, format="csr")
-    M = sp.bmat([[K, Z], [Z.T, None]], format="csc")
-    sol = spla.splu(M).solve(np.concatenate([rhs, np.zeros(m)]))
+    sol = spla.splu(_bordered(K, cell)).solve(np.concatenate([rhs, np.zeros(cell.spec.m)]))
     return sol[:dim]
 
 

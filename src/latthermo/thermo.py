@@ -26,7 +26,7 @@ from .spectral import (
     logdet_plus_factorized,
     site_log_traces,
 )
-from .stationary import StationaryPoint
+from .stationary import StationaryPoint, _certify_spectrum
 
 __all__ = [
     "EntropyProfile",
@@ -87,7 +87,7 @@ class RenormalisedEntropy:
 @dataclass
 class DeltaSReport:
     value: float
-    direct: float                # det+ route
+    direct: float                # bordered-LU det+ route
     splitting: float             # site-sum + eigenvalue corrections route
     lam: float
     mu: float
@@ -107,7 +107,7 @@ class RateReport:
     E_min: float
     E_saddle: float
     delta_S: DeltaSReport
-    product_form_dS: float | None    # bordered-LU eigenvalue products; None above DENSE_LIMIT
+    product_form_dS: float | None    # dense eigenvalue products; None above DENSE_LIMIT
     N: int
     d: int
     model_hash: str = ""
@@ -186,18 +186,18 @@ def _logdet_plus_homogeneous(model: PotentialModel, cell: Supercell) -> float:
 def entropy_total(model: PotentialModel, state) -> float:
     """S_N(u): entropy difference against the homogeneous supercell.
 
-    At a saddle the single negative eigenvalue is excluded along with the
-    translation zeros (det+ semantics).
+    log det+ H_N comes from the bordered sparse LU at every size. At a saddle
+    the carried negative eigenvalue is divided out along with the
+    translation zeros (det+ semantics). A bare field carries no certificate,
+    so it is certified as a minimum first (exactly m zeros, no negative mode).
     """
     u, kind, lam, H, _ = _resolve_state(model, state)
     expected_neg = 1 if kind == "saddle" else 0
     if expected_neg and lam is None:
         raise ValueError("saddle point must carry its unstable eigenvalue lam")
-    m = u.cell.spec.m
-    if u.cell.n * m <= DENSE_LIMIT:
-        ld_def, _ = logdet_plus(H, expected_zero=m, expected_negative=expected_neg)
-    else:
-        ld_def = logdet_plus_factorized(H, negatives=[lam] * expected_neg)
+    if kind == "state":
+        _certify_spectrum(H, "minimum")
+    ld_def = logdet_plus_factorized(H, negatives=[lam] * expected_neg)
     ld_hom = _logdet_plus_homogeneous(model, u.cell)
     return -0.5 * ld_def + 0.5 * ld_hom
 
@@ -324,10 +324,10 @@ def delta_S_saddle(model: PotentialModel, min_point: StationaryPoint,
                    saddle_point: StationaryPoint) -> DeltaSReport:
     """Entropy difference saddle minus minimum, computed along two routes.
 
-    Direct: det+ on both Hessians. Splitting: the site-entropy sum of the
-    saddle plus the -1/2 log |mu| + 1/2 log |lambda| correction from the
-    generalized and standard unstable eigenvalues that the saddle carries;
-    the i pi phases of log lambda and -log mu cancel.
+    Direct: bordered-LU det+ on both Hessians. Splitting: the site-entropy
+    sum of the saddle plus the -1/2 log |mu| + 1/2 log |lambda| correction
+    from the generalized and standard unstable eigenvalues that the saddle
+    carries; the i pi phases of log lambda and -log mu cancel.
     """
     lam, mu = saddle_point.lam, saddle_point.mu      # certified negative where present
     if lam is None or mu is None:
@@ -348,10 +348,12 @@ def _product_form_dS(model: PotentialModel, min_point: StationaryPoint,
                      saddle_point: StationaryPoint) -> float:
     """1/2 log (prod lambda_min / prod lambda_saddle) over the positive eigenvalues.
 
-    Both log det+ come from the bordered sparse LU (known negatives divided
-    out): up to DENSE_LIMIT a route independent of the dense det+ of dS.
+    Both log det+ are products of dense eigenvalues (with the spectrum
+    classified again): up to DENSE_LIMIT a route independent of the
+    bordered-LU det+ of dS.
     """
-    ld = [logdet_plus_factorized(p.H, negatives=[p.lam] if p.kind == "saddle" else [])
+    ld = [logdet_plus(p.H, expected_zero=p.u.cell.spec.m,
+                      expected_negative=1 if p.kind == "saddle" else 0)[0]
           for p in (min_point, saddle_point)]
     return 0.5 * (ld[0] - ld[1])
 
@@ -360,9 +362,10 @@ def htst_rate(model: PotentialModel, min_point: StationaryPoint,
               saddle_point: StationaryPoint, beta: float = 1.0) -> RateReport:
     """HTST transition rate K_N = exp(-beta (dE - dS / beta)).
 
-    One thermo evaluation of the pair; ``RateReport.at_beta`` gives other
-    temperatures. Cross-checked against the eigenvalue product form up to
-    DENSE_LIMIT (above it both det+ would be the same LU: no product form).
+    One thermo evaluation of the pair (det+ from the bordered LU);
+    ``RateReport.at_beta`` gives other temperatures. Cross-checked against
+    the dense eigenvalue product form up to DENSE_LIMIT (no product form
+    above it).
     Reports the structural relative-error bound e^{beta N^-d}
     (beta N^-d + N^-d log^5 N) with unit constants as a diagnostic.
     """

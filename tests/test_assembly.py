@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from latthermo import (
     DisplacementField,
@@ -8,8 +9,10 @@ from latthermo import (
     energy_periodic,
     gradient_periodic,
     hessian,
+    relax_minimum,
     variation_contractions,
 )
+from latthermo import assembly
 from latthermo.potentials import PRESETS
 
 
@@ -182,3 +185,38 @@ class TestVariations:
         fd = (Hp - 2 * H0 + Hm) / h**2
         scale = max(np.max(np.abs(fd)), 1e-10)
         assert np.max(np.abs(d2H - fd)) / scale < 1e-4
+
+
+def defect_minimum(name):
+    model = PRESETS[name]()
+    cell = Supercell(model.spec, 4)
+    kick = np.zeros((cell.n, 2))
+    if name == "square_double_well":
+        kick[cell.index((0, 0))] = [0.15, 0.0]
+    return model, cell, relax_minimum(model, cell, initial_guess=kick).u
+
+
+@pytest.mark.parametrize("name", ["square_misfit", "square_double_well"])
+def test_assembled_operators_store_only_nonzeros(name, monkeypatch):
+    # bond-sum potentials leave every cross-bond block of the local matrices
+    # exactly zero: the assembled CSR drops those entries and keeps the values
+    model, cell, u = defect_minimum(name)
+    scattered = []
+    nonzero_csr = assembly._nonzero_csr
+
+    def spy(cell, rows, cols, vals):
+        scattered.append((np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)))
+        return nonzero_csr(cell, rows, cols, vals)
+
+    monkeypatch.setattr(assembly, "_nonzero_csr", spy)
+    mats = [hessian(model, u).mat,
+            variation_contractions(model, u, u).mat,
+            variation_contractions(model.homogenized(), cell.zero_field(), u,
+                                   with_overrides=False).mat]
+    dim = cell.n * cell.spec.m
+    for mat, (rows, cols, vals) in zip(mats, scattered, strict=True):
+        summed = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
+        summed.sum_duplicates()
+        assert np.count_nonzero(mat.data) == mat.nnz
+        assert mat.nnz < summed.nnz
+        assert np.array_equal(mat.toarray(), summed.toarray())

@@ -7,7 +7,12 @@ from latthermo import (
     stability_scan,
     symbol_h,
 )
-from latthermo.potentials import PRESETS, _acoustic_limits, symbol_h_batch
+from latthermo.potentials import (
+    PRESETS,
+    _acoustic_limits,
+    _norm_derivative_tensors,
+    symbol_h_batch,
+)
 
 
 def random_gradient(pot, rng, scale=0.1):
@@ -195,3 +200,14 @@ def test_symbol_conjugate_symmetry():
         hp = symbol_h(model, k)
         hm = symbol_h(model, -k)
         assert np.max(np.abs(hm - hp.conj())) < 1e-12
+
+
+def test_norm_derivatives_stop_at_the_requested_order():
+    y = np.random.default_rng(4).standard_normal((6, 8, 2)) + 1.5
+    full = _norm_derivative_tensors(y)
+    assert len(full) == 5
+    for order in range(4):
+        low = _norm_derivative_tensors(y, order)
+        assert len(low) == order + 1
+        for a, b in zip(low, full):
+            assert np.array_equal(a, b)

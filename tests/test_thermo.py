@@ -26,6 +26,7 @@ from latthermo.spectral import (
     site_log_traces,
 )
 from latthermo import thermo
+from latthermo.stationary import CertificationError
 from latthermo.thermo import _logdet_plus_homogeneous
 
 
@@ -208,8 +209,22 @@ class TestDeltaSAndRate:
         assert abs(rep.K - rep.product_form_K) < 1e-8 * rep.K
 
     def test_product_form_is_an_independent_route(self, monkeypatch):
-        # a shift in the dense det+ of the saddle moves K but not the LU product form
+        # a shift in the LU det+ of the saddle moves K but not the dense product form
         model, cell, minimum, saddle = solved_double_well(4)
+        lu = thermo.logdet_plus_factorized
+
+        def shifted(H, negatives=()):
+            val = lu(H, negatives)
+            return val + 1e-6 if negatives else val
+
+        monkeypatch.setattr(thermo, "logdet_plus_factorized", shifted)
+        rep = htst_rate(model, minimum, saddle, beta=1.0)
+        assert abs(rep.K - rep.product_form_K) > 1e-8 * rep.K
+
+    def test_dS_is_independent_of_the_product_form(self, monkeypatch):
+        # a shift in the dense det+ of the saddle moves the product form but not K
+        model, cell, minimum, saddle = solved_double_well(4)
+        base = htst_rate(model, minimum, saddle, beta=1.0)
         dense = thermo.logdet_plus
 
         def shifted(op, expected_zero, expected_negative=None):
@@ -218,10 +233,24 @@ class TestDeltaSAndRate:
 
         monkeypatch.setattr(thermo, "logdet_plus", shifted)
         rep = htst_rate(model, minimum, saddle, beta=1.0)
-        assert abs(rep.K - rep.product_form_K) > 1e-8 * rep.K
+        assert rep.K == base.K
+        assert abs(rep.product_form_K - base.product_form_K) > 1e-8 * base.product_form_K
+
+    def test_bare_field_is_certified_before_the_lu(self, monkeypatch):
+        # a bare field carries no certificate: the saddle's negative mode must
+        # be caught before its det+ is taken
+        model, cell, minimum, saddle = solved_double_well(4)
+
+        def no_lu(*args, **kwargs):
+            raise AssertionError("det+ taken on an uncertified field")
+
+        monkeypatch.setattr(thermo, "logdet_plus_factorized", no_lu)
+        with pytest.raises(CertificationError, match="expected 0 negative modes"):
+            entropy_total(model, DisplacementField(cell, saddle.u.values))
 
     def test_no_product_form_above_dense_limit(self, monkeypatch):
-        # det+ through the bordered LU with the carried lam; no product form to compare
+        # K comes from the bordered LU with the carried lam on both sides of the
+        # comparison; above the limit there is no product form to compare
         model, cell, minimum, saddle = solved_double_well(4)
         dense = htst_rate(model, minimum, saddle, beta=1.0)
         monkeypatch.setattr(thermo, "DENSE_LIMIT", cell.n * cell.spec.m - 1)
