@@ -6,16 +6,15 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .config import load_config
-from .harness import RunConfig, _kick_field, _mirror_image, emit, fit_rate, sweep
-from .lattice import Supercell
+from .harness import RunConfig, emit, fit_rate, solve_points, sweep
 from .potentials import stability_scan
-from .serialize import atomic_write_text, save_point
-from .stationary import find_saddle, relax_minimum
+from .serialize import atomic_write_text
 from .thermo import entropy_total, htst_rate, renormalised_entropy, site_entropies
 
 
@@ -26,15 +25,14 @@ def _default_out() -> Path:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True, type=Path, help="YAML run configuration")
     p.add_argument("--out", type=Path, default=None, help="output directory")
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--format", choices=("csv", "json", "both"), default="both")
 
 
 def _load(args) -> RunConfig:
     formats = ("csv", "json") if args.format == "both" else (args.format,)
-    cfg = load_config(args.config, out_override=args.out, workers=args.workers,
-                      seed=args.seed, formats=formats)
+    cfg = load_config(args.config, out_override=args.out, seed=args.seed,
+                      formats=formats)
     if cfg.out is None:
         cfg.out = _default_out() / cfg.model.name
     return cfg
@@ -48,25 +46,10 @@ def _cmd_check(args) -> int:
     return 0 if rep.passed else 1
 
 
-def _solve_single(cfg: RunConfig, N: int, kind: str):
-    cell = Supercell(cfg.model.spec, N)
-    guess = None
-    if cfg.kick_vector is not None and cfg.kick_site is not None:
-        guess = _kick_field(cell, cfg.kick_site, cfg.kick_vector)
-    minimum = relax_minimum(cfg.model, cell, initial_guess=guess, max_iter=cfg.max_iter)
-    if kind == "minimum":
-        return minimum
-    pair = None
-    if cfg.model.mirror is not None:
-        pair = (minimum.u.values, _mirror_image(minimum, cfg.model).values)
-    return minimum, find_saddle(cfg.model, cell, guess_pair=pair, max_iter=cfg.max_iter)
-
-
 def _cmd_relax(args) -> int:
     cfg = _load(args)
     N = args.N or max(cfg.N_list)
-    point = _solve_single(cfg, N, "minimum")
-    save_point(cfg.out / "points", f"min_N{N}", point)
+    point, _ = solve_points(replace(cfg, saddle="off"), N)
     print(f"minimum at N={N}: E={point.energy!r} |g|={point.gradient_norm:.3e} "
           f"iters={point.n_iter}")
     return 0
@@ -75,18 +58,16 @@ def _cmd_relax(args) -> int:
 def _cmd_saddle(args) -> int:
     cfg = _load(args)
     N = args.N or max(cfg.N_list)
-    minimum, saddle = _solve_single(cfg, N, "saddle")
-    save_point(cfg.out / "points", f"min_N{N}", minimum)
-    save_point(cfg.out / "points", f"saddle_N{N}", saddle)
+    _, saddle = solve_points(replace(cfg, saddle="on"), N)
     print(f"saddle at N={N}: E={saddle.energy!r} lambda={saddle.lam!r} "
           f"|g|={saddle.gradient_norm:.3e}")
     return 0
 
 
 def _cmd_entropy(args) -> int:
-    cfg = _load(args)
+    cfg = replace(_load(args), saddle="off")
     N = args.N or max(cfg.N_list)
-    point = _solve_single(cfg, N, "minimum")
+    point, _ = solve_points(cfg, N)
     S = entropy_total(cfg.model, point)
     print(f"S_N at minimum, N={N}: {S!r}")
     if args.sites:
@@ -102,7 +83,8 @@ def _cmd_entropy(args) -> int:
         if cfg.N_ref is None or cfg.R_sum is None:
             print("renormalised entropy needs run.N_ref and run.R_sum", file=sys.stderr)
             return 2
-        ref_point = _solve_single(cfg, cfg.N_ref, "minimum")
+        # the N point warm-starts the N_ref solve
+        ref_point, _ = solve_points(cfg, cfg.N_ref, (point, None) if N <= cfg.N_ref else None)
         ren = renormalised_entropy(cfg.model, ref_point, R_sum=cfg.R_sum)
         # no decay is fitted when every renormalised term vanishes
         decay = "" if ren.decay_fit is None else f" decay={ren.decay_fit.exponent:.2f}"
@@ -114,7 +96,7 @@ def _cmd_entropy(args) -> int:
 def _cmd_rate(args) -> int:
     cfg = _load(args)
     N = args.N or max(cfg.N_list)
-    minimum, saddle = _solve_single(cfg, N, "saddle")
+    minimum, saddle = solve_points(replace(cfg, saddle="on"), N)
     rate = htst_rate(cfg.model, minimum, saddle, beta=cfg.beta[0])
     reports = []
     for b in cfg.beta:

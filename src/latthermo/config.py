@@ -18,6 +18,8 @@ from .potentials import (
 
 __all__ = ["load_config", "model_from_config"]
 
+RUN_KEYS = ("N_list", "beta", "seed", "out", "saddle", "kick", "N_ref", "R_sum",
+            "max_iter", "formats")
 PRESET_KICKS = {
     "square_double_well": ((0, 0), (0.12, 0.0)),
     "square_misfit": None,
@@ -92,13 +94,16 @@ def model_from_config(cfg: dict) -> PotentialModel:
                           mirror=mirror)
 
 
-def load_config(path: Path, out_override: Path | None = None,
-                workers: int | None = None, seed: int | None = None,
+def load_config(path: Path, out_override: Path | None = None, seed: int | None = None,
                 formats: tuple[str, ...] | None = None) -> RunConfig:
     with open(path) as fh:
         raw = yaml.safe_load(fh)
     model = model_from_config(raw["model"])
-    run = raw.get("run", {})
+    run = raw.get("run") or {}
+    unknown = sorted(map(str, set(run) - set(RUN_KEYS)))
+    if unknown:
+        raise ConfigurationError(f"unknown run key(s) {', '.join(unknown)} in {path}; "
+                                 f"known keys: {', '.join(RUN_KEYS)}")
     kick = run.get("kick")
     if kick is None and raw["model"].get("preset") in PRESET_KICKS:
         kick = PRESET_KICKS[raw["model"]["preset"]]
@@ -111,7 +116,6 @@ def load_config(path: Path, out_override: Path | None = None,
         N_list=[int(v) for v in run.get("N_list", [4, 6, 8, 12])],
         beta=[float(b) for b in run.get("beta", [1.0])],
         seed=seed if seed is not None else int(run.get("seed", 0)),
-        workers=workers if workers is not None else int(run.get("workers", 1)),
         out=Path(out) if out else None,
         saddle=run.get("saddle", "auto"),
         kick_site=kick_site,

@@ -5,22 +5,23 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .fitting import fit_rate
-from .lattice import DisplacementField, Supercell
+from .lattice import Supercell
 from .potentials import PotentialModel, stability_scan
 from .serialize import atomic_write_text, certificate_hash, load_point, save_point
-from .stationary import StationaryPoint, find_saddle, relax_minimum
+from .stationary import StationaryPoint, continue_in_N, find_saddle, relax_minimum
 from .thermo import entropy_total, htst_rate
 
-__all__ = ["RunConfig", "ConvergenceTable", "sweep", "fit_rate", "richardson", "emit"]
+__all__ = ["RunConfig", "ConvergenceTable", "solve_points", "sweep", "fit_rate", "richardson",
+           "emit"]
 
 SCHEMA_VERSION = 1
+FIT_EXCLUDE_LARGEST = 1     # rows held out of rate fits (extrapolation anchors)
 
 ROW_COLUMNS = [
     "N", "n_sites", "status", "E_min", "S_min", "grad_min", "E_saddle", "S_saddle",
@@ -38,7 +39,6 @@ class RunConfig:
     N_list: list[int]
     beta: list[float] = field(default_factory=lambda: [1.0])
     seed: int = 0
-    workers: int = 1
     out: Path | None = None
     saddle: str = "auto"                    # auto | on | off
     kick_site: tuple | None = None
@@ -46,7 +46,6 @@ class RunConfig:
     N_ref: int | None = None
     R_sum: float | None = None
     max_iter: int = 100
-    fit_exclude_largest: int = 1            # rows held out of rate fits (extrapolation anchors)
     formats: tuple[str, ...] = ("csv", "json")
 
     def __post_init__(self):
@@ -98,25 +97,18 @@ def richardson(Ns: np.ndarray, values: np.ndarray, exponent: float) -> tuple[flo
     return best, abs(best - alt)
 
 
-def _mirror_image(point: StationaryPoint, model: PotentialModel) -> DisplacementField:
-    cell = point.u.cell
-    Q = np.asarray(model.mirror, dtype=float)
-    perm = cell.site_permutation(model.mirror)
-    return DisplacementField(cell, point.u.values[perm] @ Q.T)
+def solve_points(config: RunConfig, N: int, previous: tuple | None = None):
+    """The certified minimum and, if the config wants one, saddle of one cell size.
 
-
-def _kick_field(cell: Supercell, site, vector) -> np.ndarray:
-    vals = np.zeros((cell.n, cell.spec.m))
-    vals[cell.index(site)] = np.asarray(vector, dtype=float)
-    return vals
-
-
-def solve_row(config: RunConfig, N: int) -> dict:
-    """Relax, certify, (optionally) find the saddle and rate for one cell size."""
+    ``previous`` is the (minimum, saddle or None) pair of a smaller cell: each
+    point starts from its ``continue_in_N`` prolongation. Without one, the
+    minimum starts from the kick and the saddle from the midpoint of the
+    minimum and its mirror image. Under ``config.out`` a persisted point is
+    resumed (revalidated) and a solved one is saved.
+    """
     model = config.model
     cell = Supercell(model.spec, N)
-    row: dict = {k: None for k in ROW_COLUMNS}
-    row.update(N=N, n_sites=cell.n, status="ok")
+    prev_min, prev_saddle = previous or (None, None)
     outdir = None if config.out is None else Path(config.out) / "points"
 
     def load_or_solve(name: str, solver):
@@ -129,26 +121,42 @@ def solve_row(config: RunConfig, N: int) -> dict:
             save_point(outdir, name, point)
         return point
 
-    guess = None
-    if config.kick_vector is not None and config.kick_site is not None:
-        guess = _kick_field(cell, config.kick_site, config.kick_vector)
-    minimum = load_or_solve(f"min_N{N}", lambda: relax_minimum(
-        model, cell, initial_guess=guess, max_iter=config.max_iter))
-    row.update(E_min=minimum.energy, grad_min=minimum.gradient_norm,
-               cert_min=certificate_hash(minimum.certificate))
+    def relax():
+        guess = None
+        if prev_min is not None:
+            guess = continue_in_N(model, prev_min, cell)
+        elif config.kick_vector is not None and config.kick_site is not None:
+            guess = np.zeros((cell.n, cell.spec.m))
+            guess[cell.index(config.kick_site)] = config.kick_vector
+        return relax_minimum(model, cell, initial_guess=guess, max_iter=config.max_iter)
+
+    minimum = load_or_solve(f"min_N{N}", relax)
     if not config.wants_saddle:
-        row["S_min"] = entropy_total(model, minimum)
-        return row
+        return minimum, None
 
     def solve_saddle():
-        pair = None
-        if model.mirror is not None:
-            pair = (minimum.u.values, _mirror_image(minimum, model).values)
-        return find_saddle(model, cell, guess_pair=pair, max_iter=config.max_iter)
+        guess = pair = None
+        if prev_saddle is not None:
+            guess = continue_in_N(model, prev_saddle, cell)
+        elif model.mirror is not None:
+            mirrored = minimum.u.values[cell.site_permutation(model.mirror)]
+            pair = (minimum.u.values, mirrored @ np.asarray(model.mirror, dtype=float).T)
+        return find_saddle(model, cell, guess_pair=pair, initial_guess=guess,
+                           max_iter=config.max_iter)
 
-    saddle = load_or_solve(f"saddle_N{N}", solve_saddle)
-    # the pair's one thermo evaluation: S, dS, mu and the cross-checks all come from it
-    rate = htst_rate(model, minimum, saddle, beta=config.beta[0])
+    return minimum, load_or_solve(f"saddle_N{N}", solve_saddle)
+
+
+def _row(config: RunConfig, minimum: StationaryPoint, saddle: StationaryPoint | None) -> dict:
+    """One table row from a cell's points; a saddle adds the pair's one thermo evaluation."""
+    row: dict = {k: None for k in ROW_COLUMNS}
+    row.update(N=minimum.N, n_sites=minimum.u.cell.n, status="ok", E_min=minimum.energy,
+               grad_min=minimum.gradient_norm, cert_min=certificate_hash(minimum.certificate))
+    if saddle is None:
+        row["S_min"] = entropy_total(config.model, minimum)
+        return row
+    # S, dS, mu and the cross-checks all come from the pair's one evaluation
+    rate = htst_rate(config.model, minimum, saddle, beta=config.beta[0])
     ds = rate.delta_S
     row.update(S_min=ds.S_min, E_saddle=saddle.energy, S_saddle=ds.S_saddle,
                grad_saddle=saddle.gradient_norm, dE=rate.dE, dS=rate.dS,
@@ -162,10 +170,17 @@ def solve_row(config: RunConfig, N: int) -> dict:
     return row
 
 
+def solve_row(config: RunConfig, N: int) -> dict:
+    """Relax, certify, (optionally) find the saddle and rate for one cell size, from the kick."""
+    return _row(config, *solve_points(config, N))
+
+
 def sweep(config: RunConfig) -> ConvergenceTable:
     """Run the N-sweep, attach error-vs-reference columns and rate fits.
 
-    A failing stage marks its row with the reason and the sweep continues.
+    Rows run in ascending N, each warm-started from the points of the last
+    row that succeeded (the kick seeds only the first). A failing stage
+    marks its row with the reason, seeds nothing, and the sweep continues.
     Rate fits exclude the largest rows used as extrapolation anchors.
     """
     scan = stability_scan(config.model)
@@ -173,21 +188,17 @@ def sweep(config: RunConfig) -> ConvergenceTable:
         raise RuntimeError(f"stability scan failed (c0={scan.c0:g}); refusing to sweep")
 
     rows: list[dict] = []
-
-    def run_one(N: int) -> dict:
+    previous = None
+    for N in config.N_list:
         try:
-            return solve_row(config, N)
+            points = solve_points(config, N, previous)
+            row = _row(config, *points)
         except Exception as exc:  # noqa: BLE001 - failure is a recorded row state
             row = {k: None for k in ROW_COLUMNS}
             row.update(N=N, status=f"error: {type(exc).__name__}: {exc}")
-            return row
-
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            rows = list(pool.map(run_one, config.N_list))
-    else:
-        rows = [run_one(N) for N in config.N_list]
-    rows.sort(key=lambda r: r["N"])
+        else:
+            previous = points
+        rows.append(row)
 
     d = config.model.spec.d
     ok = [r for r in rows if r["status"] == "ok"]
@@ -208,8 +219,7 @@ def sweep(config: RunConfig) -> ConvergenceTable:
             if r[col] is not None:
                 r[errcol] = abs(r[col] - ref)
         fit_rows = [r for r in ok if r[errcol] is not None]
-        if config.fit_exclude_largest:
-            fit_rows = fit_rows[: len(fit_rows) - config.fit_exclude_largest]
+        fit_rows = fit_rows[: len(fit_rows) - FIT_EXCLUDE_LARGEST]
         if len(fit_rows) >= 3:
             try:
                 f = fit_rate(np.array([r["N"] for r in fit_rows], float),
@@ -230,7 +240,7 @@ def sweep(config: RunConfig) -> ConvergenceTable:
         "seed": config.seed,
         "stability": {"c0": scan.c0, "c1": scan.c1},
         "fit_protocol": f"pure power on |value - richardson(d={d})| excluding "
-                        f"{config.fit_exclude_largest} largest N",
+                        f"{FIT_EXCLUDE_LARGEST} largest N",
     }
     return ConvergenceTable(rows=rows, fits=fits, limits=limits, meta=meta)
 

@@ -20,9 +20,11 @@ from latthermo.harness import (
     sweep,
     table_to_csv,
 )
-from latthermo import assembly, preset_model, spectral, thermo
+from latthermo import Supercell, assembly, harness, preset_model, spectral, thermo
+from latthermo.lattice import ConfigurationError
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 
 class TestFitRate:
@@ -112,6 +114,34 @@ class TestConfigLoading:
         pt = relax_minimum(cfg.model, Supercell(cfg.model.spec, 4))
         assert pt.energy < 0
 
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml"))
+                             + sorted((ROOT / "bench" / "configs").glob("*.yaml")),
+                             ids=lambda p: str(p.relative_to(ROOT)))
+    def test_shipped_configs_load_under_the_key_check(self, path):
+        assert load_config(path).N_list
+
+    @pytest.mark.parametrize("line", ["N_lst: [4, 5]", "workers: 2"])
+    def test_unknown_run_key_is_refused(self, tmp_path, line):
+        p = tmp_path / "cfg.yaml"
+        p.write_text(f"model:\n  preset: square_misfit\nrun:\n  {line}\n")
+        with pytest.raises(ConfigurationError) as err:
+            load_config(p)
+        key = line.split(":")[0]
+        assert f"unknown run key(s) {key}" in str(err.value)
+        assert "known keys: N_list, beta, seed" in str(err.value)
+
+    def test_empty_run_section_takes_the_defaults(self, tmp_path):
+        p = tmp_path / "cfg.yaml"
+        p.write_text("model:\n  preset: square_misfit\nrun:\n")
+        assert load_config(p).N_list == [4, 6, 8, 12]
+
+    def test_workers_flag_is_refused(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["sweep", "--config", str(CONFIGS / "square_misfit.yaml"),
+                      "--workers", "2"])
+        assert exc.value.code != 0
+        assert "--workers" in capsys.readouterr().err
+
     def test_explicit_matches_preset_counterpart(self):
         cfg = load_config(CONFIGS / "explicit_example.yaml", out_override="/tmp/x")
         preset = preset_model("square_harmonic_defect")
@@ -121,10 +151,9 @@ class TestConfigLoading:
         assert abs(a - b) < 1e-12
 
 
-def tiny_sweep(tmp_path, N_list=(4, 5, 6), saddle="off", workers=1):
+def tiny_sweep(tmp_path, N_list=(4, 5, 6), saddle="off"):
     model = preset_model("square_misfit")
-    cfg = RunConfig(model=model, N_list=list(N_list), out=tmp_path, saddle=saddle,
-                    workers=workers)
+    cfg = RunConfig(model=model, N_list=list(N_list), out=tmp_path, saddle=saddle)
     return sweep(cfg)
 
 
@@ -205,11 +234,60 @@ class TestSweep:
         for r1, r2 in zip(t1.rows, t2.rows):
             assert abs(r1["E_min"] - r2["E_min"]) < 1e-12
 
-    def test_workers_give_identical_rows(self, tmp_path):
-        t1 = tiny_sweep(None, (4, 5, 6), workers=1)
-        t2 = tiny_sweep(None, (4, 5, 6), workers=2)
-        for r1, r2 in zip(t1.rows, t2.rows):
-            assert r1["E_min"] == r2["E_min"]
+
+def dwell_config(out) -> RunConfig:
+    return RunConfig(model=preset_model("square_double_well"), N_list=[4, 5, 6], out=out,
+                     kick_site=(0, 0), kick_vector=np.array([0.15, 0.0]))
+
+
+@pytest.fixture(scope="module")
+def chained_and_kicked(tmp_path_factory):
+    """A chained double-well sweep and the same rows solved each from the kick."""
+    chained_out = tmp_path_factory.mktemp("chained")
+    kicked_out = tmp_path_factory.mktemp("kicked")
+    table = sweep(dwell_config(chained_out))
+    kicked = [solve_row(dwell_config(kicked_out), N) for N in (4, 5, 6)]
+    return table, kicked, chained_out / "points", kicked_out / "points"
+
+
+class TestChain:
+    def test_chained_rows_match_rows_from_the_kick(self, chained_and_kicked):
+        table, kicked, _, _ = chained_and_kicked
+        assert [r["status"] for r in table.rows] == ["ok"] * 3
+        for chained, alone in zip(table.rows, kicked):
+            for col in ("E_min", "S_min", "dE", "dS", "K", "lam", "mu"):
+                assert chained[col] == pytest.approx(alone[col], rel=1e-9, abs=0), col
+
+    def test_chained_rows_take_fewer_iterations(self, chained_and_kicked):
+        _, _, chained, kicked = chained_and_kicked
+        for name in ("min_N5", "min_N6", "saddle_N6"):
+            n_chained = json.loads((chained / f"{name}.json").read_text())["n_iter"]
+            n_kicked = json.loads((kicked / f"{name}.json").read_text())["n_iter"]
+            assert n_chained < n_kicked, name
+
+    def test_failed_row_seeds_nothing(self, monkeypatch):
+        solved, guesses = {}, {}
+
+        def recording(fn, kind):
+            def wrapper(model, cell, **kwargs):
+                guesses[(kind, cell.N)] = kwargs.get("initial_guess")
+                if kind == "minimum" and cell.N == 5:
+                    raise RuntimeError("forced failure")
+                solved[(kind, cell.N)] = point = fn(model, cell, **kwargs)
+                return point
+            return wrapper
+
+        monkeypatch.setattr(harness, "relax_minimum",
+                            recording(harness.relax_minimum, "minimum"))
+        monkeypatch.setattr(harness, "find_saddle", recording(harness.find_saddle, "saddle"))
+        cfg = dwell_config(None)
+        table = sweep(cfg)
+        assert [r["status"] == "ok" for r in table.rows] == [True, False, True]
+        assert "forced failure" in table.rows[1]["status"]
+        cell6 = Supercell(cfg.model.spec, 6)
+        for kind in ("minimum", "saddle"):
+            expected = harness.continue_in_N(cfg.model, solved[(kind, 4)], cell6)
+            assert np.array_equal(guesses[(kind, 6)].values, expected.values), kind
 
 
 class TestEmit:
