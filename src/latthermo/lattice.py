@@ -253,6 +253,7 @@ class Supercell:
         self.dual = self._build_dual()
         self._y_slots = self._slots(self.dual.y, V.T)
         self._dual_at_slot = np.argsort(self._y_slots)
+        self._neg_y_slots = self._slots(-self.dual.y, V.T)
 
     # -- site bookkeeping -------------------------------------------------
 
@@ -319,6 +320,28 @@ class Supercell:
         if fhat.shape[0] != self.n:
             raise ValueError("spectrum size does not match dual grid")
         return self._fft(fhat, self._dual_at_slot, self._x_slots, np.fft.fftn) / self.n
+
+    @property
+    def grid_shape(self) -> tuple[int, ...]:
+        """Shape s of the diagonal-form grid that holds the sites and dual labels."""
+        return self._fft_shape
+
+    def to_grid(self, f: np.ndarray, dual: bool = False) -> np.ndarray:
+        """Lay an (n, ...) array out on the s-grid; (*s, ...).
+
+        Site x goes to slot U x mod s. With ``dual``, dual label y goes to slot
+        -V^T y mod s: a forward FFT of a site field holds e^{i k.ell} there.
+        """
+        f = np.asarray(f)
+        slots = self._neg_y_slots if dual else self._x_slots
+        grid = np.empty_like(f)
+        grid[slots] = f
+        return grid.reshape(self._fft_shape + f.shape[1:])
+
+    def from_grid(self, grid: np.ndarray) -> np.ndarray:
+        """Read an (*s, ...) grid back at the site slots; (n, ...)."""
+        d = len(self._fft_shape)
+        return grid.reshape((self.n,) + grid.shape[d:])[self._x_slots]
 
     # -- fields -----------------------------------------------------------
 

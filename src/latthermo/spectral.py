@@ -45,6 +45,7 @@ DENSE_EIG_LIMIT = 400        # extremal eigenpairs: dense eigh up to this dimens
 LOBPCG_TOL = 1e-10           # LOBPCG residual bound, relative to the operator norm
 LOBPCG_MAXITER = 400
 LOBPCG_GUARD = 2
+LOBPCG_RESTARTS = 2           # restarts of a block that misses the residual check
 ZERO_TOL_FACTOR = 1e-8
 GAP_FACTOR = 10.0
 
@@ -445,19 +446,50 @@ def _lobpcg_eig(matvec, cell: Supercell, norm_scale: float, k: int,
         X0 = np.asarray(X0, dtype=float).reshape(dim, -1)[:, :X.shape[1]]
         X[:, :X0.shape[1]] = X0
     res_tol = LOBPCG_TOL * max(norm_scale, 1.0)
-    with warnings.catch_warnings():
-        # non-convergence is judged below from the explicit residuals
-        warnings.simplefilter("ignore", UserWarning)
-        w, V = spla.lobpcg(matvec, X, M=precond, Y=Y, tol=res_tol, maxiter=LOBPCG_MAXITER,
-                           largest=(mode == "LA"))
-    order = (np.argsort(w) if mode == "SA" else np.argsort(-w))[:k]
-    w, V = w[order], V[:, order]
-    # scipy locks converged columns and mixes them once more at the end, so a
-    # column may finish a little above the tolerance it met: check at 10x
-    res = np.linalg.norm(np.asarray(matvec(V)) - V * w, axis=0)
-    if not np.all(res <= 10.0 * res_tol):
-        raise RuntimeError(f"LOBPCG eigenpair residual {np.max(res):g} above {10 * res_tol:g}")
-    return w, V
+    for _ in range(LOBPCG_RESTARTS + 1):
+        with warnings.catch_warnings():
+            # non-convergence is judged below from the explicit residuals
+            warnings.simplefilter("ignore", UserWarning)
+            w, X = spla.lobpcg(matvec, X, M=precond, Y=Y, tol=res_tol, maxiter=LOBPCG_MAXITER,
+                               largest=(mode == "LA"))
+        order = (np.argsort(w) if mode == "SA" else np.argsort(-w))[:k]
+        V = X[:, order]
+        # scipy locks converged columns and mixes them once more at the end, so a
+        # column may finish a little above the tolerance it met: check at 10x
+        res = np.linalg.norm(np.asarray(matvec(V)) - V * w[order], axis=0)
+        if np.all(res <= 10.0 * res_tol):
+            return w[order], V
+        # a stalled block falls back to its best iterate, which may predate the
+        # wanted columns' convergence: restart from the whole block
+    raise RuntimeError(f"LOBPCG eigenpair residual {np.max(res):g} above {10 * res_tol:g}")
+
+
+def _dense_eigh(matvec, cell: Supercell, pi_shift: float = 0.0, deflate_shift: float = 0.0,
+                deflate: Sequence[np.ndarray] = ()):
+    """Full eigh of an operator built in one block matvec, with the constants
+    shifted by ``pi_shift`` and the ``deflate`` vectors by ``deflate_shift``."""
+    n, m = cell.n, cell.spec.m
+    eye = np.eye(n * m)
+    A = np.asarray(matvec(eye), dtype=float)
+    if pi_shift != 0.0:
+        A = A + pi_shift * _mean_project(eye, n, m)
+    for vec in deflate:
+        A = A + deflate_shift * np.outer(vec, vec)
+    return np.linalg.eigh(0.5 * (A + A.T))
+
+
+def _spectrum_ends(matvec, cell: Supercell, k: int):
+    """The k lowest eigenpairs and the top eigenvalue of an unshifted operator.
+
+    Up to ``DENSE_EIG_LIMIT`` one dense diagonalisation gives both ends;
+    above it each end is its own iterative solve.
+    """
+    if cell.n * cell.spec.m <= DENSE_EIG_LIMIT:
+        w, V = _dense_eigh(matvec, cell)
+        return w[:k], V[:, :k], w[-1:]
+    w_small, V_small = _extremal_eig(matvec, cell, 0.0, k=k, mode="SA", shiftless=True)
+    w_large, _ = _extremal_eig(matvec, cell, 0.0, k=1, mode="LA", shiftless=True)
+    return w_small, V_small, w_large
 
 
 def _extremal_eig(matvec, cell: Supercell, norm_scale: float, k: int = 1,
@@ -481,13 +513,7 @@ def _extremal_eig(matvec, cell: Supercell, norm_scale: float, k: int = 1,
     dim = n * m
     shift = 10.0 * norm_scale if mode == "SA" else -10.0 * norm_scale
     if dim <= DENSE_EIG_LIMIT:
-        eye = np.eye(dim)
-        A = np.asarray(matvec(eye), dtype=float)
-        if not shiftless:
-            A = A + shift * _mean_project(eye, n, m)
-        for vec in deflate:
-            A = A + shift * np.outer(vec, vec)
-        w, V = np.linalg.eigh(0.5 * (A + A.T))
+        w, V = _dense_eigh(matvec, cell, 0.0 if shiftless else shift, shift, deflate)
         order = np.argsort(w) if mode == "SA" else np.argsort(-w)
         idx = order[:k]
         return w[idx], V[:, idx]
@@ -503,26 +529,42 @@ def _extremal_eig(matvec, cell: Supercell, norm_scale: float, k: int = 1,
 
 
 class FApplier:
-    """Matrix-free application of the periodic kernel F_N through the dual grid."""
+    """Matrix-free application of the periodic kernel F_N by real-input FFTs.
+
+    On the cell's diagonal-form grid of shape s, F_N v = irfftn(F_g rfftn(v)):
+    v is laid out at the site slots and F_hat(y) at the slot of -y, where
+    rfftn holds e^{i k.ell}. F_N is real, so F_g(-q) = conj F_g(q) (checked
+    once on the full grid), and F_g (or F_g^2 after ``squared``) is kept on
+    the Hermitian half-grid [..., :s_last // 2 + 1] only.
+    """
 
     def __init__(self, cell: Supercell, model: PotentialModel):
         self.cell = cell
         self.m = model.spec.m
-        self.fhat = _fhat_dual(model, cell)
+        s = cell.grid_shape
+        axes = tuple(range(len(s)))
+        fg = cell.to_grid(_fhat_dual(model, cell), dual=True)
+        mirrored = np.roll(np.flip(fg, axes), 1, axes)          # fg(-q) at slot q
+        asym = float(np.max(np.abs(mirrored - fg.conj())))
+        if asym > 1e-10 * (1 + float(np.max(np.abs(fg)))):
+            raise FloatingPointError(
+                f"F_hat is not Hermitian on the N={cell.N} cell (grid {s}): "
+                f"residue {asym:g}")
+        self.fhat = np.ascontiguousarray(fg[..., : s[-1] // 2 + 1, :, :])
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """v: (dim,) or (dim, batch) flattened fields; returns same shape."""
-        single = v.ndim == 1
-        vv = v.reshape(self.cell.n, self.m, -1)
-        vhat = self.cell.dft(vv)
-        what = np.einsum("kij,kjb->kib", self.fhat, vhat, optimize=True)
-        out = self.cell.idft(what).real.reshape(v.shape if not single else (-1, 1))
-        return out[:, 0] if single else out.reshape(v.shape)
+        cell = self.cell
+        s = cell.grid_shape
+        axes = tuple(range(len(s)))
+        vhat = np.fft.rfftn(cell.to_grid(v.reshape(cell.n, self.m, -1)), axes=axes)
+        out = np.fft.irfftn(self.fhat @ vhat, s=s, axes=axes)
+        return cell.from_grid(out).reshape(v.shape)
 
     def squared(self) -> "FApplier":
         """F_N^2 = (H^hom)^+, applied the same way; a preconditioner for Hessians."""
         sq = copy.copy(self)
-        sq.fhat = np.einsum("kij,kjl->kil", self.fhat, self.fhat, optimize=True)
+        sq.fhat = self.fhat @ self.fhat
         return sq
 
 

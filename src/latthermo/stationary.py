@@ -24,6 +24,7 @@ from .spectral import (
     _bordered,
     _extremal_eig,
     _mean_project,
+    _spectrum_ends,
     classify_eigenvalues,
     generalized_eigen,
 )
@@ -98,8 +99,7 @@ def _certify_spectrum(H: LinearLatticeOperator, kind: str):
     expected_neg = 1 if kind == "saddle" else 0
     k_small = min(m + expected_neg + 2, n * m - 1)
     # shiftless and undeflated: the solves apply no shift, so they need no norm scale
-    w_small, V_small = _extremal_eig(matvec, cell, 0.0, k=k_small, mode="SA", shiftless=True)
-    w_large, _ = _extremal_eig(matvec, cell, 0.0, k=1, mode="LA", shiftless=True)
+    w_small, V_small, w_large = _spectrum_ends(matvec, cell, k_small)
     eigs = np.concatenate([w_small, w_large])
     cls = classify_eigenvalues(eigs, expected_zero=m, complete=False)
     cls.n_positive = n * m - cls.n_zero - cls.n_negative

@@ -21,6 +21,7 @@ from .spectral import (
     DENSE_LIMIT,
     AmbiguousSpectrumError,
     KernelTable,
+    conjugate_operator,
     kernel_FN,
     logdet_plus,
     logdet_plus_factorized,
@@ -320,12 +321,29 @@ def renormalised_entropy(model: PotentialModel, u_ref, R_sum: float,
         tail_estimate=float(abs(tail)), decay_fit=fit)
 
 
+def _site_entropy_sum(model: PotentialModel, point: StationaryPoint) -> float:
+    """Sum of the point's site entropies, -1/2 tr log+ (F_N H F_N).
+
+    Up to DENSE_LIMIT the eigenvalues of the dense F_N H F_N give it with no
+    eigenvectors (same classification and negative-mode count as the site
+    traces); above it the Chebyshev site traces of every site are summed.
+    """
+    cell = point.u.cell
+    m = cell.spec.m
+    if cell.n * m > DENSE_LIMIT:
+        return site_entropies(model, point).total
+    A = conjugate_operator(kernel_FN(model, cell), point.H, include_pi=False)
+    ld, _ = logdet_plus(A, expected_zero=m,
+                        expected_negative=1 if point.kind == "saddle" else 0)
+    return -0.5 * ld
+
+
 def delta_S_saddle(model: PotentialModel, min_point: StationaryPoint,
                    saddle_point: StationaryPoint) -> DeltaSReport:
     """Entropy difference saddle minus minimum, computed along two routes.
 
-    Direct: bordered-LU det+ on both Hessians. Splitting: the site-entropy
-    sum of the saddle plus the -1/2 log |mu| + 1/2 log |lambda| correction
+    Direct: bordered-LU det+ on both Hessians. Splitting: the saddle's
+    site-entropy sum plus the -1/2 log |mu| + 1/2 log |lambda| correction
     from the generalized and standard unstable eigenvalues that the saddle
     carries; the i pi phases of log lambda and -log mu cancel.
     """
@@ -337,8 +355,8 @@ def delta_S_saddle(model: PotentialModel, min_point: StationaryPoint,
     S_saddle_direct = entropy_total(model, saddle_point)
     direct = S_saddle_direct - S_min
 
-    prof = site_entropies(model, saddle_point)
-    S_saddle_split = prof.total - 0.5 * np.log(abs(mu)) + 0.5 * np.log(abs(lam))
+    S_saddle_split = (_site_entropy_sum(model, saddle_point)
+                      - 0.5 * np.log(abs(mu)) + 0.5 * np.log(abs(lam)))
     splitting = S_saddle_split - S_min
     return DeltaSReport(value=direct, direct=direct, splitting=splitting,
                         lam=float(lam), mu=float(mu), S_min=S_min, S_saddle=S_saddle_direct)

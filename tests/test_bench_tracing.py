@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from latthermo import Supercell, preset_model, relax_minimum
+from latthermo import Supercell, preset_model, relax_minimum, site_entropies
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -26,10 +26,14 @@ def test_tracer_installs_counts_and_restores_every_wrapped_name(monkeypatch):
     try:
         assert saved and all(getattr(owner, attr) is not original
                              for owner, attr, original in saved)
-        # a small minimum reads the wrapped names at call time (Supercell._fft_shape too)
+        # a small minimum and its site profile read the wrapped names at call
+        # time (Supercell._fft_shape too); the dense kernel F_N is the one DFT
+        # caller, FApplier runs real-input FFTs of its own
         model = preset_model("square_misfit")
         point = relax_minimum(model, Supercell(model.spec, 3))
         assert np.isfinite(point.energy)
+        assert tracer.counts["spectral.fapply_columns"] > 0
+        assert np.isfinite(site_entropies(model, point).total)
         assert tracer.counts["lattice.dft_calls"] > 0
         assert tracer.counts["assembly.hessian_calls"] > 0
     finally:

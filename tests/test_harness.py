@@ -22,6 +22,7 @@ from latthermo.harness import (
 )
 from latthermo import Supercell, assembly, harness, preset_model, spectral, thermo
 from latthermo.lattice import ConfigurationError
+from table_compare import assert_tables_close
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -212,9 +213,9 @@ class TestSweep:
                         kick_site=(0, 0), kick_vector=np.array([0.15, 0.0]))
         row = solve_row(cfg, 4)
         assert row["status"] == "ok" and row["K_beta_2"] > 0
-        # one F_N H F_N solve per point, and no Hessian input assembled twice
-        assert calls == {"entropy_total": 2, "site_entropies": 1, "delta_S_saddle": 1,
-                         "generalized_eigen": 2}
+        # one F_N H F_N solve per point, no Hessian input assembled twice, and
+        # no site profile: the splitting needs only the saddle's site sum
+        assert calls == {"entropy_total": 2, "delta_S_saddle": 1, "generalized_eigen": 2}
         assert assembled and max(assembled.values()) == 1
 
     def test_unstable_model_refused(self):
@@ -254,9 +255,9 @@ class TestChain:
     def test_chained_rows_match_rows_from_the_kick(self, chained_and_kicked):
         table, kicked, _, _ = chained_and_kicked
         assert [r["status"] for r in table.rows] == ["ok"] * 3
-        for chained, alone in zip(table.rows, kicked):
-            for col in ("E_min", "S_min", "dE", "dS", "K", "lam", "mu"):
-                assert chained[col] == pytest.approx(alone[col], rel=1e-9, abs=0), col
+        # rows solved alone have no Richardson limit, hence no err_* columns
+        assert_tables_close(table.rows, kicked, rtol=1e-9, atol=1e-9,
+                            skip=[err for _, err in harness.ERROR_COLUMNS])
 
     def test_chained_rows_take_fewer_iterations(self, chained_and_kicked):
         _, _, chained, kicked = chained_and_kicked

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,9 @@ from latthermo import (
     projector_constants,
     symbol_F,
 )
+from latthermo import spectral
 from latthermo.assembly import LinearLatticeOperator
+from latthermo.config import load_config
 from latthermo.potentials import PRESETS, symbol_h_batch
 from latthermo.spectral import (
     FApplier,
@@ -26,6 +30,8 @@ from latthermo.spectral import (
     logdet_plus_factorized,
     site_log_traces,
 )
+
+BENCH_CONFIGS = Path(__file__).resolve().parent.parent / "bench" / "configs"
 
 
 def stable_state(name="square_misfit", N=4, scale=0.03, seed=0):
@@ -311,13 +317,31 @@ class TestSiteTraces:
         assert np.max(np.abs(dense - cheb)) < 1e-8
 
     def test_fapplier_matches_dense_kernel(self):
-        model, cell, u = stable_state("square_misfit", N=4)
-        FN = kernel_FN(model, cell)
-        Fmat = FN.dense_operator().dense()
-        F = FApplier(cell, model)
+        # real-input FFTs on the half-grid against the dense kernel from the
+        # complex inverse DFT: d = 1, 2, 3, and a sheared cell (U, V not I)
+        sheared = load_config(BENCH_CONFIGS / "sheared_entropy.yaml").model
         rng = np.random.default_rng(4)
-        v = rng.standard_normal(cell.n * 2)
-        assert np.max(np.abs(F.apply(v) - Fmat @ v)) < 1e-11
+        for model, N in [(PRESETS["square_misfit"](), 4), (PRESETS["chain_misfit"](), 6),
+                         (sheared, 4), (PRESETS["cube_harmonic"](), 3)]:
+            cell = Supercell(model.spec, N)
+            Fmat = kernel_FN(model, cell).dense_operator().dense()
+            F = FApplier(cell, model)
+            dim = cell.n * model.spec.m
+            v, V = rng.standard_normal(dim), rng.standard_normal((dim, 7))
+            for got, want in [(F.apply(v), Fmat @ v), (F.apply(V), Fmat @ V),
+                              (F.squared().apply(V), Fmat @ (Fmat @ V))]:
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) < 1e-12, (model.name, N)
+
+    def test_fapplier_refuses_non_hermitian_symbol(self, monkeypatch):
+        model = PRESETS["square_misfit"]()
+        cell = Supercell(model.spec, 4)
+        fhat = spectral._fhat_dual(model, cell)
+        k = int(np.flatnonzero(np.any(cell.dual.y != 0, axis=1))[0])
+        fhat[k] *= 1j                      # F_hat(-k) is no longer conj F_hat(k)
+        monkeypatch.setattr(spectral, "_fhat_dual", lambda model, cell: fhat)
+        with pytest.raises(FloatingPointError, match="not Hermitian on the N=4 cell"):
+            FApplier(cell, model)
 
 
 class TestClassification:

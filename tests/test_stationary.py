@@ -229,3 +229,45 @@ def test_certify_reruns_classification():
     cls = certify(model, pt)
     assert cls.n_zero == 2 and cls.n_negative == 0
     assert cls.n_positive == pt.certificate.n_positive
+
+
+def test_dense_certificate_takes_one_eigh(monkeypatch):
+    # both ends of the spectrum come from one diagonalisation, equal bit for
+    # bit to separate lowest-k and top solves of the same Hessian
+    from latthermo import spectral
+    from latthermo.stationary import _certify_spectrum
+    model, cell, minimum = double_well_minimum(4)
+    H = minimum.H
+    matvec = lambda v: np.asarray(H.mat @ v)
+    k = cell.spec.m + 2
+    w_small, _ = spectral._extremal_eig(matvec, cell, 0.0, k=k, mode="SA", shiftless=True)
+    w_large, _ = spectral._extremal_eig(matvec, cell, 0.0, k=1, mode="LA", shiftless=True)
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    cls = _certify_spectrum(H, "minimum")[0]
+    assert calls == [(cell.n * 2, cell.n * 2)]
+    assert np.array_equal(cls.eigenvalues, np.sort(np.concatenate([w_small, w_large])))
+
+
+def test_preconditioned_lobpcg_converges_from_every_seed():
+    # the first saddle step starts LOBPCG from a random block; at N=16 seed 1
+    # stalls near the acoustic band edge and converges only after a restart
+    from latthermo.spectral import FApplier, _extremal_eig
+    model, cell, minimum = double_well_minimum(16)
+    u = 0.5 * (minimum.u.values + mirror_image(model, cell, minimum.u.values))
+    H = hessian(model, DisplacementField(cell, u - u.mean(axis=0)))
+    matvec = lambda v: np.asarray(H.mat @ v)
+    precond = FApplier(cell, model).squared().apply
+    scale = float(abs(H.mat).sum(axis=1).max())
+    lows = []
+    for seed in range(4):
+        w, V = _extremal_eig(matvec, cell, scale, k=2, mode="SA", precond=precond, seed=seed)
+        assert np.max(np.linalg.norm(matvec(V) - V * w, axis=0)) <= 1e-9 * scale
+        lows.append(w)
+    assert np.ptp(np.array(lows), axis=0).max() < 1e-10 * scale

@@ -202,6 +202,28 @@ class TestDeltaSAndRate:
         assert rep.lam < 0 and rep.mu < 0
         assert abs(rep.splitting - rep.direct) < 1e-8
 
+    def test_splitting_site_sum_takes_no_eigenvectors(self, monkeypatch):
+        # up to DENSE_LIMIT the saddle's site sum comes from the eigenvalues of
+        # the dense F_N H F_N: no site profile and no full eigh of that size
+        model, cell, minimum, saddle = solved_double_well(4)
+        profile_total = site_entropies(model, saddle).total
+        dim = cell.n * cell.spec.m
+        eigh = np.linalg.eigh
+
+        def small_eigh(a, *args, **kwargs):
+            assert np.shape(a)[-1] < dim, "full eigh taken for the site sum"
+            return eigh(a, *args, **kwargs)
+
+        def no_profile(*args, **kwargs):
+            raise AssertionError("site profile built for the site sum")
+
+        monkeypatch.setattr(np.linalg, "eigh", small_eigh)
+        monkeypatch.setattr(thermo, "site_entropies", no_profile)
+        assert thermo._site_entropy_sum(model, saddle) == pytest.approx(profile_total,
+                                                                         rel=1e-12, abs=1e-12)
+        rep = delta_S_saddle(model, minimum, saddle)
+        assert abs(rep.splitting - rep.direct) < 1e-8
+
     def test_rate_product_form_cross_check(self):
         model, cell, minimum, saddle = solved_double_well(4)
         rep = htst_rate(model, minimum, saddle, beta=1.0)
