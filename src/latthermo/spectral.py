@@ -48,6 +48,7 @@ LOBPCG_GUARD = 2
 LOBPCG_RESTARTS = 2           # restarts of a block that misses the residual check
 ZERO_TOL_FACTOR = 1e-8
 GAP_FACTOR = 10.0
+CHEB_DEGREES = (*range(8, 65, 4), 128, 256, 512, 1024, 2048)   # log expansion, lowest first
 
 
 class AmbiguousSpectrumError(RuntimeError):
@@ -579,8 +580,10 @@ def generalized_eigen(H: LinearLatticeOperator, model: PotentialModel,
     """The one F_N H F_N solve of a point: positive bounds and negative pairs.
 
     The nonzero spectrum of F_N H F_N is the generalized spectrum of
-    H psi = mu H_hom psi on the zero-mean subspace, with psi = F_N w. The top
-    eigenvalue is solved first, unshifted: the translation zeros and the
+    H psi = mu H_hom psi on the zero-mean subspace, with psi = F_N w. Up to
+    ``DENSE_EIG_LIMIT`` one dense diagonalisation of the unshifted operator,
+    classified with the translation zeros, gives every fact. Above it the
+    top eigenvalue is solved first, unshifted: the translation zeros and the
     negative modes lie below it. It then scales the shifts of the lower
     solves. Each negative pair is checked as a generalized eigenpair against
     the assembled H_hom. Returns (sigma_lo, sigma_hi, mus, modes): the bounds
@@ -591,12 +594,11 @@ def generalized_eigen(H: LinearLatticeOperator, model: PotentialModel,
     n, m = cell.n, cell.spec.m
     F = FApplier(cell, model)
     matvec = _fhf_matvec(F, H)
-    w_hi, _ = _extremal_eig(matvec, cell, 0.0, k=1, mode="LA", shiftless=True)
-    scale = max(float(w_hi[0]), 1.0)
-    mus, modes = [], []
-    if expected_negative:
-        wneg, Vneg = _extremal_eig(matvec, cell, scale, k=expected_negative, mode="SA",
-                                   tol=1e-13)
+
+    def checked_pairs(wneg, Vneg):
+        mus, modes = [], []
+        if not expected_negative:
+            return mus, modes
         H_hom = hessian(model, cell.zero_field(), kind="homogeneous")
         for mu, vec in zip(wneg, Vneg.T):
             if mu >= 0:
@@ -610,6 +612,23 @@ def generalized_eigen(H: LinearLatticeOperator, model: PotentialModel,
                 raise RuntimeError(f"generalized eigenpair residual {res:g} above tolerance")
             mus.append(float(mu))
             modes.append(vec)
+        return mus, modes
+
+    if n * m <= DENSE_EIG_LIMIT:
+        w, V = _dense_eigh(matvec, cell)
+        cls = classify_eigenvalues(w, expected_zero=m)
+        if cls.n_negative != expected_negative:
+            raise AmbiguousSpectrumError(
+                f"expected {expected_negative} negative modes, found {cls.n_negative}")
+        mus, modes = checked_pairs(w[:expected_negative], V[:, :expected_negative])
+        return cls.sigma_min, cls.sigma_max, mus, modes
+    w_hi, _ = _extremal_eig(matvec, cell, 0.0, k=1, mode="LA", shiftless=True)
+    scale = max(float(w_hi[0]), 1.0)
+    if expected_negative:
+        mus, modes = checked_pairs(*_extremal_eig(matvec, cell, scale, k=expected_negative,
+                                                  mode="SA", tol=1e-13))
+    else:
+        mus, modes = [], []
     w_lo, _ = _extremal_eig(matvec, cell, scale, k=1, mode="SA", deflate=modes)
     return float(w_lo[0]), float(w_hi[0]), mus, modes
 
@@ -619,21 +638,19 @@ def generalized_eigen(H: LinearLatticeOperator, model: PotentialModel,
 # ---------------------------------------------------------------------------
 
 def _cheb_log_poly(a: float, b: float, tol: float = 1e-11):
+    """Chebyshev interpolant of log on [a, b] at the lowest degree of
+    ``CHEB_DEGREES`` whose error, sampled at 4 deg + 17 points, is below
+    ``tol`` times max(1, |log a|, |log b|). Returns (poly, err)."""
     from numpy.polynomial import chebyshev as C
 
-    deg = 32
     scale = max(1.0, abs(np.log(a)), abs(np.log(b)))
-    while True:
+    for deg in CHEB_DEGREES:
         p = C.Chebyshev.interpolate(np.log, deg, domain=[a, b])
         xs = np.linspace(a, b, 4 * deg + 17)
         err = float(np.max(np.abs(p(xs) - np.log(xs))))
         if err < tol * scale:
             return p, err
-        if deg >= 2048:
-            raise RuntimeError(
-                f"log approximation stalled at error {err:g} on [{a:g}, {b:g}]"
-            )
-        deg *= 2
+    raise RuntimeError(f"log approximation stalled at error {err:g} on [{a:g}, {b:g}]")
 
 
 def site_log_traces(H: LinearLatticeOperator, model: PotentialModel,
@@ -646,7 +663,11 @@ def site_log_traces(H: LinearLatticeOperator, model: PotentialModel,
     deflated site basis columns (matrix-free F through the dual grid). The
     Chebyshev route takes the bounds and negative modes from ``spectrum``, a
     point's carried ``generalized_eigen`` result, and solves them otherwise.
-    Returns (traces, info) with measured spectral bounds in info.
+    Its degree is the lowest that meets the ``_cheb_log_poly`` check, and the
+    moments up to it come from ceil(degree / 2) block products with
+    F_N H F_N per chunk of sites. Returns (traces, info) with measured
+    spectral bounds in info; the Chebyshev info also gives the degree, its
+    sampled error and ``matvecs``, the number of those block products.
     """
     cell = H.cell
     n, m = cell.n, cell.spec.m
@@ -679,6 +700,7 @@ def site_log_traces(H: LinearLatticeOperator, model: PotentialModel,
     a, b = 0.95 * sig_lo, 1.05 * sig_hi
     poly, err = _cheb_log_poly(a, b)
     coef = poly.coef
+    deg = len(coef) - 1
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
 
     def project(X):
@@ -687,27 +709,35 @@ def site_log_traces(H: LinearLatticeOperator, model: PotentialModel,
             X -= np.outer(vec, vec @ X)
         return X
 
+    def site_dot(X, Y):
+        return np.einsum("ij,ij->j", X, Y).reshape(-1, m).sum(axis=1)
+
     traces = np.zeros(len(sites))
+    matvecs = 0
     cols_per_chunk = max(1, 256 // m)
     for lo in range(0, len(sites), cols_per_chunk):
         batch_sites = sites[lo:lo + cols_per_chunk]
-        nb = len(batch_sites) * m
-        E = np.zeros((dim, nb))
+        E = np.zeros((dim, len(batch_sites) * m))
         for j, s in enumerate(batch_sites):
             for i in range(m):
                 E[s * m + i, j * m + i] = 1.0
         # rounding-level components along the translations and deflated modes
         # grow like T_k((0 - mid) / half) in the recurrence: project every term
-        Ed = project(E)
-        t_prev = Ed
-        t_cur = project((matvec(Ed) - mid * Ed) / half)
-        acc = coef[0] * t_prev + (coef[1] * t_cur if len(coef) > 1 else 0.0)
-        for ck in coef[2:]:
-            t_next = project(2.0 * (matvec(t_cur) - mid * t_cur) / half - t_prev)
-            acc += ck * t_next
-            t_prev, t_cur = t_cur, t_next
-        for j, s in enumerate(batch_sites):
-            traces[lo + j] = sum(acc[s * m + i, j * m + i] for i in range(m))
+        t_prev = project(E)
+        t_cur = project((matvec(t_prev) - mid * t_prev) / half)
+        # moments mu_k = <Ed e, T_k Ed e> up to deg from T_0..T_ceil(deg/2), by
+        # T_2j = 2 T_j^2 - T_0 and T_2j+1 = 2 T_j+1 T_j - T_1 (P F H F P is symmetric)
+        mu = np.empty((deg + 1, len(batch_sites)))
+        mu[0], mu[1] = site_dot(t_prev, t_prev), site_dot(t_prev, t_cur)
+        mu[2] = 2.0 * site_dot(t_cur, t_cur) - mu[0]
+        for k in range(2, (deg + 1) // 2 + 1):
+            t_prev, t_cur = t_cur, project(2.0 * (matvec(t_cur) - mid * t_cur) / half - t_prev)
+            mu[2 * k - 1] = 2.0 * site_dot(t_cur, t_prev) - mu[1]
+            if 2 * k <= deg:
+                mu[2 * k] = 2.0 * site_dot(t_cur, t_cur) - mu[0]
+        matvecs += (deg + 1) // 2
+        traces[lo:lo + len(batch_sites)] = coef @ mu
     info = {"method": "chebyshev", "sigma_min": sig_lo, "sigma_max": sig_hi,
-            "cheb_degree": len(coef) - 1, "cheb_error": err, "negatives": negatives}
+            "cheb_degree": deg, "cheb_error": err, "matvecs": matvecs,
+            "negatives": negatives}
     return traces, info

@@ -169,7 +169,7 @@ def _newton_relax(model: PotentialModel, cell: Supercell, initial_guess, max_ite
     u = DisplacementField(cell, vals - vals.mean(axis=0)).values
     if symmetrize is not None:
         u = symmetrize(u)
-    nu = 0.0
+    nu = nu_last = 0.0             # the ladder resumes a decade below the last accepted shift
     energy = energy_periodic(model, DisplacementField(cell, u)).value
     n_iter = 0
     history: list[float] = []
@@ -190,7 +190,7 @@ def _newton_relax(model: PotentialModel, cell: Supercell, initial_guess, max_ite
                 p = symmetrize(p)
             slope = float(np.sum(p * g))
             if slope >= 0:
-                nu = max(10.0 * nu, 1e-6)
+                nu = 10.0 * nu if nu else max(0.1 * nu_last, 1e-6)
                 continue
             # a predicted decrease below the rounding of E cannot be seen in E:
             # then a step must lower |g| instead
@@ -213,9 +213,10 @@ def _newton_relax(model: PotentialModel, cell: Supercell, initial_guess, max_ite
                     break
                 t *= 0.5
             if accepted:
+                nu_last = nu or nu_last
                 nu = 0.0 if t == 1.0 else nu
                 break
-            nu = max(10.0 * nu, 1e-6)
+            nu = 10.0 * nu if nu else max(0.1 * nu_last, 1e-6)
         if not accepted:
             raise RuntimeError(f"line search failed at iteration {n_iter} (|g|={gnorm:g})")
     else:

@@ -289,6 +289,38 @@ class TestEigenpairs:
         assert abs(Hh.quadratic(psi) - 1.0) < 1e-8
 
 
+    def test_dense_route_takes_one_eigh(self, monkeypatch):
+        # the double-well saddle at N=4: one diagonalisation gives the bounds
+        # and the negative pair that the iterative solves give separately
+        from latthermo import find_saddle, relax_minimum
+        model = preset_model("square_double_well")
+        cell = Supercell(model.spec, 4)
+        kick = np.zeros((cell.n, 2))
+        kick[cell.index((0, 0))] = [0.15, 0.0]
+        minimum = relax_minimum(model, cell, initial_guess=kick)
+        perm = cell.site_permutation(model.mirror)
+        mirrored = minimum.u.values[perm] @ np.asarray(model.mirror, float).T
+        saddle = find_saddle(model, cell, guess_pair=(minimum.u.values, mirrored))
+        dim = cell.n * cell.spec.m
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            if np.ndim(a) == 2:
+                calls.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        lo, hi, mus, modes = generalized_eigen(saddle.H, model, expected_negative=1)
+        assert calls == [(dim, dim)]
+        monkeypatch.setattr(spectral, "DENSE_EIG_LIMIT", 0)
+        lo2, hi2, mus2, modes2 = generalized_eigen(saddle.H, model, expected_negative=1)
+        assert calls == [(dim, dim)]
+        assert abs(lo - lo2) < 1e-9 and abs(hi - hi2) < 1e-9
+        assert len(mus) == len(mus2) == 1 and abs(mus[0] - mus2[0]) < 1e-9
+        assert abs(abs(modes[0] @ modes2[0]) - 1.0) < 1e-8
+
+
 class TestSiteTraces:
     def test_dense_sums_to_logdet(self):
         model, cell, u = stable_state("square_misfit", N=4, scale=0.03)
@@ -315,6 +347,47 @@ class TestSiteTraces:
         cheb, info = site_log_traces(H, model, sites, method="chebyshev")
         assert info["method"] == "chebyshev"
         assert np.max(np.abs(dense - cheb)) < 1e-8
+
+    def test_chebyshev_takes_half_degree_products_per_chunk(self, monkeypatch):
+        # 192 sites make two chunks of at most 128; the moments up to the degree
+        # take ceil(deg / 2) products per chunk, and a product is two F_N applies
+        model, cell, u = stable_state("square_misfit", N=12, scale=0.03)
+        H = hessian(model, u)
+        spectrum = generalized_eigen(H, model)
+        applies = []
+        apply = FApplier.apply
+        monkeypatch.setattr(FApplier, "apply",
+                            lambda self, v: applies.append(1) or apply(self, v))
+        sites = np.arange(0, cell.n, 3)
+        assert len(sites) == 192
+        cheb, info = site_log_traces(H, model, sites, method="chebyshev", spectrum=spectrum)
+        half = -(-info["cheb_degree"] // 2)
+        assert info["matvecs"] == 2 * half
+        assert len(applies) == 2 * info["matvecs"]
+        dense, _ = site_log_traces(H, model, sites, method="dense")
+        assert np.max(np.abs(dense - cheb)) < 1e-8
+
+    @pytest.mark.parametrize("a, b", [(0.95 * 0.898, 1.05 * 1.313), (0.5, 3.0),
+                                      (0.2, 5.0), (0.05, 20.0)])
+    def test_cheb_degree_is_the_lowest_that_passes(self, a, b):
+        from numpy.polynomial import chebyshev as C
+        tol = 1e-11
+        scale = max(1.0, abs(np.log(a)), abs(np.log(b)))
+
+        def sampled_error(deg):
+            p = C.Chebyshev.interpolate(np.log, deg, domain=[a, b])
+            xs = np.linspace(a, b, 4 * deg + 17)
+            return float(np.max(np.abs(p(xs) - np.log(xs))))
+
+        poly, err = spectral._cheb_log_poly(a, b, tol)
+        deg = len(poly.coef) - 1
+        i = spectral.CHEB_DEGREES.index(deg)
+        assert err == sampled_error(deg) and err < tol * scale
+        if i > 0:
+            assert sampled_error(spectral.CHEB_DEGREES[i - 1]) >= tol * scale
+        # the sampled check sees the error of a fine grid
+        xs = np.linspace(a, b, 20001)
+        assert float(np.max(np.abs(poly(xs) - np.log(xs)))) < 1.1 * tol * scale
 
     def test_fapplier_matches_dense_kernel(self):
         # real-input FFTs on the half-grid against the dense kernel from the

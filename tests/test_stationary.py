@@ -113,6 +113,22 @@ class TestRelaxMinimum:
         assert pt.certificate.n_negative == 0
         assert abs(pt.energy - shipped.energy) < 1e-10
 
+    def test_damping_ladder_resumes_below_last_shift(self, monkeypatch):
+        # from the shipped kick the first steps need shifts 10, 1, 1: after an
+        # accepted shift the ladder restarts a decade below it, not at 1e-6
+        from latthermo import stationary
+        solve = stationary._bordered_solve
+        shifts = []
+
+        def counted(H, nu, rhs, cell):
+            shifts.append(nu)
+            return solve(H, nu, rhs, cell)
+
+        monkeypatch.setattr(stationary, "_bordered_solve", counted)
+        _, cell, pt = double_well_minimum(8)
+        assert pt.n_iter == 7 and pt.gradient_norm <= tol_grad(cell)
+        assert len(shifts) <= 15
+
     def test_minimiser_field_decay(self):
         model = preset_model("square_misfit")
         cell = Supercell(model.spec, 12)
