@@ -57,7 +57,12 @@ class AmbiguousSpectrumError(RuntimeError):
 
 @dataclass
 class ModeClassification:
-    """Audit record of an operator spectrum split into zero / negative / positive."""
+    """Audit record of an operator spectrum split into zero / negative / positive.
+
+    ``complete`` is False for a Hessian certificate, which keeps only the low
+    end and a top entry; above ``DENSE_EIG_LIMIT`` that entry is the
+    Gershgorin bound, so ``sigma_max`` and ``tau_zero`` are upper bounds.
+    """
 
     eigenvalues: np.ndarray
     labels: list[str]
@@ -416,33 +421,20 @@ def _mean_project(v: np.ndarray, n: int, m: int) -> np.ndarray:
     return np.broadcast_to(mean, vv.shape).reshape(shape)
 
 
-def _shifted_operator(matvec, dim: int, n: int, m: int, pi_shift: float,
-                      deflate_shift: float, deflate: Sequence[np.ndarray] = ()):
-    def mv(v):
-        v = np.asarray(v).ravel()
-        out = matvec(v)
-        if pi_shift != 0.0:
-            out = out + pi_shift * _mean_project(v, n, m)
-        for w in deflate:
-            out = out + deflate_shift * (w @ v) * w
-        return out
-    return spla.LinearOperator((dim, dim), matvec=mv, dtype=float)
-
-
 def _translation_modes(n: int, m: int) -> np.ndarray:
     """Orthonormal constant fields, one column per component; (n m, m)."""
     return np.kron(np.full((n, 1), 1.0 / np.sqrt(n)), np.eye(m))
 
 
-def _lobpcg_eig(matvec, cell: Supercell, norm_scale: float, k: int,
-                deflate: Sequence[np.ndarray], mode: str, seed: int, precond, X0):
-    """Preconditioned LOBPCG on the complement of the translations and ``deflate``."""
+def _lobpcg_eig(matvec, cell: Supercell, norm_scale: float, k: int, mode: str, seed: int,
+                precond, X0, stage: str):
+    """LOBPCG on the complement of the translations, preconditioned by ``precond``."""
     n, m = cell.n, cell.spec.m
     dim = n * m
-    Y = np.column_stack([_translation_modes(n, m), *deflate])
     # guard columns: a wanted eigenvalue inside a near-degenerate cluster (the
-    # acoustic band edge) stalls a block that ends at it
-    X = np.random.default_rng(seed).standard_normal((dim, k + LOBPCG_GUARD))
+    # acoustic band edge of a Hessian) stalls a block that ends at it
+    guard = LOBPCG_GUARD if precond is not None else 0
+    X = np.random.default_rng(seed).standard_normal((dim, k + guard))
     if X0 is not None:
         X0 = np.asarray(X0, dtype=float).reshape(dim, -1)[:, :X.shape[1]]
         X[:, :X0.shape[1]] = X0
@@ -451,8 +443,8 @@ def _lobpcg_eig(matvec, cell: Supercell, norm_scale: float, k: int,
         with warnings.catch_warnings():
             # non-convergence is judged below from the explicit residuals
             warnings.simplefilter("ignore", UserWarning)
-            w, X = spla.lobpcg(matvec, X, M=precond, Y=Y, tol=res_tol, maxiter=LOBPCG_MAXITER,
-                               largest=(mode == "LA"))
+            w, X = spla.lobpcg(matvec, X, M=precond, Y=_translation_modes(n, m), tol=res_tol,
+                               maxiter=LOBPCG_MAXITER, largest=(mode == "LA"))
         order = (np.argsort(w) if mode == "SA" else np.argsort(-w))[:k]
         V = X[:, order]
         # scipy locks converged columns and mixes them once more at the end, so a
@@ -462,71 +454,64 @@ def _lobpcg_eig(matvec, cell: Supercell, norm_scale: float, k: int,
             return w[order], V
         # a stalled block falls back to its best iterate, which may predate the
         # wanted columns' convergence: restart from the whole block
-    raise RuntimeError(f"LOBPCG eigenpair residual {np.max(res):g} above {10 * res_tol:g}")
+    raise RuntimeError(f"{stage} at N={cell.N}: LOBPCG eigenpair residual {np.max(res):g} "
+                       f"above {10 * res_tol:g} after {LOBPCG_RESTARTS + 1} runs")
 
 
-def _dense_eigh(matvec, cell: Supercell, pi_shift: float = 0.0, deflate_shift: float = 0.0,
-                deflate: Sequence[np.ndarray] = ()):
+def _dense_eigh(matvec, cell: Supercell, pi_shift: float = 0.0):
     """Full eigh of an operator built in one block matvec, with the constants
-    shifted by ``pi_shift`` and the ``deflate`` vectors by ``deflate_shift``."""
+    shifted by ``pi_shift``."""
     n, m = cell.n, cell.spec.m
     eye = np.eye(n * m)
     A = np.asarray(matvec(eye), dtype=float)
     if pi_shift != 0.0:
         A = A + pi_shift * _mean_project(eye, n, m)
-    for vec in deflate:
-        A = A + deflate_shift * np.outer(vec, vec)
     return np.linalg.eigh(0.5 * (A + A.T))
 
 
-def _spectrum_ends(matvec, cell: Supercell, k: int):
-    """The k lowest eigenpairs and the top eigenvalue of an unshifted operator.
+def _spectrum_ends(model: PotentialModel, H: LinearLatticeOperator, k: int, stage: str):
+    """(eigs, w_small, V_small): the lowest eigenpairs of a lattice Hessian
+    and, in ``eigs``, those eigenvalues, the m translation zeros and a top
+    entry. ``stationary._certify_spectrum`` gives the two routes."""
+    cell = H.cell
+    n, m = cell.n, cell.spec.m
+    matvec = lambda v: np.asarray(H.mat @ v)
+    if n * m <= DENSE_EIG_LIMIT:
+        w, V = _dense_eigh(matvec, cell)
+        k = min(m + k, n * m - 1)
+        return np.concatenate([w[:k], w[-1:]]), w[:k], V[:, :k]
+    top = float(abs(H.mat).sum(axis=1).max())
+    T = _translation_modes(n, m)
+    HT = matvec(T)
+    drift = float(np.max(np.linalg.norm(HT, axis=0)))
+    if drift > ZERO_TOL_FACTOR * top:
+        raise AmbiguousSpectrumError(
+            f"{stage} at N={cell.N}: |H t| = {drift:g} on a unit translation field")
+    w, V = _extremal_eig(matvec, cell, top, k=k, mode="SA",
+                         precond=FApplier(cell, model).squared().apply, stage=stage)
+    return np.concatenate([np.einsum("ij,ij->j", T, HT), w, [top]]), w, V
 
-    Up to ``DENSE_EIG_LIMIT`` one dense diagonalisation gives both ends;
-    above it each end is its own iterative solve.
+
+def _extremal_eig(matvec, cell: Supercell, norm_scale: float, k: int = 1, mode: str = "SA",
+                  seed: int = 7, precond=None, X0: np.ndarray | None = None,
+                  stage: str = "extremal eigenpairs"):
+    """The k lowest (``mode`` 'SA') or highest ('LA') eigenpairs of a symmetric
+    operator on the complement of the translations. ``matvec`` takes (dim,)
+    vectors and (dim, batch) blocks; ``norm_scale`` bounds the operator norm.
+
+    Up to ``DENSE_EIG_LIMIT`` degrees of freedom the operator is built in one
+    block matvec, its constants are shifted 10 ``norm_scale`` out of view and
+    it is diagonalised densely. Above it LOBPCG runs with the translations as
+    constraints, from a seeded random block or ``X0``, preconditioned by
+    ``precond`` (a symmetric positive map of blocks, such as F_N^2 = (H^hom)^+
+    for a lattice Hessian) when given. Its residuals are checked, and a miss
+    raises RuntimeError naming ``stage``, the cell size N and the residual.
     """
     if cell.n * cell.spec.m <= DENSE_EIG_LIMIT:
-        w, V = _dense_eigh(matvec, cell)
-        return w[:k], V[:, :k], w[-1:]
-    w_small, V_small = _extremal_eig(matvec, cell, 0.0, k=k, mode="SA", shiftless=True)
-    w_large, _ = _extremal_eig(matvec, cell, 0.0, k=1, mode="LA", shiftless=True)
-    return w_small, V_small, w_large
-
-
-def _extremal_eig(matvec, cell: Supercell, norm_scale: float, k: int = 1,
-                  deflate: Sequence[np.ndarray] = (), mode: str = "SA",
-                  tol: float = 1e-12, seed: int = 7, shiftless: bool = False,
-                  precond=None, X0: np.ndarray | None = None):
-    """Extremal eigenpairs of a symmetric operator with constants (and optional
-    extra vectors) shifted out of the way; ``shiftless`` keeps the translation
-    zeros in view (used by certification). ``matvec`` takes (dim,) vectors
-    and (dim, batch) blocks.
-
-    The route follows from the inputs. Up to ``DENSE_EIG_LIMIT`` degrees of
-    freedom the operator is built in one block matvec and diagonalised
-    densely. Given a symmetric positive preconditioner ``precond`` (a map of
-    blocks, such as F_N^2 = (H^hom)^+ for a lattice Hessian), LOBPCG runs on
-    the zero-mean subspace, started from ``X0`` when given; its residuals
-    are checked and a miss raises RuntimeError. Otherwise ARPACK runs from a
-    seeded random zero-mean start, to relative tolerance ``tol``.
-    """
-    n, m = cell.n, cell.spec.m
-    dim = n * m
-    shift = 10.0 * norm_scale if mode == "SA" else -10.0 * norm_scale
-    if dim <= DENSE_EIG_LIMIT:
-        w, V = _dense_eigh(matvec, cell, 0.0 if shiftless else shift, shift, deflate)
-        order = np.argsort(w) if mode == "SA" else np.argsort(-w)
-        idx = order[:k]
+        w, V = _dense_eigh(matvec, cell, 10.0 * norm_scale if mode == "SA" else -10.0 * norm_scale)
+        idx = (np.argsort(w) if mode == "SA" else np.argsort(-w))[:k]
         return w[idx], V[:, idx]
-    if precond is not None:
-        return _lobpcg_eig(matvec, cell, norm_scale, k, deflate, mode, seed, precond, X0)
-    op = _shifted_operator(matvec, dim, n, m, 0.0 if shiftless else shift, shift, deflate)
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(dim)
-    v0 -= _mean_project(v0, n, m)
-    w, V = spla.eigsh(op, k=k, which=mode, v0=v0, tol=tol, maxiter=5000)
-    order = np.argsort(w) if mode == "SA" else np.argsort(-w)
-    return w[order], V[:, order]
+    return _lobpcg_eig(matvec, cell, norm_scale, k, mode, seed, precond, X0, stage)
 
 
 class FApplier:
@@ -582,13 +567,13 @@ def generalized_eigen(H: LinearLatticeOperator, model: PotentialModel,
     The nonzero spectrum of F_N H F_N is the generalized spectrum of
     H psi = mu H_hom psi on the zero-mean subspace, with psi = F_N w. Up to
     ``DENSE_EIG_LIMIT`` one dense diagonalisation of the unshifted operator,
-    classified with the translation zeros, gives every fact. Above it the
-    top eigenvalue is solved first, unshifted: the translation zeros and the
-    negative modes lie below it. It then scales the shifts of the lower
-    solves. Each negative pair is checked as a generalized eigenpair against
-    the assembled H_hom. Returns (sigma_lo, sigma_hi, mus, modes): the bounds
-    of the positive spectrum with the negative modes deflated, the negative
-    eigenvalues and their unit zero-mean modes w.
+    classified with the translation zeros, gives every fact. Above it two
+    unpreconditioned LOBPCG solves on the complement of the translations
+    give them: the top eigenvalue (LA), then the ``expected_negative`` + 1
+    lowest (SA), the negative pairs and ``sigma_lo`` together. Each negative
+    pair is checked as a generalized eigenpair against the assembled H_hom.
+    Returns (sigma_lo, sigma_hi, mus, modes): the bounds of the positive
+    spectrum, the negative eigenvalues and their unit zero-mean modes w.
     """
     cell = H.cell
     n, m = cell.n, cell.spec.m
@@ -622,15 +607,11 @@ def generalized_eigen(H: LinearLatticeOperator, model: PotentialModel,
                 f"expected {expected_negative} negative modes, found {cls.n_negative}")
         mus, modes = checked_pairs(w[:expected_negative], V[:, :expected_negative])
         return cls.sigma_min, cls.sigma_max, mus, modes
-    w_hi, _ = _extremal_eig(matvec, cell, 0.0, k=1, mode="LA", shiftless=True)
-    scale = max(float(w_hi[0]), 1.0)
-    if expected_negative:
-        mus, modes = checked_pairs(*_extremal_eig(matvec, cell, scale, k=expected_negative,
-                                                  mode="SA", tol=1e-13))
-    else:
-        mus, modes = [], []
-    w_lo, _ = _extremal_eig(matvec, cell, scale, k=1, mode="SA", deflate=modes)
-    return float(w_lo[0]), float(w_hi[0]), mus, modes
+    w_hi, _ = _extremal_eig(matvec, cell, 0.0, k=1, mode="LA", stage="F_N H F_N top")
+    w, V = _extremal_eig(matvec, cell, max(float(w_hi[0]), 1.0), k=expected_negative + 1,
+                         mode="SA", stage="F_N H F_N bottom")
+    mus, modes = checked_pairs(w[:expected_negative], V[:, :expected_negative])
+    return float(w[expected_negative]), float(w_hi[0]), mus, modes
 
 
 # ---------------------------------------------------------------------------
@@ -640,17 +621,27 @@ def generalized_eigen(H: LinearLatticeOperator, model: PotentialModel,
 def _cheb_log_poly(a: float, b: float, tol: float = 1e-11):
     """Chebyshev interpolant of log on [a, b] at the lowest degree of
     ``CHEB_DEGREES`` whose error, sampled at 4 deg + 17 points, is below
-    ``tol`` times max(1, |log a|, |log b|). Returns (poly, err)."""
+    ``tol`` times max(1, |log a|, |log b|). Returns (poly, err).
+
+    The ladder stops at the first degree whose sampled error grows: past the
+    round-off floor a higher degree only adds rounding. Then, or past the
+    last degree, it raises with the interval and the best error reached.
+    """
     from numpy.polynomial import chebyshev as C
 
-    scale = max(1.0, abs(np.log(a)), abs(np.log(b)))
+    bound = tol * max(1.0, abs(np.log(a)), abs(np.log(b)))
+    best = np.inf
     for deg in CHEB_DEGREES:
         p = C.Chebyshev.interpolate(np.log, deg, domain=[a, b])
         xs = np.linspace(a, b, 4 * deg + 17)
         err = float(np.max(np.abs(p(xs) - np.log(xs))))
-        if err < tol * scale:
+        if err < bound:
             return p, err
-    raise RuntimeError(f"log approximation stalled at error {err:g} on [{a:g}, {b:g}]")
+        if err > best:
+            break
+        best = err
+    raise RuntimeError(f"log approximation on [{a:g}, {b:g}] (b/a = {b / a:.4g}) reached "
+                       f"error {best:g} at best, above the bound {bound:g}")
 
 
 def site_log_traces(H: LinearLatticeOperator, model: PotentialModel,

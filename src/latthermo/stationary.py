@@ -63,7 +63,7 @@ class StationaryPoint:
     energy: float
     gradient_norm: float
     certificate: ModeClassification
-    sigma: tuple[float, float]      # positive spectrum of F_N H F_N, negatives deflated
+    sigma: tuple[float, float]      # bounds of the positive spectrum of F_N H F_N
     model_hash: str
     n_iter: int
     lam: float | None = None        # unstable eigenvalue at a saddle
@@ -87,20 +87,24 @@ def _bordered_solve(H: sp.spmatrix, nu: float, rhs: np.ndarray, cell: Supercell)
     return sol[:dim]
 
 
-def _certify_spectrum(H: LinearLatticeOperator, kind: str):
+def _certify_spectrum(model: PotentialModel, H: LinearLatticeOperator, kind: str):
     """Partial spectral classification from the extremal spectrum of the Hessian.
+
+    Up to ``DENSE_EIG_LIMIT`` degrees of freedom one dense diagonalisation
+    gives the m + 2 lowest eigenvalues (m + 3 at a saddle) and the top one.
+    Above it the m zeros are the Rayleigh quotients of the unit translation
+    fields t, each with |H t| checked against the zero tolerance; one
+    F_N^2-preconditioned LOBPCG solve gives the 2 (3) lowest eigenpairs on
+    their complement; and the top entry, ``sigma_max``, is the Gershgorin
+    row-sum bound on |H|, which keeps ``tau_zero`` conservative.
 
     Returns (classification, lam, phi). At a saddle (lam, phi) is the unstable
     pair of the certificate's own solve, with a checked residual.
     """
     cell = H.cell
     n, m = cell.n, cell.spec.m
-    matvec = lambda v: np.asarray(H.mat @ v)
     expected_neg = 1 if kind == "saddle" else 0
-    k_small = min(m + expected_neg + 2, n * m - 1)
-    # shiftless and undeflated: the solves apply no shift, so they need no norm scale
-    w_small, V_small, w_large = _spectrum_ends(matvec, cell, k_small)
-    eigs = np.concatenate([w_small, w_large])
+    eigs, w_small, V_small = _spectrum_ends(model, H, expected_neg + 2, f"{kind} certificate")
     cls = classify_eigenvalues(eigs, expected_zero=m, complete=False)
     cls.n_positive = n * m - cls.n_zero - cls.n_negative
     if cls.n_negative != expected_neg:
@@ -112,7 +116,7 @@ def _certify_spectrum(H: LinearLatticeOperator, kind: str):
     lam = float(w_small[0])
     phi = V_small[:, 0] - _mean_project(V_small[:, 0], n, m)
     phi /= np.linalg.norm(phi)
-    res = float(np.linalg.norm(matvec(phi) - lam * phi))
+    res = float(np.linalg.norm(H.mat @ phi - lam * phi))
     if res > 1e-9 * max(float(np.max(np.abs(eigs))), 1.0):
         raise CertificationError(f"unstable eigenpair residual {res:g} above tolerance", cls)
     return cls, lam, phi.reshape(n, m)
@@ -120,7 +124,7 @@ def _certify_spectrum(H: LinearLatticeOperator, kind: str):
 
 def certify(model: PotentialModel, point: "StationaryPoint") -> ModeClassification:
     """Re-run the spectral certificate of a converged point on a fresh Hessian."""
-    return _certify_spectrum(hessian(model, point.u), point.kind)[0]
+    return _certify_spectrum(model, hessian(model, point.u), point.kind)[0]
 
 
 def finish_point(model: PotentialModel, u: DisplacementField, kind: str, energy: float,
@@ -133,7 +137,7 @@ def finish_point(model: PotentialModel, u: DisplacementField, kind: str, energy:
     every spectral fact of the point, and the point keeps H for thermo.
     """
     H = hessian(model, u) if H is None else H
-    cls, lam, phi = _certify_spectrum(H, kind)
+    cls, lam, phi = _certify_spectrum(model, H, kind)
     lo, hi, mus, modes = generalized_eigen(H, model, expected_negative=cls.n_negative)
     return StationaryPoint(kind, u, energy, gradient_norm, cls, (lo, hi), model.model_hash(),
                            n_iter, lam=lam, phi=phi, gradient_history=history or [],
@@ -339,7 +343,8 @@ def _saddle_follow(model: PotentialModel, cell: Supercell, guess_pair,
         matvec = lambda v: np.asarray(H.mat @ v)
         scale = float(abs(H.mat).sum(axis=1).max())     # Gershgorin bound on ||H||
         # constants shifted out of view: the two softest non-translation modes
-        w, V = _extremal_eig(matvec, cell, scale, k=2, mode="SA", precond=precond, X0=V)
+        w, V = _extremal_eig(matvec, cell, scale, k=2, mode="SA", precond=precond, X0=V,
+                             stage="saddle step")
         cand = [(float(w[j]), V[:, j]) for j in range(len(w))]
         if track is not None and len(cand) > 1:
             overlaps = [abs(v @ track) for _, v in cand]

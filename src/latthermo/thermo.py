@@ -197,7 +197,7 @@ def entropy_total(model: PotentialModel, state) -> float:
     if expected_neg and lam is None:
         raise ValueError("saddle point must carry its unstable eigenvalue lam")
     if kind == "state":
-        _certify_spectrum(H, "minimum")
+        _certify_spectrum(model, H, "minimum")
     ld_def = logdet_plus_factorized(H, negatives=[lam] * expected_neg)
     ld_hom = _logdet_plus_homogeneous(model, u.cell)
     return -0.5 * ld_def + 0.5 * ld_hom

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -388,6 +389,26 @@ class TestSiteTraces:
         # the sampled check sees the error of a fine grid
         xs = np.linspace(a, b, 20001)
         assert float(np.max(np.abs(poly(xs) - np.log(xs)))) < 1.1 * tol * scale
+
+    @pytest.mark.parametrize("a, b, tol, last", [(1e-3, 50.0, 1e-11, 2048),
+                                                 (0.01, 50.0, 1e-11, 2048),
+                                                 (0.1, 50.0, 1e-13, 1024)])
+    def test_cheb_ladder_stops_at_round_off_floor(self, monkeypatch, a, b, tol, last):
+        # the sampled error of log decreases to a round-off floor and then grows:
+        # on [0.01, 50] it is 5.9e-11 at degree 1024 and 5.3e-10 at 2048
+        from numpy.polynomial import chebyshev as C
+        degrees = []
+        interpolate = C.Chebyshev.interpolate
+
+        def counted(func, deg, domain=None):
+            degrees.append(deg)
+            return interpolate(func, deg, domain=domain)
+
+        monkeypatch.setattr(C.Chebyshev, "interpolate", staticmethod(counted))
+        interval = re.escape(f"[{a:g}, {b:g}] (b/a = {b / a:.4g})")
+        with pytest.raises(RuntimeError, match=interval + r" reached error \S+ at best"):
+            spectral._cheb_log_poly(a, b, tol)
+        assert degrees == list(spectral.CHEB_DEGREES[:spectral.CHEB_DEGREES.index(last) + 1])
 
     def test_fapplier_matches_dense_kernel(self):
         # real-input FFTs on the half-grid against the dense kernel from the

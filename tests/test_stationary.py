@@ -249,15 +249,14 @@ def test_certify_reruns_classification():
 
 def test_dense_certificate_takes_one_eigh(monkeypatch):
     # both ends of the spectrum come from one diagonalisation, equal bit for
-    # bit to separate lowest-k and top solves of the same Hessian
-    from latthermo import spectral
+    # bit to one eigh of the assembled Hessian (symmetrised: it is symmetric
+    # only to round-off)
     from latthermo.stationary import _certify_spectrum
     model, cell, minimum = double_well_minimum(4)
     H = minimum.H
-    matvec = lambda v: np.asarray(H.mat @ v)
+    A = H.dense()
+    w = np.linalg.eigh(0.5 * (A + A.T))[0]
     k = cell.spec.m + 2
-    w_small, _ = spectral._extremal_eig(matvec, cell, 0.0, k=k, mode="SA", shiftless=True)
-    w_large, _ = spectral._extremal_eig(matvec, cell, 0.0, k=1, mode="LA", shiftless=True)
     calls = []
     eigh = np.linalg.eigh
 
@@ -266,9 +265,95 @@ def test_dense_certificate_takes_one_eigh(monkeypatch):
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    cls = _certify_spectrum(H, "minimum")[0]
+    cls = _certify_spectrum(model, H, "minimum")[0]
     assert calls == [(cell.n * 2, cell.n * 2)]
-    assert np.array_equal(cls.eigenvalues, np.sort(np.concatenate([w_small, w_large])))
+    assert np.array_equal(cls.eigenvalues, np.concatenate([w[:k], w[-1:]]))
+
+
+@pytest.mark.parametrize("case", ["cube_harmonic_minimum", "double_well_saddle"])
+def test_iterative_certificate_matches_dense(monkeypatch, case):
+    # cube_harmonic N=6 (1728 dofs) has a degenerate acoustic band edge at
+    # 1.3397; the double-well N=8 saddle (512 dofs) a negative mode
+    from latthermo import spectral
+    from latthermo.spectral import generalized_eigen
+    from latthermo.stationary import _certify_spectrum
+    if case == "cube_harmonic_minimum":
+        model = preset_model("cube_harmonic")
+        cell = Supercell(model.spec, 6)
+        kind, H = "minimum", hessian(model, cell.zero_field())
+    else:
+        model, cell, minimum = double_well_minimum(8)
+        pair = (minimum.u.values, mirror_image(model, cell, minimum.u.values))
+        kind, H = "saddle", find_saddle(model, cell, guess_pair=pair).H
+    neg = 1 if kind == "saddle" else 0
+
+    def spectrum():
+        cls, lam, _ = _certify_spectrum(model, H, kind)
+        lo, hi, mus, _ = generalized_eigen(H, model, expected_negative=neg)
+        low = cls.eigenvalues[:-1][np.array(cls.labels[:-1]) != "translation_zero"]
+        return cls, low, [lam or 0.0, *mus, lo, hi]
+
+    monkeypatch.setattr(spectral, "DENSE_EIG_LIMIT", cell.n * cell.spec.m)
+    dense, dense_low, dense_facts = spectrum()
+    monkeypatch.setattr(spectral, "DENSE_EIG_LIMIT", 0)
+    it, it_low, it_facts = spectrum()
+    assert (it.n_zero, it.n_negative, it.n_positive) == (dense.n_zero, dense.n_negative,
+                                                         dense.n_positive)
+    assert it.n_negative == neg and not it.complete
+    assert len(it_low) == len(dense_low) == neg + 2
+    np.testing.assert_allclose(it_low, dense_low, rtol=1e-9)
+    np.testing.assert_allclose(it_facts, dense_facts, rtol=1e-9)
+    # the top entry is the Gershgorin bound, above the top eigenvalue
+    assert it.sigma_max >= dense.sigma_max and it.tau_zero >= dense.tau_zero
+    if case == "cube_harmonic_minimum":
+        np.testing.assert_allclose(it_low, 1.3397, rtol=1e-4)
+
+
+def test_no_arpack_on_any_route(monkeypatch):
+    import scipy.sparse.linalg as spla
+    from latthermo.harness import RunConfig, _row, solve_points
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigsh called")
+
+    monkeypatch.setattr(spla, "eigsh", refuse)
+    model = preset_model("square_double_well")
+    cfg = RunConfig(model=model, N_list=[6, 8], saddle="on", kick_site=(0, 0),
+                    kick_vector=np.array([0.15, 0.0]))
+    row = _row(cfg, *solve_points(cfg, 8, solve_points(cfg, 6)))
+    assert row["status"] == "ok" and row["mu"] < 0
+    model = preset_model("square_misfit")
+    pt = relax_minimum(model, Supercell(model.spec, 28))
+    assert pt.certificate.n_zero == 2 and pt.certificate.n_negative == 0
+
+
+@pytest.mark.parametrize("stage", ["minimum certificate", "F_N H F_N top",
+                                   "F_N H F_N bottom", "saddle step"])
+def test_lobpcg_miss_names_its_stage(monkeypatch, stage):
+    import scipy.sparse.linalg as spla
+    from latthermo import spectral
+    from latthermo.spectral import generalized_eigen
+    from latthermo.stationary import _certify_spectrum
+    model, cell, minimum = double_well_minimum(8)
+    if stage == "F_N H F_N bottom":
+        lobpcg = spla.lobpcg
+
+        def stalled_below(*args, largest=False, **kwargs):
+            if not largest:
+                kwargs["maxiter"] = 1
+            return lobpcg(*args, largest=largest, **kwargs)
+
+        monkeypatch.setattr(spla, "lobpcg", stalled_below)
+    else:
+        monkeypatch.setattr(spectral, "LOBPCG_MAXITER", 1)
+    with pytest.raises(RuntimeError, match=rf"^{stage} at N=8: LOBPCG eigenpair residual \S+ above"):
+        if stage == "minimum certificate":
+            _certify_spectrum(model, minimum.H, "minimum")
+        elif stage == "saddle step":
+            pair = (minimum.u.values, mirror_image(model, cell, minimum.u.values))
+            find_saddle(model, cell, guess_pair=pair, method="follow")
+        else:
+            generalized_eigen(minimum.H, model)
 
 
 def test_preconditioned_lobpcg_converges_from_every_seed():
