@@ -521,7 +521,9 @@ class FApplier:
     v is laid out at the site slots and F_hat(y) at the slot of -y, where
     rfftn holds e^{i k.ell}. F_N is real, so F_g(-q) = conj F_g(q) (checked
     once on the full grid), and F_g (or F_g^2 after ``squared``) is kept on
-    the Hermitian half-grid [..., :s_last // 2 + 1] only.
+    the Hermitian half-grid [..., :s_last // 2 + 1] only. ``forward`` and
+    ``inverse`` are the two half-grid transforms and ``dot`` the real inner
+    product of fields held there (Parseval).
     """
 
     def __init__(self, cell: Supercell, model: PotentialModel):
@@ -537,15 +539,38 @@ class FApplier:
                 f"F_hat is not Hermitian on the N={cell.N} cell (grid {s}): "
                 f"residue {asym:g}")
         self.fhat = np.ascontiguousarray(fg[..., : s[-1] // 2 + 1, :, :])
+        # Parseval: a half-grid slot stands for itself and its mirror, except
+        # the last-axis slots 0 and s_last / 2, which are their own mirror
+        w = np.full(s[-1] // 2 + 1, 2.0 / cell.n)
+        w[0] = 1.0 / cell.n
+        if s[-1] % 2 == 0:
+            w[-1] = 1.0 / cell.n
+        self._row_weights = np.repeat(np.broadcast_to(w, self.fhat.shape[:-2]).ravel(), self.m)
+
+    def forward(self, v: np.ndarray) -> np.ndarray:
+        """rfftn of (dim,) or (dim, batch) flattened fields; (*half, m, batch)."""
+        s = self.cell.grid_shape
+        return np.fft.rfftn(self.cell.to_grid(v.reshape(self.cell.n, self.m, -1)),
+                            axes=tuple(range(len(s))))
+
+    def inverse(self, vhat: np.ndarray) -> np.ndarray:
+        """irfftn of a (*half, m, batch) spectrum; (dim, batch) flattened fields."""
+        s = self.cell.grid_shape
+        out = np.fft.irfftn(vhat, s=s, axes=tuple(range(len(s))))
+        return self.cell.from_grid(out).reshape(self.cell.n * self.m, -1)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """v: (dim,) or (dim, batch) flattened fields; returns same shape."""
-        cell = self.cell
-        s = cell.grid_shape
-        axes = tuple(range(len(s)))
-        vhat = np.fft.rfftn(cell.to_grid(v.reshape(cell.n, self.m, -1)), axes=axes)
-        out = np.fft.irfftn(self.fhat @ vhat, s=s, axes=axes)
-        return cell.from_grid(out).reshape(v.shape)
+        return self.inverse(self.fhat @ self.forward(v)).reshape(v.shape)
+
+    def dot(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """<x_j, y_j> of the real fields whose half-grid spectra are the
+        columns of X and Y, (*half, m, batch) each; (batch,)."""
+        c = X.shape[-1]
+        xy = np.einsum("g,gc,gc->c", self._row_weights,
+                       np.ascontiguousarray(X).reshape(-1, c).view(np.float64),
+                       np.ascontiguousarray(Y).reshape(-1, c).view(np.float64))
+        return xy.reshape(c, 2).sum(axis=1)
 
     def squared(self) -> "FApplier":
         """F_N^2 = (H^hom)^+, applied the same way; a preconditioner for Hessians."""
@@ -646,43 +671,27 @@ def _cheb_log_poly(a: float, b: float, tol: float = 1e-11):
 
 def site_log_traces(H: LinearLatticeOperator, model: PotentialModel,
                     sites: np.ndarray, expected_negative: int = 0,
-                    method: str = "auto", spectrum: tuple | None = None) -> tuple[np.ndarray, dict]:
+                    spectrum: tuple | None = None) -> tuple[np.ndarray, dict]:
     """tr [log+ (F_N H F_N)]_{ell ell} for the requested site ordinals.
 
-    Dense eigendecomposition when the operator fits, otherwise a Chebyshev
-    expansion of log on the measured positive spectral interval applied to
-    deflated site basis columns (matrix-free F through the dual grid). The
-    Chebyshev route takes the bounds and negative modes from ``spectrum``, a
-    point's carried ``generalized_eigen`` result, and solves them otherwise.
-    Its degree is the lowest that meets the ``_cheb_log_poly`` check, and the
-    moments up to it come from ceil(degree / 2) block products with
-    F_N H F_N per chunk of sites. Returns (traces, info) with measured
-    spectral bounds in info; the Chebyshev info also gives the degree, its
-    sampled error and ``matvecs``, the number of those block products.
+    A Chebyshev expansion of log on the measured positive spectral interval,
+    applied to deflated site basis columns, at every size. The bounds and
+    negative modes come from ``spectrum``, a point's carried
+    ``generalized_eigen`` result, and are solved otherwise. The degree is
+    the lowest that meets the ``_cheb_log_poly`` check, and the moments up
+    to it come from ceil(degree / 2) block products with F_N H F_N per chunk
+    of sites. The recurrence runs on the Hermitian half-grid spectra of
+    ``FApplier``, so a block product is one ``irfftn``, one sparse H product
+    and one ``rfftn``; projections and moments are Parseval inner products
+    there. Returns (traces, info): info gives the spectral bounds, the
+    degree, its sampled error, the carried negatives and ``matvecs``, the
+    number of block products.
     """
     cell = H.cell
     n, m = cell.n, cell.spec.m
     dim = n * m
     sites = np.asarray(sites, dtype=int)
-    if method == "auto":
-        method = "dense" if dim <= DENSE_LIMIT else "chebyshev"
-
-    if method == "dense":
-        FN = kernel_FN(model, cell)
-        A = conjugate_operator(FN, H, include_pi=False)
-        w, V = np.linalg.eigh(A.dense())
-        cls = classify_eigenvalues(w, expected_zero=m)
-        if cls.n_negative != expected_negative:
-            raise AmbiguousSpectrumError(
-                f"expected {expected_negative} negative modes, found {cls.n_negative}")
-        pos = w > cls.tau_zero
-        lw = np.log(w[pos])
-        comp = V[:, pos].reshape(n, m, -1)
-        traces = np.einsum("sij,j->s", comp[sites] ** 2, lw)
-        info = {"method": "dense", "sigma_min": cls.sigma_min, "sigma_max": cls.sigma_max}
-        return traces, info
-
-    matvec = _fhf_matvec(FApplier(cell, model), H)
+    F = FApplier(cell, model)
     if spectrum is None:
         spectrum = generalized_eigen(H, model, expected_negative)
     sig_lo, sig_hi, negatives, deflate = spectrum
@@ -693,15 +702,27 @@ def site_log_traces(H: LinearLatticeOperator, model: PotentialModel,
     coef = poly.coef
     deg = len(coef) - 1
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    deflate_hat = [F.forward(vec) for vec in deflate]
+    zero_q = (0,) * len(cell.grid_shape)
+
+    def step(X, prev=None):
+        """(F_N H F_N - mid) X / half on half-grid spectra, or with ``prev``
+        the recurrence term 2 (F_N H F_N - mid) X / half - prev."""
+        Y = F.fhat @ F.forward(np.asarray(H.mat @ F.inverse(F.fhat @ X)))
+        Y -= mid * X
+        Y *= (1.0 if prev is None else 2.0) / half
+        if prev is not None:
+            Y -= prev
+        return Y
 
     def project(X):
-        X = X - _mean_project(X, n, m)
-        for vec in deflate:
-            X -= np.outer(vec, vec @ X)
+        for vec in deflate_hat:
+            X -= vec * F.dot(np.broadcast_to(vec, X.shape), X)
+        X[zero_q] = 0.0                      # the constants
         return X
 
     def site_dot(X, Y):
-        return np.einsum("ij,ij->j", X, Y).reshape(-1, m).sum(axis=1)
+        return F.dot(X, Y).reshape(-1, m).sum(axis=1)
 
     traces = np.zeros(len(sites))
     matvecs = 0
@@ -714,15 +735,15 @@ def site_log_traces(H: LinearLatticeOperator, model: PotentialModel,
                 E[s * m + i, j * m + i] = 1.0
         # rounding-level components along the translations and deflated modes
         # grow like T_k((0 - mid) / half) in the recurrence: project every term
-        t_prev = project(E)
-        t_cur = project((matvec(t_prev) - mid * t_prev) / half)
+        t_prev = project(F.forward(E))
+        t_cur = project(step(t_prev))
         # moments mu_k = <Ed e, T_k Ed e> up to deg from T_0..T_ceil(deg/2), by
         # T_2j = 2 T_j^2 - T_0 and T_2j+1 = 2 T_j+1 T_j - T_1 (P F H F P is symmetric)
         mu = np.empty((deg + 1, len(batch_sites)))
         mu[0], mu[1] = site_dot(t_prev, t_prev), site_dot(t_prev, t_cur)
         mu[2] = 2.0 * site_dot(t_cur, t_cur) - mu[0]
         for k in range(2, (deg + 1) // 2 + 1):
-            t_prev, t_cur = t_cur, project(2.0 * (matvec(t_cur) - mid * t_cur) / half - t_prev)
+            t_prev, t_cur = t_cur, project(step(t_cur, t_prev))
             mu[2 * k - 1] = 2.0 * site_dot(t_cur, t_prev) - mu[1]
             if 2 * k <= deg:
                 mu[2 * k] = 2.0 * site_dot(t_cur, t_cur) - mu[0]

@@ -64,7 +64,7 @@ class EntropyProfile:
 
     def to_csv_text(self) -> str:
         lines = ["site_index,radius,value"]
-        lines += [f"{int(s)},{r!r},{v!r}"
+        lines += [f"{int(s)},{float(r)!r},{float(v)!r}"
                   for s, r, v in zip(self.sites, self.radii, self.values)]
         return "\n".join(lines) + "\n"
 
@@ -207,8 +207,10 @@ def site_entropies(model: PotentialModel, state,
                    sites: np.ndarray | None = None) -> EntropyProfile:
     """Per-site entropies -1/2 tr [log+ (F_N H_N F_N)]_{ell ell}.
 
-    For minima these sum exactly to S_N; at a saddle they sum to the
-    log+ part of the splitting identity (see delta_S_saddle).
+    The traces come from ``site_log_traces``, one Chebyshev route at every
+    size, with the point's carried spectrum. For minima these sum exactly
+    to S_N; at a saddle they sum to the log+ part of the splitting identity
+    (see delta_S_saddle).
     """
     u, kind, _, H, spectrum = _resolve_state(model, state)
     cell = u.cell
@@ -238,8 +240,7 @@ def _variation_blocks(B: sp.spmatrix, m: int):
 
 
 def site_entropy_first_variation(model: PotentialModel, sites, u: DisplacementField,
-                                 kernel: KernelTable | None = None,
-                                 chunk: int = 8) -> np.ndarray:
+                                 kernel: KernelTable | None = None) -> np.ndarray:
     """<delta S^hom_ell(0), u> = -1/2 tr (F <delta H^hom(0), u> F)_{ell ell}.
 
     ``kernel`` defaults to the periodic kernel on u's cell, which realizes
@@ -262,6 +263,7 @@ def site_entropy_first_variation(model: PotentialModel, sites, u: DisplacementFi
     P, Q, blocks = _variation_blocks(B, m)
     out = np.zeros(len(sites))
     xs = cell.x
+    chunk = 8                                # sites per block of kernel gathers
     for lo in range(0, len(sites), chunk):
         sel = sites[lo:lo + chunk]
         il = cell.site_indices(xs[sel][:, None, :] - xs[P][None, :, :])
@@ -278,7 +280,7 @@ def renormalised_entropy(model: PotentialModel, u_ref, R_sum: float,
     """Renormalised infinite-lattice entropy from a reference-level state.
 
     Sums the per-site terms S_ell(u) - <delta S^hom_ell(0), u> over
-    |ell| <= R_sum, fits their decay and reports a geometric tail bound.
+    |ell| <= R_sum, fits their decay and reports a geometric tail estimate.
     Refuses to extrapolate when the fitted decay is slower than -(d + 1/2).
     """
     u = u_ref.u if isinstance(u_ref, StationaryPoint) else u_ref

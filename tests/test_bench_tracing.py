@@ -12,7 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-from latthermo import Supercell, preset_model, relax_minimum, site_entropies
+from latthermo import (Supercell, preset_model, relax_minimum, site_entropies,
+                       site_entropy_first_variation)
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -26,14 +27,16 @@ def test_tracer_installs_counts_and_restores_every_wrapped_name(monkeypatch):
     try:
         assert saved and all(getattr(owner, attr) is not original
                              for owner, attr, original in saved)
-        # a small minimum and its site profile read the wrapped names at call
-        # time (Supercell._fft_shape too); the dense kernel F_N is the one DFT
-        # caller, FApplier runs real-input FFTs of its own
+        # a small minimum, its site profile and first variation read the
+        # wrapped names at call time (Supercell._fft_shape too); the dense
+        # kernel F_N of the first variation is the one DFT caller, FApplier
+        # runs real-input FFTs of its own
         model = preset_model("square_misfit")
         point = relax_minimum(model, Supercell(model.spec, 3))
         assert np.isfinite(point.energy)
         assert tracer.counts["spectral.fapply_columns"] > 0
         assert np.isfinite(site_entropies(model, point).total)
+        assert np.all(np.isfinite(site_entropy_first_variation(model, [0], point.u)))
         assert tracer.counts["lattice.dft_calls"] > 0
         assert tracer.counts["assembly.hessian_calls"] > 0
     finally:

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -398,3 +399,29 @@ run:
     assert rc == 0
     assert "renormalised S (N_ref=8, R_sum=2.0)" in out
     assert "decay=" not in out
+
+
+def test_cli_entropy_sites_profile(tmp_path, capsys):
+    # the printed S_N and the written site profile are two routes to one number
+    cfg_text = """
+model:
+  preset: square_misfit
+run:
+  N_list: [5]
+  saddle: "off"
+"""
+    p = tmp_path / "cfg.yaml"
+    p.write_text(cfg_text)
+    out_dir = tmp_path / "out"
+    rc = cli_main(["entropy", "--config", str(p), "--out", str(out_dir), "--sites"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    S = float(re.search(r"S_N at minimum, N=5: (\S+)", out).group(1))
+    rows = (out_dir / "site_entropy_N5.csv").read_text().splitlines()
+    assert rows[0] == "site_index,radius,value"
+    values = np.array([float(r.split(",")[2]) for r in rows[1:]])
+    assert len(values) == 100
+    assert abs(values.sum() - S) < 1e-8
+    payload = json.loads((out_dir / "site_entropy_N5.json").read_text())
+    assert payload["info"]["method"] == "chebyshev"
+    assert payload["values"] == values.tolist()

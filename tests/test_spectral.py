@@ -19,9 +19,9 @@ from latthermo import (
     projector_constants,
     symbol_F,
 )
-from latthermo import spectral
+from latthermo import entropy_total, site_entropies, spectral
 from latthermo.assembly import LinearLatticeOperator
-from latthermo.config import load_config
+from latthermo.config import load_config, model_from_config
 from latthermo.potentials import PRESETS, symbol_h_batch
 from latthermo.spectral import (
     FApplier,
@@ -322,8 +322,41 @@ class TestEigenpairs:
         assert abs(abs(modes[0] @ modes2[0]) - 1.0) < 1e-8
 
 
+def site_log_oracle(model, H, sites, expected_negative=0):
+    """Diagonal-block traces of the dense eigenvector route log+ (F_N H F_N)."""
+    m = model.spec.m
+    A = conjugate_operator(kernel_FN(model, H.cell), H, include_pi=False)
+    L, _ = matrix_log_plus(A, expected_zero=m, expected_negative=expected_negative)
+    return np.diagonal(L.dense()).reshape(-1, m).sum(axis=1)[sites]
+
+
+def sheared_misfit():
+    """The benchmark's sheared cell (B not diagonal) with square_misfit bonds."""
+    classes = [{"len": 1.0, "D": 0.5, "a": 1.5},
+               {"len": float(np.sqrt(2.0)), "D": 0.25, "a": 1.2}]
+    return model_from_config({
+        "name": "sheared_misfit",
+        "lattice": {"A": [[1.0, 0.0], [0.0, 1.0]], "B": [[2.0, 1.0], [0.0, 1.0]],
+                    "m": 2, "r_cut": 1.5},
+        "potential": {"kind": "morse", "classes": classes},
+        "overrides": {"0,0": {"kind": "morse", "scale": 1.3, "shift": 0.12,
+                              "classes": classes}},
+    })
+
+
+def cube_stiff_origin():
+    """cube_harmonic's lattice and bonds with a stiffer origin: a d=3 defect."""
+    classes = [{"len": 1.0, "k": 0.5}, {"len": float(np.sqrt(2.0)), "k": 0.5}]
+    return model_from_config({
+        "name": "cube_stiff_origin",
+        "lattice": {"A": np.eye(3).tolist(), "B": np.eye(3).tolist(), "m": 1, "r_cut": 1.5},
+        "potential": {"kind": "harmonic", "classes": classes},
+        "overrides": {"0,0,0": {"kind": "harmonic", "scale": 1.5, "classes": classes}},
+    })
+
+
 class TestSiteTraces:
-    def test_dense_sums_to_logdet(self):
+    def test_site_traces_sum_to_logdet(self):
         model, cell, u = stable_state("square_misfit", N=4, scale=0.03)
         H = hessian(model, u)
         traces, info = site_log_traces(H, model, np.arange(cell.n))
@@ -331,7 +364,8 @@ class TestSiteTraces:
         A = conjugate_operator(FN, H, include_pi=False)
         v, _ = logdet_plus(A, expected_zero=2)
         assert abs(traces.sum() - v) < 1e-9 * max(1.0, abs(v))
-        assert info["method"] == "dense"
+        assert info["method"] == "chebyshev"
+        assert np.max(np.abs(traces - site_log_oracle(model, H, np.arange(cell.n)))) < 1e-8
 
     @pytest.mark.parametrize("state", ["random_N4", "relaxed_N12"])
     def test_chebyshev_matches_dense(self, state):
@@ -344,29 +378,70 @@ class TestSiteTraces:
             u = relax_minimum(model, cell).u
         H = hessian(model, u)
         sites = np.arange(0, cell.n, 7)
-        dense, _ = site_log_traces(H, model, sites, method="dense")
-        cheb, info = site_log_traces(H, model, sites, method="chebyshev")
+        cheb, info = site_log_traces(H, model, sites)
         assert info["method"] == "chebyshev"
-        assert np.max(np.abs(dense - cheb)) < 1e-8
+        assert np.max(np.abs(site_log_oracle(model, H, sites) - cheb)) < 1e-8
 
     def test_chebyshev_takes_half_degree_products_per_chunk(self, monkeypatch):
         # 192 sites make two chunks of at most 128; the moments up to the degree
-        # take ceil(deg / 2) products per chunk, and a product is two F_N applies
+        # take ceil(deg / 2) products per chunk, and a product is one inverse and
+        # one forward real FFT; each chunk adds the forward FFT of its columns
         model, cell, u = stable_state("square_misfit", N=12, scale=0.03)
         H = hessian(model, u)
         spectrum = generalized_eigen(H, model)
-        applies = []
-        apply = FApplier.apply
-        monkeypatch.setattr(FApplier, "apply",
-                            lambda self, v: applies.append(1) or apply(self, v))
         sites = np.arange(0, cell.n, 3)
         assert len(sites) == 192
-        cheb, info = site_log_traces(H, model, sites, method="chebyshev", spectrum=spectrum)
+        dense = site_log_oracle(model, H, sites)
+        calls = {"rfftn": 0, "irfftn": 0}
+
+        def counted(name):
+            transform = getattr(np.fft, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return transform(*args, **kwargs)
+            return wrapper
+
+        def refused(*args, **kwargs):
+            raise AssertionError("site traces took a dense route")
+
+        eigh = np.linalg.eigh
+
+        def symbol_eigh_only(a, *args, **kwargs):
+            # FApplier diagonalises the stacked m x m symbols, never a full matrix
+            assert np.ndim(a) == 3, "site traces took a dense eigh"
+            return eigh(a, *args, **kwargs)
+
+        for name in calls:
+            monkeypatch.setattr(np.fft, name, counted(name))
+        monkeypatch.setattr(spectral, "conjugate_operator", refused)
+        monkeypatch.setattr(spectral, "kernel_FN", refused)
+        monkeypatch.setattr(np.linalg, "eigh", symbol_eigh_only)
+        cheb, info = site_log_traces(H, model, sites, spectrum=spectrum)
         half = -(-info["cheb_degree"] // 2)
         assert info["matvecs"] == 2 * half
-        assert len(applies) == 2 * info["matvecs"]
-        dense, _ = site_log_traces(H, model, sites, method="dense")
+        assert calls == {"rfftn": 2 * (1 + half), "irfftn": 2 * half}
         assert np.max(np.abs(dense - cheb)) < 1e-8
+
+    @pytest.mark.parametrize("cell_kind", ["chain_d1", "sheared_d2", "cube_d3"])
+    def test_half_grid_weights_on_every_grid(self, cell_kind):
+        # Parseval on the half-grid weighs the self-conjugate last-axis slots
+        # 0 and s_last / 2 by 1/n and the others by 2/n, on every grid rank.
+        # The d=3 cell carries a defect: on cube_harmonic H = H_hom, and every
+        # trace is 0 whatever the weights
+        model, N = {"chain_d1": (PRESETS["chain_misfit"](), 8),
+                    "sheared_d2": (sheared_misfit(), 4),
+                    "cube_d3": (cube_stiff_origin(), 3)}[cell_kind]
+        cell = Supercell(model.spec, N)
+        rng = np.random.default_rng(5)
+        u = DisplacementField(cell, 0.03 * rng.standard_normal((cell.n, model.spec.m)))
+        H = hessian(model, u)
+        sites = np.arange(cell.n)
+        traces, _ = site_log_traces(H, model, sites)
+        oracle = site_log_oracle(model, H, sites)
+        assert np.max(np.abs(oracle)) > 1e-3
+        assert np.max(np.abs(traces - oracle)) < 1e-10
+        assert abs(site_entropies(model, u).total - entropy_total(model, u)) < 1e-8
 
     @pytest.mark.parametrize("a, b", [(0.95 * 0.898, 1.05 * 1.313), (0.5, 3.0),
                                       (0.2, 5.0), (0.05, 20.0)])
@@ -470,9 +545,8 @@ class TestChebyshevAtSaddle:
         saddle = find_saddle(model, cell, guess_pair=(minimum.u.values, mirrored))
         H = hessian(model, saddle.u)
         sites = np.arange(0, cell.n, 5)
-        dense, _ = site_log_traces(H, model, sites, expected_negative=1, method="dense")
-        cheb, info = site_log_traces(H, model, sites, expected_negative=1,
-                                     method="chebyshev")
+        dense = site_log_oracle(model, H, sites, expected_negative=1)
+        cheb, info = site_log_traces(H, model, sites, expected_negative=1)
         assert len(info["negatives"]) == 1 and info["negatives"][0] < 0
         assert np.max(np.abs(dense - cheb)) < 1e-8
 

@@ -23,6 +23,7 @@ from latthermo.spectral import (
     AmbiguousSpectrumError,
     logdet_plus,
     logdet_plus_factorized,
+    matrix_log_plus,
     site_log_traces,
 )
 from latthermo import thermo
@@ -204,9 +205,14 @@ class TestDeltaSAndRate:
 
     def test_splitting_site_sum_takes_no_eigenvectors(self, monkeypatch):
         # up to DENSE_LIMIT the saddle's site sum comes from the eigenvalues of
-        # the dense F_N H F_N: no site profile and no full eigh of that size
+        # the dense F_N H F_N: no site profile and no full eigh of that size.
+        # It matches the trace of the dense eigenvector route log+ (F_N H F_N),
+        # which the Chebyshev site profile matches to its own bound
         model, cell, minimum, saddle = solved_double_well(4)
-        profile_total = site_entropies(model, saddle).total
+        A = conjugate_operator(kernel_FN(model, cell), saddle.H, include_pi=False)
+        L, _ = matrix_log_plus(A, expected_zero=2, expected_negative=1)
+        dense_total = -0.5 * float(np.trace(L.dense()))
+        assert abs(site_entropies(model, saddle).total - dense_total) < 1e-8
         dim = cell.n * cell.spec.m
         eigh = np.linalg.eigh
 
@@ -219,7 +225,7 @@ class TestDeltaSAndRate:
 
         monkeypatch.setattr(np.linalg, "eigh", small_eigh)
         monkeypatch.setattr(thermo, "site_entropies", no_profile)
-        assert thermo._site_entropy_sum(model, saddle) == pytest.approx(profile_total,
+        assert thermo._site_entropy_sum(model, saddle) == pytest.approx(dense_total,
                                                                          rel=1e-12, abs=1e-12)
         rep = delta_S_saddle(model, minimum, saddle)
         assert abs(rep.splitting - rep.direct) < 1e-8
