@@ -89,7 +89,7 @@ def _cmd_entropy(args) -> int:
         # no decay is fitted when every renormalised term vanishes
         decay = "" if ren.decay_fit is None else f" decay={ren.decay_fit.exponent:.2f}"
         print(f"renormalised S (N_ref={cfg.N_ref}, R_sum={cfg.R_sum}): {ren.value!r} "
-              f"tail<={ren.tail_estimate:.2e}{decay}")
+              f"tail_estimate={ren.tail_estimate:.2e}{decay}")
     return 0
 
 

@@ -20,13 +20,25 @@ __all__ = ["load_config", "model_from_config"]
 
 RUN_KEYS = ("N_list", "beta", "seed", "out", "saddle", "kick", "N_ref", "R_sum",
             "max_iter", "formats")
+POTENTIAL_KEYS = {"harmonic": ("kind", "classes", "scale", "b_radial"),
+                  "morse": ("kind", "classes", "scale", "shift")}
+CLASS_KEYS = {"harmonic": ("len", "k"), "morse": ("len", "D", "a")}
 PRESET_KICKS = {
     "square_double_well": ((0, 0), (0.12, 0.0)),
     "square_misfit": None,
 }
 
 
+def _check_keys(section: dict, known: tuple[str, ...], where: str) -> None:
+    """Refuse the keys of a config section that the loader does not read."""
+    unknown = sorted(map(str, set(section) - set(known)))
+    if unknown:
+        raise ConfigurationError(f"unknown {where} key(s) {', '.join(unknown)}; "
+                                 f"known keys: {', '.join(known)}")
+
+
 def _lattice_from_config(cfg: dict) -> LatticeSpec:
+    _check_keys(cfg, ("A", "B", "m", "r_cut"), "lattice")
     return LatticeSpec(
         A=np.asarray(cfg["A"], dtype=float),
         B=np.asarray(cfg["B"], dtype=float),
@@ -50,6 +62,12 @@ def _classes_to_bonds(spec: LatticeSpec, classes: list[dict], key: str) -> np.nd
 
 def _potential_from_config(spec: LatticeSpec, cfg: dict):
     kind = cfg.get("kind", "morse")
+    if kind not in POTENTIAL_KEYS:
+        raise ConfigurationError(f"unknown potential kind '{kind}'")
+    _check_keys(cfg, POTENTIAL_KEYS[kind], f"{kind} potential")
+    for cls in cfg["classes"]:
+        _check_keys(cls, CLASS_KEYS[kind], f"{kind} bond class")
+    scale = float(cfg.get("scale", 1.0))
     if kind == "harmonic":
         lens = np.linalg.norm(spec.stencil, axis=1)
         K = np.zeros((spec.nR, spec.m, spec.m))
@@ -58,29 +76,26 @@ def _potential_from_config(spec: LatticeSpec, cfg: dict):
             nhat = spec.stencil[i] / lens[i]
             K[i] = k_per_bond[i] * (np.outer(nhat, nhat) if spec.m == spec.d
                                     else np.eye(spec.m))
-        scale = float(cfg.get("scale", 1.0))
         b = None
         if cfg.get("b_radial"):
             b = float(cfg["b_radial"]) * spec.stencil / lens[:, None]
         return HarmonicBondPotential(spec.stencil, spec.m, scale * K, b=b)
-    if kind == "morse":
-        D = _classes_to_bonds(spec, cfg["classes"], "D")
-        a = _classes_to_bonds(spec, cfg["classes"], "a")
-        scale = float(cfg.get("scale", 1.0))
-        shift = float(cfg.get("shift", 0.0))
-        return MorseBondPotential.from_morse(spec.stencil, spec.m, scale * D, a,
-                                             shift=shift if shift else None)
-    raise ConfigurationError(f"unknown potential kind '{kind}'")
+    D = _classes_to_bonds(spec, cfg["classes"], "D")
+    a = _classes_to_bonds(spec, cfg["classes"], "a")
+    shift = float(cfg.get("shift", 0.0))
+    return MorseBondPotential.from_morse(spec.stencil, spec.m, scale * D, a,
+                                         shift=shift if shift else None)
 
 
 def model_from_config(cfg: dict) -> PotentialModel:
-    """Build a model from a config mapping: a preset name or explicit tables."""
+    """Build a model from a config mapping: a preset name or explicit tables.
+
+    A key that the loader does not read raises ConfigurationError naming it.
+    """
     if "preset" in cfg:
-        model = preset_model(cfg["preset"])
-        scale = cfg.get("override_scale")
-        if scale is not None:
-            raise ConfigurationError("override_scale applies to explicit models only")
-        return model
+        _check_keys(cfg, ("preset",), "preset model")
+        return preset_model(cfg["preset"])
+    _check_keys(cfg, ("name", "lattice", "potential", "overrides", "mirror"), "model")
     spec = _lattice_from_config(cfg["lattice"])
     hom = _potential_from_config(spec, cfg["potential"])
     overrides = {}
@@ -98,12 +113,10 @@ def load_config(path: Path, out_override: Path | None = None, seed: int | None =
                 formats: tuple[str, ...] | None = None) -> RunConfig:
     with open(path) as fh:
         raw = yaml.safe_load(fh)
+    _check_keys(raw, ("model", "run"), "top-level")
     model = model_from_config(raw["model"])
     run = raw.get("run") or {}
-    unknown = sorted(map(str, set(run) - set(RUN_KEYS)))
-    if unknown:
-        raise ConfigurationError(f"unknown run key(s) {', '.join(unknown)} in {path}; "
-                                 f"known keys: {', '.join(RUN_KEYS)}")
+    _check_keys(run, RUN_KEYS, "run")
     kick = run.get("kick")
     if kick is None and raw["model"].get("preset") in PRESET_KICKS:
         kick = PRESET_KICKS[raw["model"]["preset"]]

@@ -458,15 +458,24 @@ def _lobpcg_eig(matvec, cell: Supercell, norm_scale: float, k: int, mode: str, s
                        f"above {10 * res_tol:g} after {LOBPCG_RESTARTS + 1} runs")
 
 
+def _dense_symmetric(matvec, dim: int) -> np.ndarray:
+    """The symmetric part of a block matvec's operator, as a dense (dim, dim)
+    matrix built 256 unit columns at a time."""
+    A = np.empty((dim, dim))
+    for lo in range(0, dim, 256):
+        hi = min(lo + 256, dim)
+        A[:, lo:hi] = np.asarray(matvec(np.eye(dim, hi - lo, -lo)), dtype=float)
+    return 0.5 * (A + A.T)
+
+
 def _dense_eigh(matvec, cell: Supercell, pi_shift: float = 0.0):
-    """Full eigh of an operator built in one block matvec, with the constants
+    """Full eigh of an operator built from its matvec, with the constants
     shifted by ``pi_shift``."""
     n, m = cell.n, cell.spec.m
-    eye = np.eye(n * m)
-    A = np.asarray(matvec(eye), dtype=float)
+    A = _dense_symmetric(matvec, n * m)
     if pi_shift != 0.0:
-        A = A + pi_shift * _mean_project(eye, n, m)
-    return np.linalg.eigh(0.5 * (A + A.T))
+        A += pi_shift * _mean_project(np.eye(n * m), n, m)
+    return np.linalg.eigh(A)
 
 
 def _spectrum_ends(model: PotentialModel, H: LinearLatticeOperator, k: int, stage: str):
@@ -572,11 +581,28 @@ class FApplier:
                        np.ascontiguousarray(Y).reshape(-1, c).view(np.float64))
         return xy.reshape(c, 2).sum(axis=1)
 
+    def site_dot(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """``dot`` summed over each site's m consecutive columns; (batch // m,)."""
+        return self.dot(X, Y).reshape(-1, self.m).sum(axis=1)
+
     def squared(self) -> "FApplier":
         """F_N^2 = (H^hom)^+, applied the same way; a preconditioner for Hessians."""
         sq = copy.copy(self)
         sq.fhat = self.fhat @ self.fhat
         return sq
+
+
+def _site_columns(F: FApplier, sites: np.ndarray):
+    """(slice of ``sites``, half-grid spectra of their unit columns) per chunk
+    of sites: the m columns e_(ell, i) of up to 256 // m sites at a time."""
+    dim = F.cell.n * F.m
+    per_chunk = max(1, 256 // F.m)
+    for lo in range(0, len(sites), per_chunk):
+        chunk = slice(lo, lo + len(sites[lo:lo + per_chunk]))
+        rows = (sites[chunk, None] * F.m + np.arange(F.m)).ravel()
+        E = np.zeros((dim, rows.size))
+        E[rows, np.arange(rows.size)] = 1.0
+        yield chunk, F.forward(E)
 
 
 def _fhf_matvec(F: FApplier, H: LinearLatticeOperator):
@@ -688,8 +714,6 @@ def site_log_traces(H: LinearLatticeOperator, model: PotentialModel,
     number of block products.
     """
     cell = H.cell
-    n, m = cell.n, cell.spec.m
-    dim = n * m
     sites = np.asarray(sites, dtype=int)
     F = FApplier(cell, model)
     if spectrum is None:
@@ -721,34 +745,25 @@ def site_log_traces(H: LinearLatticeOperator, model: PotentialModel,
         X[zero_q] = 0.0                      # the constants
         return X
 
-    def site_dot(X, Y):
-        return F.dot(X, Y).reshape(-1, m).sum(axis=1)
-
     traces = np.zeros(len(sites))
     matvecs = 0
-    cols_per_chunk = max(1, 256 // m)
-    for lo in range(0, len(sites), cols_per_chunk):
-        batch_sites = sites[lo:lo + cols_per_chunk]
-        E = np.zeros((dim, len(batch_sites) * m))
-        for j, s in enumerate(batch_sites):
-            for i in range(m):
-                E[s * m + i, j * m + i] = 1.0
+    for chunk, E_hat in _site_columns(F, sites):
         # rounding-level components along the translations and deflated modes
         # grow like T_k((0 - mid) / half) in the recurrence: project every term
-        t_prev = project(F.forward(E))
+        t_prev = project(E_hat)
         t_cur = project(step(t_prev))
         # moments mu_k = <Ed e, T_k Ed e> up to deg from T_0..T_ceil(deg/2), by
         # T_2j = 2 T_j^2 - T_0 and T_2j+1 = 2 T_j+1 T_j - T_1 (P F H F P is symmetric)
-        mu = np.empty((deg + 1, len(batch_sites)))
-        mu[0], mu[1] = site_dot(t_prev, t_prev), site_dot(t_prev, t_cur)
-        mu[2] = 2.0 * site_dot(t_cur, t_cur) - mu[0]
+        mu = np.empty((deg + 1, len(sites[chunk])))
+        mu[0], mu[1] = F.site_dot(t_prev, t_prev), F.site_dot(t_prev, t_cur)
+        mu[2] = 2.0 * F.site_dot(t_cur, t_cur) - mu[0]
         for k in range(2, (deg + 1) // 2 + 1):
             t_prev, t_cur = t_cur, project(step(t_cur, t_prev))
-            mu[2 * k - 1] = 2.0 * site_dot(t_cur, t_prev) - mu[1]
+            mu[2 * k - 1] = 2.0 * F.site_dot(t_cur, t_prev) - mu[1]
             if 2 * k <= deg:
-                mu[2 * k] = 2.0 * site_dot(t_cur, t_cur) - mu[0]
+                mu[2 * k] = 2.0 * F.site_dot(t_cur, t_cur) - mu[0]
         matvecs += (deg + 1) // 2
-        traces[lo:lo + len(batch_sites)] = coef @ mu
+        traces[chunk] = coef @ mu
     info = {"method": "chebyshev", "sigma_min": sig_lo, "sigma_max": sig_hi,
             "cheb_degree": deg, "cheb_error": err, "matvecs": matvecs,
             "negatives": negatives}

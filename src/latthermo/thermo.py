@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 import numpy as np
-import scipy.sparse as sp
 
 from .assembly import hessian, variation_contractions
 from .fitting import RateFit, envelope_decay
@@ -20,9 +19,10 @@ from .potentials import PotentialModel, symbol_h_batch
 from .spectral import (
     DENSE_LIMIT,
     AmbiguousSpectrumError,
-    KernelTable,
-    conjugate_operator,
-    kernel_FN,
+    FApplier,
+    _dense_symmetric,
+    _fhf_matvec,
+    _site_columns,
     logdet_plus,
     logdet_plus_factorized,
     site_log_traces,
@@ -78,8 +78,7 @@ class RenormalisedEntropy:
     site_entropy: np.ndarray
     first_variation: np.ndarray
     renormalised: np.ndarray     # site_entropy - first_variation
-    partial_radii: np.ndarray
-    partial_sums: np.ndarray
+    partial_sums: np.ndarray     # cumulative over sites, in order of radius
     value: float
     tail_estimate: float
     decay_fit: RateFit | None
@@ -225,53 +224,28 @@ def site_entropies(model: PotentialModel, state,
                           values=values, total=float(values.sum()), info=info)
 
 
-def _variation_blocks(B: sp.spmatrix, m: int):
-    coo = sp.coo_matrix(B)
-    order = np.lexsort((coo.col, coo.row))
-    r, c, v = coo.row[order], coo.col[order], coo.data[order]
-    pr, pc = r // m, c // m
-    keys = pr * (coo.shape[0] // m) + pc
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    P = (uniq // (coo.shape[0] // m)).astype(np.int64)
-    Q = (uniq % (coo.shape[0] // m)).astype(np.int64)
-    blocks = np.zeros((uniq.size, m, m))
-    np.add.at(blocks, (inverse, r % m, c % m), v)
-    return P, Q, blocks
+def site_entropy_first_variation(model: PotentialModel, sites,
+                                 u: DisplacementField) -> np.ndarray:
+    """<delta S^hom_ell(0), u> = -1/2 tr (F_N B F_N)_{ell ell}, B = <delta H^hom(0), u>.
 
-
-def site_entropy_first_variation(model: PotentialModel, sites, u: DisplacementField,
-                                 kernel: KernelTable | None = None) -> np.ndarray:
-    """<delta S^hom_ell(0), u> = -1/2 tr (F <delta H^hom(0), u> F)_{ell ell}.
-
-    ``kernel`` defaults to the periodic kernel on u's cell, which realizes
-    the infinite-lattice kernel at quadrature level N (consistent with the
-    renormalised entropy evaluated at a finite reference level). The sum
+    F_N is the periodic kernel of u's cell, which realizes the
+    infinite-lattice kernel at quadrature level N (consistent with the
+    renormalised entropy evaluated at a finite reference level); the sum
     runs over the whole cell, so the only truncation is the level N itself.
+    Each chunk of site columns E takes one block product on ``FApplier``'s
+    half-grid: X = F_hat forward(E), Y = forward(B inverse(X)), and the site
+    term is -1/2 the Parseval sum of <X, Y> over the site's m columns.
     """
     cell = u.cell
-    m = cell.spec.m
-    if kernel is None:
-        kernel = kernel_FN(model, cell)
-    if kernel.cell.n != cell.n:
-        raise ValueError("kernel table must live on the field's cell")
-    sites = np.atleast_1d(np.asarray(sites))
-    if sites.ndim == 2:                      # integer coordinates
-        sites = cell.site_indices(sites)
-    sites = sites.astype(int)
-    zero = cell.zero_field()
-    B = variation_contractions(model.homogenized(), zero, u, with_overrides=False).mat
-    P, Q, blocks = _variation_blocks(B, m)
-    out = np.zeros(len(sites))
-    xs = cell.x
-    chunk = 8                                # sites per block of kernel gathers
-    for lo in range(0, len(sites), chunk):
-        sel = sites[lo:lo + chunk]
-        il = cell.site_indices(xs[sel][:, None, :] - xs[P][None, :, :])
-        ir = cell.site_indices(xs[Q][None, :, :] - xs[sel][:, None, :])
-        FL = kernel.values[il]               # (c, nnz, m, m)
-        FR = kernel.values[ir]
-        out[lo:lo + chunk] = -0.5 * np.einsum(
-            "cnij,njk,cnki->c", FL, blocks, FR, optimize=True)
+    sites = np.atleast_1d(np.asarray(sites, dtype=int))
+    B = variation_contractions(model.homogenized(), cell.zero_field(), u,
+                               with_overrides=False).mat
+    F = FApplier(cell, model)
+    out = np.empty(len(sites))
+    for chunk, E_hat in _site_columns(F, sites):
+        X = F.fhat @ E_hat
+        Y = F.forward(np.asarray(B @ F.inverse(X)))
+        out[chunk] = -0.5 * F.site_dot(X, Y)
     return out
 
 
@@ -296,31 +270,25 @@ def renormalised_entropy(model: PotentialModel, u_ref, R_sum: float,
     fv = site_entropy_first_variation(model, sites, u)
     ren = prof.values - fv
     csum = np.cumsum(ren)
-    value = float(csum[-1])
-    if np.max(np.abs(ren)) < 1e-12:
-        # identically renormalised (e.g. the homogeneous state): nothing to fit
-        return RenormalisedEntropy(
-            R_sum=R_sum, N_ref=cell.N, sites=sites, radii=radii,
-            site_entropy=prof.values, first_variation=fv, renormalised=ren,
-            partial_radii=radii, partial_sums=csum, value=value,
-            tail_estimate=0.0, decay_fit=None)
-    window = fit_window or (1.4, max(R_sum, 2.0))
-    fit = envelope_decay(radii, ren, window)
-    if fit.exponent > -(d + 0.5):
-        raise RuntimeError(
-            f"renormalised site terms decay too slowly (fit {fit.exponent:.2f}); "
-            "refusing to extrapolate")
-    # geometric tail from the fitted envelope: sum over shells beyond R_sum
-    C = np.exp(fit.intercept)
-    p = fit.exponent
-    shell_density = d * (np.pi if d == 2 else (2.0 if d == 1 else 4 * np.pi / 3)) \
-        / abs(np.linalg.det(cell.spec.A))
-    tail = C * shell_density * R_sum ** (p + d) / max(-(p + d), 1e-9)
+    tail, fit = 0.0, None
+    # identically renormalised terms (e.g. the homogeneous state): nothing to fit
+    if np.max(np.abs(ren)) >= 1e-12:
+        window = fit_window or (1.4, max(R_sum, 2.0))
+        fit = envelope_decay(radii, ren, window)
+        if fit.exponent > -(d + 0.5):
+            raise RuntimeError(
+                f"renormalised site terms decay too slowly (fit {fit.exponent:.2f}); "
+                "refusing to extrapolate")
+        # geometric tail from the fitted envelope: sum over shells beyond R_sum
+        p = fit.exponent
+        shell_density = d * (np.pi if d == 2 else (2.0 if d == 1 else 4 * np.pi / 3)) \
+            / abs(np.linalg.det(cell.spec.A))
+        tail = float(abs(np.exp(fit.intercept) * shell_density * R_sum ** (p + d)
+                         / max(-(p + d), 1e-9)))
     return RenormalisedEntropy(
         R_sum=R_sum, N_ref=cell.N, sites=sites, radii=radii,
         site_entropy=prof.values, first_variation=fv, renormalised=ren,
-        partial_radii=radii, partial_sums=csum, value=value,
-        tail_estimate=float(abs(tail)), decay_fit=fit)
+        partial_sums=csum, value=float(csum[-1]), tail_estimate=tail, decay_fit=fit)
 
 
 def _site_entropy_sum(model: PotentialModel, point: StationaryPoint) -> float:
@@ -328,13 +296,14 @@ def _site_entropy_sum(model: PotentialModel, point: StationaryPoint) -> float:
 
     Up to DENSE_LIMIT the eigenvalues of the dense F_N H F_N give it with no
     eigenvectors (same classification and negative-mode count as the site
-    traces); above it the Chebyshev site traces of every site are summed.
+    traces), built from ``FApplier`` block products. Above the limit the
+    Chebyshev site traces of every site are summed.
     """
     cell = point.u.cell
     m = cell.spec.m
     if cell.n * m > DENSE_LIMIT:
         return site_entropies(model, point).total
-    A = conjugate_operator(kernel_FN(model, cell), point.H, include_pi=False)
+    A = _dense_symmetric(_fhf_matvec(FApplier(cell, model), point.H), cell.n * m)
     ld, _ = logdet_plus(A, expected_zero=m,
                         expected_negative=1 if point.kind == "saddle" else 0)
     return -0.5 * ld

@@ -5,6 +5,10 @@ them ``spectral.generalized_eigen``, ``stationary._bordered_solve``,
 ``stationary._saddle_follow`` and ``Supercell._fft_shape``) for one traced
 iteration. A rename or deletion in the package breaks the benchmark, not
 the package's own tests; this test catches it.
+
+No pipeline stage calls ``Supercell.dft``/``idft``: ``FApplier`` applies F_N
+by real-input FFTs of its own. The test reaches its ``lattice.dft_calls``
+assertion by calling ``kernel_FN``, the dense kernel table, directly.
 """
 
 import importlib
@@ -12,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from latthermo import (Supercell, preset_model, relax_minimum, site_entropies,
+from latthermo import (Supercell, kernel_FN, preset_model, relax_minimum, site_entropies,
                        site_entropy_first_variation)
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -28,15 +32,18 @@ def test_tracer_installs_counts_and_restores_every_wrapped_name(monkeypatch):
         assert saved and all(getattr(owner, attr) is not original
                              for owner, attr, original in saved)
         # a small minimum, its site profile and first variation read the
-        # wrapped names at call time (Supercell._fft_shape too); the dense
-        # kernel F_N of the first variation is the one DFT caller, FApplier
-        # runs real-input FFTs of its own
+        # wrapped names at call time (Supercell._fft_shape too). They apply
+        # F_N by FApplier's real-input FFTs, so no pipeline stage calls the
+        # complex DFT: the dense kernel table, the tests' oracle, is called
+        # directly to reach the wrapped Supercell.dft/idft
         model = preset_model("square_misfit")
         point = relax_minimum(model, Supercell(model.spec, 3))
         assert np.isfinite(point.energy)
         assert tracer.counts["spectral.fapply_columns"] > 0
         assert np.isfinite(site_entropies(model, point).total)
         assert np.all(np.isfinite(site_entropy_first_variation(model, [0], point.u)))
+        assert tracer.counts["lattice.dft_calls"] == 0
+        assert np.all(np.isfinite(kernel_FN(model, point.u.cell).values))
         assert tracer.counts["lattice.dft_calls"] > 0
         assert tracer.counts["assembly.hessian_calls"] > 0
     finally:

@@ -132,6 +132,53 @@ class TestConfigLoading:
         assert f"unknown run key(s) {key}" in str(err.value)
         assert "known keys: N_list, beta, seed" in str(err.value)
 
+    @pytest.mark.parametrize("model, key", [
+        # a misspelt shift would build the unshifted Morse override
+        ("""
+  name: typo
+  lattice: {A: [[1.0, 0.0], [0.0, 1.0]], B: [[1.0, 0.0], [0.0, 1.0]], m: 2, r_cut: 1.5}
+  potential:
+    kind: morse
+    classes: [{len: 1.0, D: 0.5, a: 1.5}, {len: 1.4142135623730951, D: 0.25, a: 1.2}]
+  overrides:
+    "0,0":
+      kind: morse
+      shfit: 0.12
+      classes: [{len: 1.0, D: 0.5, a: 1.5}, {len: 1.4142135623730951, D: 0.25, a: 1.2}]
+""", "morse potential key(s) shfit"),
+        ("""
+  override_scale: 1.3
+  lattice: {A: [[1.0, 0.0], [0.0, 1.0]], B: [[1.0, 0.0], [0.0, 1.0]], m: 2, r_cut: 1.5}
+  potential:
+    kind: harmonic
+    classes: [{len: 1.0, k: 0.5}, {len: 1.4142135623730951, k: 0.25}]
+""", "model key(s) override_scale"),
+        ("""
+  lattice: {A: [[1.0, 0.0], [0.0, 1.0]], B: [[1.0, 0.0], [0.0, 1.0]], m: 2, r_cut: 1.5}
+  potential:
+    kind: harmonic
+    shift: 0.1
+    classes: [{len: 1.0, k: 0.5}, {len: 1.4142135623730951, k: 0.25}]
+""", "harmonic potential key(s) shift"),
+        ("""
+  lattice: {A: [[1.0, 0.0], [0.0, 1.0]], B: [[1.0, 0.0], [0.0, 1.0]], m: 2, r_cut: 1.5}
+  potential:
+    kind: harmonic
+    classes: [{len: 1.0, k: 0.5, D: 0.5}, {len: 1.4142135623730951, k: 0.25}]
+""", "harmonic bond class key(s) D"),
+        ("""
+  preset: square_misfit
+  override_scale: 1.3
+""", "preset model key(s) override_scale"),
+    ], ids=["morse_shfit", "explicit_override_scale", "harmonic_shift",
+            "harmonic_class_D", "preset_override_scale"])
+    def test_unread_model_key_is_refused(self, tmp_path, model, key):
+        p = tmp_path / "cfg.yaml"
+        p.write_text(f"model:{model}run:\n  N_list: [4]\n")
+        with pytest.raises(ConfigurationError) as err:
+            load_config(p)
+        assert f"unknown {key}" in str(err.value)
+
     def test_empty_run_section_takes_the_defaults(self, tmp_path):
         p = tmp_path / "cfg.yaml"
         p.write_text("model:\n  preset: square_misfit\nrun:\n")
@@ -379,6 +426,8 @@ run:
     out = capsys.readouterr().out
     assert rc == 0
     assert "renormalised S" in out
+    assert "tail_estimate=" in out
+    assert "tail<=" not in out
 
 
 def test_cli_renormalised_entropy_defect_free(tmp_path, capsys):

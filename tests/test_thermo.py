@@ -19,14 +19,17 @@ from latthermo import (
     site_entropies,
     site_entropy_first_variation,
 )
+from latthermo.assembly import variation_contractions
+from latthermo.config import model_from_config
 from latthermo.spectral import (
     AmbiguousSpectrumError,
+    KernelTable,
     logdet_plus,
     logdet_plus_factorized,
     matrix_log_plus,
     site_log_traces,
 )
-from latthermo import thermo
+from latthermo import spectral, thermo
 from latthermo.stationary import CertificationError
 from latthermo.thermo import _logdet_plus_homogeneous
 
@@ -161,6 +164,69 @@ class TestFirstVariation:
         fd = (vals[0] - vals[1]) / (2 * h)
         scale = max(np.max(np.abs(fd)), 1e-10)
         assert np.max(np.abs(fv - fd)) / scale < 1e-5
+
+
+def morse_cube():
+    """A d=3 Morse cube (m=3) with a stiffer, shifted origin: third derivatives
+    of the homogeneous bonds are nonzero, so the first variation is too."""
+    classes = [{"len": 1.0, "D": 0.5, "a": 1.5}, {"len": float(np.sqrt(2.0)), "D": 0.25, "a": 1.2}]
+    return model_from_config({
+        "name": "morse_cube",
+        "lattice": {"A": np.eye(3).tolist(), "B": np.eye(3).tolist(), "m": 3, "r_cut": 1.5},
+        "potential": {"kind": "morse", "classes": classes},
+        "overrides": {"0,0,0": {"kind": "morse", "scale": 1.3, "shift": 0.12,
+                                "classes": classes}},
+    })
+
+
+@pytest.mark.parametrize("case", ["square_misfit_N5", "sheared_N4", "chain_misfit_N12",
+                                  "morse_cube_N3"])
+def test_first_variation_matches_dense_kernel_oracle(case):
+    # the half-grid block products against -1/2 the diagonal-block traces of the
+    # dense F_N B F_N built from the complex-DFT kernel table. The grids cover
+    # d = 1, 2, 3 and a sheared cell; the cube (grid (6, 6, 6)) takes every
+    # Parseval weight in d=3: the self-mirrored last-axis slots 0 and
+    # s_last / 2 and the interior ones
+    from test_spectral import sheared_misfit
+    if case == "morse_cube_N3":
+        model = morse_cube()
+        cell = Supercell(model.spec, 3)
+        rng = np.random.default_rng(5)
+        u = DisplacementField(cell, 1e-2 * rng.standard_normal((cell.n, 3)))
+    else:
+        model, N = {"square_misfit_N5": (preset_model("square_misfit"), 5),
+                    "sheared_N4": (sheared_misfit(), 4),
+                    "chain_misfit_N12": (preset_model("chain_misfit"), 12)}[case]
+        cell = Supercell(model.spec, N)
+        u = relax_minimum(model, cell).u
+    m = model.spec.m
+    B = variation_contractions(model.homogenized(), cell.zero_field(), u, with_overrides=False)
+    A = conjugate_operator(kernel_FN(model, cell), B, include_pi=False).dense()
+    oracle = -0.5 * np.diagonal(A).reshape(-1, m).sum(axis=1)
+    fv = site_entropy_first_variation(model, np.arange(cell.n), u)
+    assert np.max(np.abs(oracle)) > 1e-6
+    assert np.max(np.abs(fv - oracle)) < 1e-12
+
+
+def test_thermo_applies_F_N_without_the_kernel_table(monkeypatch):
+    # the rate of a saddle pair (splitting site sum included) and the
+    # renormalised entropy apply F_N through FApplier only: no kernel table,
+    # no complex DFT and no dense block-Toeplitz F_N
+    model, cell, minimum, saddle = solved_double_well(4)
+    misfit = preset_model("square_misfit")
+    point = relax_minimum(misfit, Supercell(misfit.spec, 12))
+
+    def refused(*args, **kwargs):
+        raise AssertionError("thermo took the kernel-table route")
+
+    monkeypatch.setattr(spectral, "kernel_FN", refused)
+    monkeypatch.setattr(Supercell, "dft", refused)
+    monkeypatch.setattr(Supercell, "idft", refused)
+    monkeypatch.setattr(KernelTable, "dense_operator", refused)
+    rep = htst_rate(model, minimum, saddle, beta=1.0)
+    assert abs(rep.delta_S.splitting - rep.delta_S.direct) < 1e-8
+    ren = renormalised_entropy(misfit, point, R_sum=3)
+    assert np.isfinite(ren.value) and np.max(np.abs(ren.first_variation)) > 0
 
 
 class TestRenormalisedEntropy:
@@ -356,7 +422,7 @@ def test_renormalised_partial_sums_cauchy():
     cell = Supercell(model.spec, 16)
     pt = relax_minimum(model, cell)
     ren = renormalised_entropy(model, pt, R_sum=4, fit_window=(1.4, 4.0))
-    inner = ren.partial_radii <= 2.5
+    inner = ren.radii <= 2.5
     final = ren.partial_sums[-1]
     residual = abs(final - ren.partial_sums[inner][-1])
     # increments past the core shrink fast; the reported tail dominates them
