@@ -102,9 +102,7 @@ def model_from_config(cfg: dict) -> PotentialModel:
     for key, ocfg in (cfg.get("overrides") or {}).items():
         site = tuple(int(v) for v in str(key).split(","))
         overrides[site] = _potential_from_config(spec, ocfg)
-    mirror = None
-    if cfg.get("mirror") is not None:
-        mirror = np.asarray(cfg["mirror"], dtype=int)
+    mirror = None if cfg.get("mirror") is None else np.asarray(cfg["mirror"])
     return PotentialModel(spec, hom, overrides, name=cfg.get("name", "config"),
                           mirror=mirror)
 

@@ -139,8 +139,7 @@ def solve_points(config: RunConfig, N: int, previous: tuple | None = None):
         if prev_saddle is not None:
             guess = continue_in_N(model, prev_saddle, cell)
         elif model.mirror is not None:
-            mirrored = minimum.u.values[cell.site_permutation(model.mirror)]
-            pair = (minimum.u.values, mirrored @ np.asarray(model.mirror, dtype=float).T)
+            pair = (minimum.u.values, cell.symmetry(model.mirror).act(minimum.u.values))
         return find_saddle(model, cell, guess_pair=pair, initial_guess=guess,
                            max_iter=config.max_iter)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable
 
 import numpy as np
@@ -19,6 +20,7 @@ __all__ = [
     "LatticeSpec",
     "Supercell",
     "DualGrid",
+    "PointSymmetry",
     "DisplacementField",
     "cutoff_T_R",
 ]
@@ -141,6 +143,33 @@ class LatticeSpec:
         assert all(tuple(-q for q in p) in keys for p in keys)
         return sx
 
+    @cached_property
+    def isometries(self) -> tuple[np.ndarray, ...]:
+        """The point group of A Z^d in lattice coordinates, identity first: every
+        integer Q with Q^T G Q = G, G = A^T A. Column j of Q is a lattice vector
+        as long as a_j, and the columns keep their pairwise products."""
+        A, d = self.A, self.d
+        G = A.T @ A
+        tol = 1e-9 * float(np.max(np.abs(G)))
+        bound = int(np.ceil(np.linalg.norm(np.linalg.inv(A), 2) * np.sqrt(np.max(np.diag(G)))))
+        pts = np.array(list(itertools.product(range(-bound, bound + 1), repeat=d)), dtype=np.int64)
+        norms = np.einsum("pi,ij,pj->p", pts, G, pts)
+        cols = [pts[np.abs(norms - G[j, j]) <= tol] for j in range(d)]
+        found = []
+
+        def extend(prefix: list) -> None:
+            j = len(prefix)
+            if j == d:
+                found.append(np.array(prefix, dtype=np.int64).T)
+                return
+            for v in cols[j]:
+                if all(abs(w @ G @ v - G[i, j]) <= tol for i, w in enumerate(prefix)):
+                    extend(prefix + [v])
+
+        extend([])
+        found.sort(key=lambda Q: not np.array_equal(Q, np.eye(d, dtype=np.int64)))
+        return tuple(found)
+
     @property
     def nR(self) -> int:
         return self.stencil_x.shape[0]
@@ -163,6 +192,24 @@ class DualGrid:
 
     def __len__(self) -> int:
         return self.y.shape[0]
+
+
+@dataclass(frozen=True)
+class PointSymmetry:
+    """One point-group element of a supercell, acting on fields by
+    (T u)(Q x) = R u(x): Q maps sites (lattice coordinates), ``perm`` is its
+    site permutation and R the matching map of displacement components."""
+
+    Q: np.ndarray        # (d, d) integer
+    R: np.ndarray        # (m, m) orthogonal
+    perm: np.ndarray     # perm[i] = ordinal of wrap(Q x_i)
+
+    def act(self, values: np.ndarray) -> np.ndarray:
+        """T u of (n, m) or (n, m, batch) site values."""
+        values = np.asarray(values)
+        out = np.empty_like(values)
+        out[self.perm] = values @ self.R.T if values.ndim == 2 else self.R @ values
+        return out
 
 
 def _enumerate_cell(C: np.ndarray, N: int) -> np.ndarray:
@@ -287,6 +334,30 @@ class Supercell:
         """perm[i] = index of wrap(Q x_i) for an integer lattice automorphism Q."""
         Q = _integer_matrix(np.asarray(Q, dtype=float))
         return self.site_indices(self.x @ Q.T)
+
+    @cached_property
+    def point_group(self) -> tuple[PointSymmetry, ...]:
+        """The isometries Q of A Z^d that map the superlattice 2N C Z^d onto
+        itself, identity first. Displacements rotate with the sites, R = A Q A^-1,
+        when m = d; otherwise they are taken as invariant, R = I."""
+        spec = self.spec
+        adj, det = _adjugate_int(spec.C)
+        A_inv = np.linalg.inv(spec.A)
+        group = []
+        for Q in spec.isometries:
+            if np.any((adj @ Q @ spec.C) % det):         # C^-1 Q C not integer
+                continue
+            R = spec.A @ Q @ A_inv if spec.m == spec.d else np.eye(spec.m)
+            group.append(PointSymmetry(Q, R, self.site_permutation(Q)))
+        return tuple(group)
+
+    def symmetry(self, Q: np.ndarray) -> PointSymmetry:
+        """The element of ``point_group`` with lattice map Q."""
+        for g in self.point_group:
+            if np.array_equal(g.Q, Q):
+                return g
+        raise ConfigurationError(
+            f"{np.asarray(Q).tolist()} is not in the point group of the N={self.N} cell")
 
     # -- dual group --------------------------------------------------------
 

@@ -302,9 +302,9 @@ class PotentialModel:
     """Homogeneous site potential plus finitely many defect overrides.
 
     Overrides are keyed by integer site coordinates and must sit strictly
-    inside the interaction cut-off ball. ``mirror`` optionally declares an
-    integer point-symmetry matrix Q under which the model is invariant
-    (used by the symmetric-subspace saddle search).
+    inside the interaction cut-off ball. ``mirror`` optionally declares a
+    lattice isometry Q (integer, lattice coordinates) under which the model
+    is invariant (used by the symmetric-subspace saddle search).
     """
 
     spec: LatticeSpec
@@ -325,6 +325,11 @@ class PotentialModel:
                 raise ConfigurationError(f"override at {key} lies outside the defect core")
             if abs(pot.value(zero)) > 1e-12:
                 raise ConfigurationError(f"override at {key} must vanish at zero gradient")
+        if self.mirror is not None:
+            if not any(np.array_equal(self.mirror, Q) for Q in self.spec.isometries):
+                raise ConfigurationError(
+                    f"mirror {np.asarray(self.mirror).tolist()} is not an isometry of the lattice")
+            self.mirror = np.asarray(self.mirror, dtype=np.int64)
 
     @property
     def has_defect(self) -> bool:

@@ -49,6 +49,8 @@ LOBPCG_RESTARTS = 2           # restarts of a block that misses the residual che
 ZERO_TOL_FACTOR = 1e-8
 GAP_FACTOR = 10.0
 CHEB_DEGREES = (*range(8, 65, 4), 128, 256, 512, 1024, 2048)   # log expansion, lowest first
+SYMMETRY_TOL = 1e-12         # relative probe residual of a verified point-group element
+SYMMETRY_SEED = 11
 
 
 class AmbiguousSpectrumError(RuntimeError):
@@ -539,6 +541,8 @@ class FApplier:
         self.cell = cell
         self.m = model.spec.m
         s = cell.grid_shape
+        if s[-1] % 2:
+            raise FloatingPointError(f"odd last axis of the N={cell.N} cell's grid {s}")
         axes = tuple(range(len(s)))
         fg = cell.to_grid(_fhat_dual(model, cell), dual=True)
         mirrored = np.roll(np.flip(fg, axes), 1, axes)          # fg(-q) at slot q
@@ -550,10 +554,10 @@ class FApplier:
         self.fhat = np.ascontiguousarray(fg[..., : s[-1] // 2 + 1, :, :])
         # Parseval: a half-grid slot stands for itself and its mirror, except
         # the last-axis slots 0 and s_last / 2, which are their own mirror
+        # (s_last is even: the integer row and column operations that diagonalise
+        # 2N C keep every entry a multiple of 2N)
         w = np.full(s[-1] // 2 + 1, 2.0 / cell.n)
-        w[0] = 1.0 / cell.n
-        if s[-1] % 2 == 0:
-            w[-1] = 1.0 / cell.n
+        w[0] = w[-1] = 1.0 / cell.n
         self._row_weights = np.repeat(np.broadcast_to(w, self.fhat.shape[:-2]).ravel(), self.m)
 
     def forward(self, v: np.ndarray) -> np.ndarray:
@@ -695,6 +699,36 @@ def _cheb_log_poly(a: float, b: float, tol: float = 1e-11):
                        f"error {best:g} at best, above the bound {bound:g}")
 
 
+def _site_orbits(F: FApplier, H: LinearLatticeOperator, sites: np.ndarray):
+    """(representatives, inverse, info): ``sites`` = representatives[inverse],
+    each site mapped to the smallest of its images under the point-group
+    elements T of the cell that commute with F_N H F_N.
+
+    One block product checks every element on a seeded random probe x and
+    its images: T is kept when |F_N H F_N T x - T F_N H F_N x| <= ``SYMMETRY_TOL``
+    |F_N H F_N x|. T is orthogonal, so a kept element commutes with log+ too,
+    and its site traces at ell and Q ell are equal.
+    """
+    cell = F.cell
+    group = cell.point_group
+    kept, residual = [group[0]], 0.0
+    if len(group) > 1:
+        x = np.random.default_rng(SYMMETRY_SEED).standard_normal((cell.n, F.m))
+        X = np.stack([g.act(x) for g in group], axis=-1)
+        Y = _fhf_matvec(F, H)(X.reshape(cell.n * F.m, -1)).reshape(X.shape)
+        scale = np.linalg.norm(Y[..., 0])
+        for j, g in enumerate(group[1:], start=1):
+            res = float(np.linalg.norm(Y[..., j] - g.act(Y[..., 0])) / scale)
+            if res <= SYMMETRY_TOL:
+                kept.append(g)
+                residual = max(residual, res)
+    reps, inverse = np.unique(np.min([g.perm[sites] for g in kept], axis=0),
+                              return_inverse=True)
+    info = {"symmetry_order": len(kept), "orbit_sites": len(reps),
+            "symmetry_residual": residual}
+    return reps, inverse, info
+
+
 def site_log_traces(H: LinearLatticeOperator, model: PotentialModel,
                     sites: np.ndarray, expected_negative: int = 0,
                     spectrum: tuple | None = None) -> tuple[np.ndarray, dict]:
@@ -709,9 +743,14 @@ def site_log_traces(H: LinearLatticeOperator, model: PotentialModel,
     of sites. The recurrence runs on the Hermitian half-grid spectra of
     ``FApplier``, so a block product is one ``irfftn``, one sparse H product
     and one ``rfftn``; projections and moments are Parseval inner products
-    there. Returns (traces, info): info gives the spectral bounds, the
-    degree, its sampled error, the carried negatives and ``matvecs``, the
-    number of block products.
+    there. The recurrence runs once per orbit of the cell's point group
+    that ``_site_orbits`` verifies on F_N H F_N, and each site reads its
+    representative's trace. Returns (traces, info): info gives the spectral
+    bounds, the degree, its sampled error, the carried negatives,
+    ``matvecs`` (the number of block products of the recurrence),
+    ``symmetry_order`` (verified elements, identity included),
+    ``orbit_sites`` (sites run) and ``symmetry_residual`` (largest accepted
+    probe residual).
     """
     cell = H.cell
     sites = np.asarray(sites, dtype=int)
@@ -745,16 +784,17 @@ def site_log_traces(H: LinearLatticeOperator, model: PotentialModel,
         X[zero_q] = 0.0                      # the constants
         return X
 
-    traces = np.zeros(len(sites))
+    reps, inverse, sym_info = _site_orbits(F, H, sites)
+    traces = np.zeros(len(reps))
     matvecs = 0
-    for chunk, E_hat in _site_columns(F, sites):
+    for chunk, E_hat in _site_columns(F, reps):
         # rounding-level components along the translations and deflated modes
         # grow like T_k((0 - mid) / half) in the recurrence: project every term
         t_prev = project(E_hat)
         t_cur = project(step(t_prev))
         # moments mu_k = <Ed e, T_k Ed e> up to deg from T_0..T_ceil(deg/2), by
         # T_2j = 2 T_j^2 - T_0 and T_2j+1 = 2 T_j+1 T_j - T_1 (P F H F P is symmetric)
-        mu = np.empty((deg + 1, len(sites[chunk])))
+        mu = np.empty((deg + 1, len(reps[chunk])))
         mu[0], mu[1] = F.site_dot(t_prev, t_prev), F.site_dot(t_prev, t_cur)
         mu[2] = 2.0 * F.site_dot(t_cur, t_cur) - mu[0]
         for k in range(2, (deg + 1) // 2 + 1):
@@ -766,5 +806,5 @@ def site_log_traces(H: LinearLatticeOperator, model: PotentialModel,
         traces[chunk] = coef @ mu
     info = {"method": "chebyshev", "sigma_min": sig_lo, "sigma_max": sig_hi,
             "cheb_degree": deg, "cheb_error": err, "matvecs": matvecs,
-            "negatives": negatives}
-    return traces, info
+            "negatives": negatives, **sym_info}
+    return traces[inverse], info

@@ -235,12 +235,10 @@ def _newton_relax(model: PotentialModel, cell: Supercell, initial_guess, max_ite
 
 
 def _mirror_symmetrizer(cell: Supercell, Q: np.ndarray):
-    perm = cell.site_permutation(Q)
-    Qm = np.asarray(Q, dtype=float)
+    mirror = cell.symmetry(Q)
 
     def symmetrize(values: np.ndarray) -> np.ndarray:
-        reflected = values[perm] @ Qm.T
-        return 0.5 * (values + reflected)
+        return 0.5 * (values + mirror.act(values))
 
     return symmetrize
 

@@ -474,3 +474,7 @@ run:
     payload = json.loads((out_dir / "site_entropy_N5.json").read_text())
     assert payload["info"]["method"] == "chebyshev"
     assert payload["values"] == values.tolist()
+    # the D4-symmetric minimum runs its 21 orbits, not its 100 sites
+    assert payload["info"]["symmetry_order"] == 8
+    assert payload["info"]["orbit_sites"] == 21
+    assert 0.0 < payload["info"]["symmetry_residual"] < 1e-13

@@ -303,3 +303,61 @@ def test_large_sheared_fft_roundtrip():
     sample = rng.choice(cell.n, size=64, replace=False)
     oracle = np.exp(1j * (cell.dual.k[sample] @ cell.pos.T)) @ f
     assert np.max(np.abs(fhat[sample] - oracle)) < 1e-9 * np.sum(np.abs(f))
+
+
+class TestPointGroup:
+    HEX = [[1.0, 0.5], [0.0, np.sqrt(3.0) / 2]]
+
+    @pytest.mark.parametrize("A, B, r_cut, order", [
+        (np.eye(1), np.eye(1), 1.5, 2),
+        (np.eye(2), np.eye(2), 1.5, 8),
+        (np.eye(2), [[2.0, 1.0], [0.0, 1.0]], 1.5, 8),     # checkerboard superlattice: D4
+        (np.eye(2), [[2.0, 0.0], [0.0, 1.0]], 1.5, 4),     # rectangular cell: D2 only
+        ([[1.0, 1.0], [0.0, 1.0]], np.eye(2), 1.5, 8),     # square lattice, skew basis
+        (HEX, HEX, 1.1, 12),
+        (np.eye(3), np.eye(3), 1.5, 48),
+    ])
+    def test_isometries_that_keep_the_superlattice(self, A, B, r_cut, order):
+        A = np.asarray(A, dtype=float)
+        d = A.shape[0]
+        spec = LatticeSpec(A=A, B=np.asarray(B, dtype=float), m=d, r_cut=r_cut)
+        cell = Supercell(spec, 3)
+        group = cell.point_group
+        assert len(group) == order
+        assert np.array_equal(group[0].Q, np.eye(d, dtype=int))
+        G = A.T @ A
+        Qs = {g.Q.tobytes() for g in group}
+        for g in group:
+            assert np.allclose(g.Q.T @ G @ g.Q, G, atol=1e-12)
+            assert np.allclose(g.R @ g.R.T, np.eye(d), atol=1e-12)
+            assert np.allclose(g.R @ A, A @ g.Q, atol=1e-12)
+            assert np.array_equal(np.sort(g.perm), np.arange(cell.n))
+            assert np.array_equal(cell.x[g.perm], cell.wrap(cell.x @ g.Q.T))
+            assert all((g.Q @ h.Q).tobytes() in Qs for h in group)       # closed
+
+    def test_scalar_field_components_stay(self):
+        spec = LatticeSpec(A=np.eye(3), B=np.eye(3), m=1, r_cut=1.5)
+        assert all(np.array_equal(g.R, np.eye(1)) for g in Supercell(spec, 2).point_group)
+
+    def test_unknown_element_is_refused(self):
+        cell = Supercell(LatticeSpec(A=np.eye(2), B=np.diag([2.0, 1.0]), m=2, r_cut=1.5), 3)
+        with pytest.raises(ConfigurationError, match="not in the point group"):
+            cell.symmetry(np.array([[0, 1], [1, 0]]))      # swaps the unequal cell axes
+
+    def test_field_action_in_a_non_orthogonal_basis(self):
+        # the square lattice in the basis A = [[1, 1], [0, 1]]: sites map by Q in
+        # lattice coordinates, Cartesian displacements by R = A Q A^-1. A
+        # breathing field phi(|A x|) A x, supported well inside the cell, is
+        # invariant under every element; the lattice-coordinate map
+        # values[perm] @ Q.T breaks it wherever Q differs from R
+        A = np.array([[1.0, 1.0], [0.0, 1.0]])
+        cell = Supercell(LatticeSpec(A=A, B=np.eye(2), m=2, r_cut=1.5), 6)
+        phi = np.clip(2.5 - cell.r, 0.0, None) ** 2
+        u = phi[:, None] * cell.pos
+        differs = 0
+        for g in cell.point_group:
+            assert np.allclose(g.act(u), u, rtol=0, atol=1e-14)
+            if not np.array_equal(g.R, g.Q):
+                differs += 1
+                assert np.max(np.abs(u[g.perm] @ g.Q.T - u)) > 0.1
+        assert differs == 6

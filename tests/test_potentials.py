@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from latthermo import (
+    ConfigurationError,
+    LatticeSpec,
     evaluate,
     preset_model,
     stability_scan,
@@ -9,6 +11,7 @@ from latthermo import (
 )
 from latthermo.potentials import (
     PRESETS,
+    PotentialModel,
     _acoustic_limits,
     _norm_derivative_tensors,
     symbol_h_batch,
@@ -211,3 +214,17 @@ def test_norm_derivatives_stop_at_the_requested_order():
         assert len(low) == order + 1
         for a, b in zip(low, full):
             assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("A, mirror", [
+    (np.eye(2), [[1, 1], [0, 1]]),                  # a shear: integer, not an isometry
+    (np.eye(2), [[2, 0], [0, 1]]),
+    (np.eye(2), [[-0.5, 0], [0, 1]]),
+    ([[1.0, 1.0], [0.0, 1.0]], [[-1, 0], [0, 1]]),  # a mirror of Z^2, not of this basis
+])
+def test_mirror_must_be_a_lattice_isometry(A, mirror):
+    model = preset_model("square_misfit")
+    spec = LatticeSpec(A=np.asarray(A), B=np.eye(2), m=2, r_cut=1.5)
+    with pytest.raises(ConfigurationError, match="not an isometry of the lattice"):
+        PotentialModel(spec, model.homogeneous, mirror=np.asarray(mirror))
+    assert PotentialModel(spec, model.homogeneous, mirror=-np.eye(2)).mirror.dtype == np.int64

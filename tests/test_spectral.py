@@ -383,14 +383,18 @@ class TestSiteTraces:
         assert np.max(np.abs(site_log_oracle(model, H, sites) - cheb)) < 1e-8
 
     def test_chebyshev_takes_half_degree_products_per_chunk(self, monkeypatch):
-        # 192 sites make two chunks of at most 128; the moments up to the degree
-        # take ceil(deg / 2) products per chunk, and a product is one inverse and
-        # one forward real FFT; each chunk adds the forward FFT of its columns
-        model, cell, u = stable_state("square_misfit", N=12, scale=0.03)
-        H = hessian(model, u)
+        # the 576 sites of the symmetric minimum run as 91 orbit representatives,
+        # one chunk of at most 128 where the sites would make five; the moments
+        # up to the degree take ceil(deg / 2) products per chunk, and a product
+        # is one inverse and one forward real FFT; each chunk adds the forward
+        # FFT of its columns. The symmetry probe is one product through
+        # FApplier.apply: two forward and two inverse FFTs
+        from latthermo import relax_minimum
+        model = preset_model("square_misfit")
+        cell = Supercell(model.spec, 12)
+        H = hessian(model, relax_minimum(model, cell).u)
         spectrum = generalized_eigen(H, model)
-        sites = np.arange(0, cell.n, 3)
-        assert len(sites) == 192
+        sites = np.arange(cell.n)
         dense = site_log_oracle(model, H, sites)
         calls = {"rfftn": 0, "irfftn": 0}
 
@@ -419,8 +423,10 @@ class TestSiteTraces:
         monkeypatch.setattr(np.linalg, "eigh", symbol_eigh_only)
         cheb, info = site_log_traces(H, model, sites, spectrum=spectrum)
         half = -(-info["cheb_degree"] // 2)
-        assert info["matvecs"] == 2 * half
-        assert calls == {"rfftn": 2 * (1 + half), "irfftn": 2 * half}
+        chunks = -(-info["orbit_sites"] // 128)
+        assert (info["orbit_sites"], chunks) == (91, 1)
+        assert info["matvecs"] == chunks * half
+        assert calls == {"rfftn": 2 + chunks * (1 + half), "irfftn": 2 + chunks * half}
         assert np.max(np.abs(dense - cheb)) < 1e-8
 
     @pytest.mark.parametrize("cell_kind", ["chain_d1", "sheared_d2", "cube_d3"])
@@ -511,6 +517,97 @@ class TestSiteTraces:
         monkeypatch.setattr(spectral, "_fhat_dual", lambda model, cell: fhat)
         with pytest.raises(FloatingPointError, match="not Hermitian on the N=4 cell"):
             FApplier(cell, model)
+
+    def test_fapplier_refuses_an_odd_last_axis(self, monkeypatch):
+        # every cell's grid has an even last axis; the half-grid weights rely on it
+        model = PRESETS["square_misfit"]()
+        cell = Supercell(model.spec, 4)
+        monkeypatch.setattr(Supercell, "grid_shape", property(lambda self: (8, 7)))
+        with pytest.raises(FloatingPointError, match=r"N=4 cell's grid \(8, 7\)"):
+            FApplier(cell, model)
+
+
+def orbit_cases():
+    from test_thermo import morse_cube
+    return {"sheared_N4": (sheared_misfit(), 4),
+            "square_misfit_N5": (preset_model("square_misfit"), 5),
+            "morse_cube_N3": (morse_cube(), 3),              # 48 elements, R = A Q A^-1
+            "cube_scalar_N3": (cube_stiff_origin(), 3),      # m=1: R = I
+            "chain_misfit_N12": (preset_model("chain_misfit"), 12)}   # R = -1
+
+
+class TestSiteOrbits:
+    @pytest.mark.parametrize("case", list(orbit_cases()))
+    def test_orbit_profile_matches_dense_oracle(self, case):
+        # a relaxed point defect keeps the cell's whole point group: the
+        # recurrence runs on one site per orbit, and every site still matches
+        # the dense eigenvector oracle. The bound adds the route's own log error
+        # (m times the sampled sup error of the interpolant): the degree-8
+        # expansion on chain_misfit errs by 2.0e-12, with or without orbits
+        from latthermo import relax_minimum
+        model, N = orbit_cases()[case]
+        cell = Supercell(model.spec, N)
+        H = hessian(model, relax_minimum(model, cell).u)
+        sites = np.arange(cell.n)
+        traces, info = site_log_traces(H, model, sites)
+        oracle = site_log_oracle(model, H, sites)
+        assert np.max(np.abs(oracle)) > 1e-3
+        tol = 1e-12 + model.spec.m * info["cheb_error"]
+        assert np.max(np.abs(traces - oracle)) < tol
+        assert info["symmetry_order"] == len(cell.point_group) > 1
+        assert info["symmetry_residual"] < 1e-13
+        # one representative per orbit, and the members read its value exactly
+        orbit = np.min([g.perm for g in cell.point_group], axis=0)
+        assert info["orbit_sites"] == len(np.unique(orbit)) < cell.n
+        assert np.array_equal(traces, traces[orbit])
+        # the same recurrence on every site differs by rounding only
+        cell.__dict__["point_group"] = cell.point_group[:1]
+        every, every_info = site_log_traces(H, model, sites)
+        assert every_info["orbit_sites"] == cell.n
+        assert np.max(np.abs(traces - every)) < 1e-13
+
+    def test_double_well_pair_keeps_its_own_symmetry(self, monkeypatch):
+        # the relaxed minimum sits off-centre along e1 and keeps only the
+        # mirror in e2; the saddle keeps both mirrors and the inversion. The
+        # rejected elements miss by far more than 1e-3
+        from latthermo import find_saddle, relax_minimum
+        model = preset_model("square_double_well")
+        cell = Supercell(model.spec, 8)
+        kick = np.zeros((cell.n, 2))
+        kick[cell.index((0, 0))] = [0.15, 0.0]
+        minimum = relax_minimum(model, cell, initial_guess=kick)
+        mirror = cell.symmetry(model.mirror)
+        saddle = find_saddle(model, cell, guess_pair=(minimum.u.values,
+                                                      mirror.act(minimum.u.values)))
+        sites = np.arange(cell.n)
+        for point, order, negatives in ((minimum, 2, 0), (saddle, 4, 1)):
+            H = hessian(model, point.u)
+            spectrum = generalized_eigen(H, model, negatives)
+            traces, info = site_log_traces(H, model, sites, negatives, spectrum)
+            assert info["symmetry_order"] == order
+            assert info["symmetry_residual"] < 1e-13
+            oracle = site_log_oracle(model, H, sites, negatives)
+            assert np.max(np.abs(traces - oracle)) < 1e-12 + 2 * info["cheb_error"]
+            with monkeypatch.context() as mp:
+                mp.setattr(spectral, "SYMMETRY_TOL", 1e-3)
+                assert site_log_traces(H, model, sites, negatives,
+                                       spectrum)[1]["symmetry_order"] == order
+
+    def test_perturbed_minimum_runs_every_site(self):
+        # a 1e-3 random perturbation breaks every element but the identity
+        from latthermo import relax_minimum
+        model = preset_model("square_misfit")
+        cell = Supercell(model.spec, 5)
+        u = relax_minimum(model, cell).u
+        rng = np.random.default_rng(3)
+        u = DisplacementField(cell, u.values + 1e-3 * rng.standard_normal(u.values.shape))
+        H = hessian(model, u)
+        sites = np.arange(cell.n)
+        traces, info = site_log_traces(H, model, sites)
+        assert (info["symmetry_order"], info["orbit_sites"]) == (1, cell.n)
+        assert info["symmetry_residual"] == 0.0
+        oracle = site_log_oracle(model, H, sites)
+        assert np.max(np.abs(traces - oracle)) < 1e-12 + 2 * info["cheb_error"]
 
 
 class TestClassification:
