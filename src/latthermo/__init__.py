@@ -25,9 +25,7 @@ from .potentials import (
     symbol_h,
 )
 from .assembly import (
-    EnergyReport,
     LinearLatticeOperator,
-    energy_homogeneous,
     energy_periodic,
     gradient_periodic,
     hessian,

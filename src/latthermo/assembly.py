@@ -1,4 +1,4 @@
-"""Assembly of energies, gradients, Hessians and higher variations on supercells.
+"""Assembly of energies, gradients, Hessians and their first variation on supercells.
 
 All operators act on flattened periodic displacement vectors (site-major,
 component-minor) and are stored as sparse CSR blocks or dense arrays wrapped
@@ -17,9 +17,7 @@ from .potentials import PotentialModel, SitePotential
 
 __all__ = [
     "LinearLatticeOperator",
-    "EnergyReport",
     "energy_periodic",
-    "energy_homogeneous",
     "gradient_periodic",
     "hessian",
     "variation_contractions",
@@ -58,12 +56,6 @@ class LinearLatticeOperator:
             return self.mat.toarray()
         return np.asarray(self.mat)
 
-    def block(self, i: int, j: int) -> np.ndarray:
-        m = self.m
-        if sp.issparse(self.mat):
-            return self.mat[i * m:(i + 1) * m, j * m:(j + 1) * m].toarray()
-        return self.mat[i * m:(i + 1) * m, j * m:(j + 1) * m]
-
     def quadratic(self, v: np.ndarray, w: np.ndarray | None = None) -> float:
         w = v if w is None else w
         return float(v.reshape(-1) @ (self.mat @ w.reshape(-1)))
@@ -72,22 +64,6 @@ class LinearLatticeOperator:
         if sp.issparse(self.mat):
             return float(abs(self.mat - self.mat.T).max())
         return float(np.max(np.abs(self.mat - self.mat.T)))
-
-    def __add__(self, other: "LinearLatticeOperator") -> "LinearLatticeOperator":
-        return LinearLatticeOperator(self.cell, self.mat + other.mat, "composite")
-
-    def __sub__(self, other: "LinearLatticeOperator") -> "LinearLatticeOperator":
-        return LinearLatticeOperator(self.cell, self.mat - other.mat, "composite")
-
-    def __rmul__(self, c: float) -> "LinearLatticeOperator":
-        return LinearLatticeOperator(self.cell, c * self.mat, "composite")
-
-
-@dataclass
-class EnergyReport:
-    value: float
-    gradient_norm: float
-    defect_flag: bool
 
 
 def _site_potential_groups(model: PotentialModel, cell: Supercell,
@@ -106,44 +82,28 @@ def _site_potential_groups(model: PotentialModel, cell: Supercell,
     return groups
 
 
-def _gradient(model: PotentialModel, u: DisplacementField, with_overrides: bool) -> np.ndarray:
+def energy_periodic(model: PotentialModel, u: DisplacementField) -> float:
+    """Defect supercell energy: sum over sites of V_ell(Du(ell))."""
+    G = u.gradients()
+    total = 0.0
+    for pot, idx in _site_potential_groups(model, u.cell):
+        if idx.size:
+            total += float(pot.value_batch(G[idx]).sum())
+    return total
+
+
+def gradient_periodic(model: PotentialModel, u: DisplacementField) -> np.ndarray:
+    """Defect supercell forces: the gradient of ``energy_periodic`` at u."""
     cell = u.cell
     G = u.gradients()
     out = np.zeros((cell.n, cell.spec.m))
-    for pot, idx in _site_potential_groups(model, cell, with_overrides):
+    for pot, idx in _site_potential_groups(model, cell):
         if idx.size == 0:
             continue
         gv = pot.grad_batch(G[idx])                      # (ns, nR, m)
         np.add.at(out, cell.neighbors[idx], gv)
         np.add.at(out, idx, -gv.sum(axis=1))
     return out
-
-
-def _energy(model: PotentialModel, u: DisplacementField, with_overrides: bool) -> EnergyReport:
-    cell = u.cell
-    G = u.gradients()
-    total = 0.0
-    for pot, idx in _site_potential_groups(model, cell, with_overrides):
-        if idx.size:
-            total += float(pot.value_batch(G[idx]).sum())
-    g = _gradient(model, u, with_overrides)
-    return EnergyReport(value=total, gradient_norm=float(np.linalg.norm(g)),
-                        defect_flag=with_overrides and model.has_defect)
-
-
-def energy_periodic(model: PotentialModel, u: DisplacementField) -> EnergyReport:
-    """Defect supercell energy: sum over sites of V_ell(Du(ell))."""
-    return _energy(model, u, with_overrides=True)
-
-
-def energy_homogeneous(model: PotentialModel, u: DisplacementField) -> EnergyReport:
-    """Defect-free supercell energy: the homogeneous V at every site."""
-    return _energy(model, u, with_overrides=False)
-
-
-def gradient_periodic(model: PotentialModel, u: DisplacementField,
-                      with_overrides: bool = True) -> np.ndarray:
-    return _gradient(model, u, with_overrides)
 
 
 def _incidence(cell: Supercell):
@@ -227,27 +187,21 @@ def hessian(model: PotentialModel, u: DisplacementField,
 
 
 def variation_contractions(model: PotentialModel, u: DisplacementField,
-                           v: DisplacementField, w: DisplacementField | None = None,
+                           v: DisplacementField,
                            with_overrides: bool = True) -> LinearLatticeOperator:
-    """First (or second) variation of the Hessian contracted with direction fields.
+    """First variation of the Hessian at u in the direction v.
 
-    Assembles the operator with blocks sum_xi nabla^3 V_xi(Du)[., ., Dv(xi)]
-    (and the nabla^4 analogue when w is given). For homogeneous variations
-    pass the homogenized model or with_overrides=False.
+    Assembles the operator with blocks sum_xi nabla^3 V_xi(Du)[., ., Dv(xi)].
+    For homogeneous variations pass the homogenized model or
+    with_overrides=False.
     """
     cell = u.cell
     G = u.gradients()
     Gv = v.gradients()
-    Gw = w.gradients() if w is not None else None
     rows, cols, vals = [], [], []
     for pot, idx in _site_potential_groups(model, cell, with_overrides):
         for lo in range(0, idx.size, _CHUNK):
             sl = idx[lo:lo + _CHUNK]
-            if w is None:
-                T3 = pot.third_batch(G[sl])
-                T = np.einsum("nabcdef,nef->nabcd", T3, Gv[sl], optimize=True)
-            else:
-                T4 = pot.fourth_batch(G[sl])
-                T = np.einsum("nabcdefgh,nef,ngh->nabcd", T4, Gv[sl], Gw[sl], optimize=True)
+            T = np.einsum("nabcdef,nef->nabcd", pot.third_batch(G[sl]), Gv[sl], optimize=True)
             _assemble_quadratic(cell, T, sl, rows, cols, vals)
     return LinearLatticeOperator(cell, _nonzero_csr(cell, rows, cols, vals), "hessian_variation")

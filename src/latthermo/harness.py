@@ -14,7 +14,8 @@ from .fitting import fit_rate
 from .lattice import Supercell
 from .potentials import PotentialModel, stability_scan
 from .serialize import atomic_write_text, certificate_hash, load_point, save_point
-from .stationary import StationaryPoint, continue_in_N, find_saddle, relax_minimum
+from .stationary import (StationaryPoint, _mirror_symmetrizer, continue_in_N, find_saddle,
+                         relax_minimum)
 from .thermo import entropy_total, htst_rate
 
 __all__ = ["RunConfig", "ConvergenceTable", "solve_points", "sweep", "fit_rate", "richardson",
@@ -135,13 +136,12 @@ def solve_points(config: RunConfig, N: int, previous: tuple | None = None):
         return minimum, None
 
     def solve_saddle():
-        guess = pair = None
+        guess = None
         if prev_saddle is not None:
             guess = continue_in_N(model, prev_saddle, cell)
         elif model.mirror is not None:
-            pair = (minimum.u.values, cell.symmetry(model.mirror).act(minimum.u.values))
-        return find_saddle(model, cell, guess_pair=pair, initial_guess=guess,
-                           max_iter=config.max_iter)
+            guess = _mirror_symmetrizer(cell, model.mirror)(minimum.u.values)
+        return find_saddle(model, cell, initial_guess=guess, max_iter=config.max_iter)
 
     return minimum, load_or_solve(f"saddle_N{N}", solve_saddle)
 

@@ -330,11 +330,6 @@ class Supercell:
         xi = self.x if rows is None else self.x[rows]
         return self.site_indices(xi[:, None, :] - self.x[None, :, :])
 
-    def site_permutation(self, Q: np.ndarray) -> np.ndarray:
-        """perm[i] = index of wrap(Q x_i) for an integer lattice automorphism Q."""
-        Q = _integer_matrix(np.asarray(Q, dtype=float))
-        return self.site_indices(self.x @ Q.T)
-
     @cached_property
     def point_group(self) -> tuple[PointSymmetry, ...]:
         """The isometries Q of A Z^d that map the superlattice 2N C Z^d onto
@@ -348,7 +343,7 @@ class Supercell:
             if np.any((adj @ Q @ spec.C) % det):         # C^-1 Q C not integer
                 continue
             R = spec.A @ Q @ A_inv if spec.m == spec.d else np.eye(spec.m)
-            group.append(PointSymmetry(Q, R, self.site_permutation(Q)))
+            group.append(PointSymmetry(Q, R, self.site_indices(self.x @ Q.T)))
         return tuple(group)
 
     def symmetry(self, Q: np.ndarray) -> PointSymmetry:

@@ -1,4 +1,4 @@
-"""Site potentials on stencil gradients with analytic derivatives to order 4.
+"""Site potentials on stencil gradients with analytic derivatives to order 3.
 
 Two built-in families: harmonic springs with per-bond stiffness blocks, and a
 quartic bond-length potential whose coefficients follow the Taylor expansion
@@ -38,7 +38,7 @@ class SitePotential:
     site). Shapes use the flattened stencil-slot ordering of LatticeSpec.
     """
 
-    order = 4
+    order = 3
 
     def __init__(self, stencil: np.ndarray, m: int):
         self.stencil = np.asarray(stencil, dtype=float)
@@ -58,9 +58,6 @@ class SitePotential:
     def third_batch(self, G: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def fourth_batch(self, G: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
     # single-site helpers
     def value(self, g: np.ndarray) -> float:
         return float(self.value_batch(np.asarray(g, dtype=float)[None])[0])
@@ -73,9 +70,6 @@ class SitePotential:
 
     def third(self, g: np.ndarray) -> np.ndarray:
         return self.third_batch(np.asarray(g, dtype=float)[None])[0]
-
-    def fourth(self, g: np.ndarray) -> np.ndarray:
-        return self.fourth_batch(np.asarray(g, dtype=float)[None])[0]
 
     def params(self) -> dict:
         raise NotImplementedError
@@ -128,19 +122,15 @@ class HarmonicBondPotential(SitePotential):
         ns = G.shape[0]
         return np.zeros((ns,) + (self.nR, self.m) * 3)
 
-    def fourth_batch(self, G):
-        ns = G.shape[0]
-        return np.zeros((ns,) + (self.nR, self.m) * 4)
-
     def params(self):
         return {"kind": "harmonic", "K": self.K.tolist(), "b": self.b.tolist()}
 
 
-def _norm_derivative_tensors(y: np.ndarray, order: int = 4):
+def _norm_derivative_tensors(y: np.ndarray, order: int = 3):
     """Derivative tensors of x -> |y|, y = x + rho, batched over (..., m).
 
-    Returns (s, n, s2, s3, s4) up to derivative ``order``: the norm, unit
-    vector, and the second to fourth derivative tensors of the norm.
+    Returns (s, n, s2, s3) up to derivative ``order``: the norm, unit
+    vector, and the second and third derivative tensors of the norm.
     """
     s = np.linalg.norm(y, axis=-1)
     if np.any(s < 1e-12):
@@ -158,22 +148,7 @@ def _norm_derivative_tensors(y: np.ndarray, order: int = 4):
         return s, n, s2
     pn = P[..., :, :, None] * n[..., None, None, :]          # P_ij n_k
     s3 = -(pn + np.moveaxis(pn, -1, -2) + np.moveaxis(pn, -1, -3)) / s[..., None, None, None] ** 2
-    if order == 3:
-        return s, n, s2, s3
-    nn = n[..., :, None] * n[..., None, :]
-    pnn = P[..., :, :, None, None] * nn[..., None, None, :, :]   # P_ij n_k n_l
-    sym_pnn = (
-        pnn
-        + np.moveaxis(pnn, (-2, -3), (-3, -2))                  # P_ik n_j n_l
-        + np.moveaxis(pnn, (-1, -3), (-3, -1))                  # P_il n_j n_k (swap j<->l)
-        + np.moveaxis(pnn, (-2, -4), (-4, -2))                  # P_jk n_i n_l (swap i<->k)
-        + np.moveaxis(pnn, (-1, -4), (-4, -1))                  # P_jl n_i n_k
-        + np.moveaxis(pnn, (-1, -4, -2, -3), (-3, -2, -4, -1))  # P_kl n_i n_j
-    )
-    pp = P[..., :, :, None, None] * P[..., None, None, :, :]    # P_ij P_kl
-    sym_pp = pp + np.moveaxis(pp, -2, -3) + np.moveaxis(pp, (-2, -1), (-3, -2))
-    s4 = (2.0 * sym_pnn - sym_pp) / s[..., None, None, None, None] ** 3
-    return s, n, s2, s3, s4
+    return s, n, s2, s3
 
 
 class MorseBondPotential(SitePotential):
@@ -211,9 +186,7 @@ class MorseBondPotential(SitePotential):
             return c2 * t + c3 * t**2 / 2 + c4 * t**3 / 6
         if order == 2:
             return c2 + c3 * t + c4 * t**2 / 2
-        if order == 3:
-            return c3 + c4 * t
-        return np.broadcast_to(c4, t.shape)
+        return c3 + c4 * t
 
     def _sigma(self, G: np.ndarray, order: int):
         """Bond stretch t and the norm's derivative tensors up to ``order``."""
@@ -251,31 +224,6 @@ class MorseBondPotential(SitePotential):
     def third_batch(self, G):
         return _blockdiag(G.shape[0], self.nR, self.m, self._bond_third(G), 3)
 
-    def _bond_fourth(self, G):
-        t, n, s2, s3, s4 = self._sigma(G, 4)
-        p1, p2, p3, p4 = (self._phi(t, j) for j in (1, 2, 3, 4))
-        nn = n[..., :, None] * n[..., None, :]
-        n4 = nn[..., :, :, None, None] * nn[..., None, None, :, :]
-        s2nn = s2[..., :, :, None, None] * nn[..., None, None, :, :]   # s2_ij n_k n_l
-        sym_s2nn = (
-            s2nn
-            + np.moveaxis(s2nn, (-2, -3), (-3, -2))
-            + np.moveaxis(s2nn, (-1, -3), (-3, -1))
-            + np.moveaxis(s2nn, (-2, -4), (-4, -2))
-            + np.moveaxis(s2nn, (-1, -4), (-4, -1))
-            + np.moveaxis(s2nn, (-1, -4, -2, -3), (-3, -2, -4, -1))
-        )
-        s2s2 = s2[..., :, :, None, None] * s2[..., None, None, :, :]
-        sym_s2s2 = s2s2 + np.moveaxis(s2s2, -2, -3) + np.moveaxis(s2s2, (-2, -1), (-3, -2))
-        ns3 = n[..., :, None, None, None] * s3[..., None, :, :, :]
-        sym_ns3 = (ns3 + np.moveaxis(ns3, -4, -3) + np.moveaxis(ns3, -4, -2)
-                   + np.moveaxis(ns3, -4, -1))
-        e = (..., None, None, None, None)
-        return (p4[e] * n4 + p3[e] * sym_s2nn + p2[e] * (sym_s2s2 + sym_ns3) + p1[e] * s4)
-
-    def fourth_batch(self, G):
-        return _blockdiag(G.shape[0], self.nR, self.m, self._bond_fourth(G), 4)
-
     def params(self):
         return {"kind": "morse_quartic", "c2": self.c2.tolist(), "c3": self.c3.tolist(),
                 "c4": self.c4.tolist(), "shift": self.shift.tolist()}
@@ -290,11 +238,7 @@ def evaluate(V: SitePotential, g: np.ndarray, order: int = 0):
     if order > V.order:
         raise ValueError(f"derivative order {order} exceeds potential regularity {V.order}")
     g = np.asarray(g, dtype=float)
-    tensors = []
-    fns = [V.grad, V.hess, V.third, V.fourth]
-    for j in range(order):
-        tensors.append(fns[j](g))
-    return V.value(g), tensors
+    return V.value(g), [fn(g) for fn in (V.grad, V.hess, V.third)[:order]]
 
 
 @dataclass

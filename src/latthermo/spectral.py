@@ -11,7 +11,7 @@ from __future__ import annotations
 import copy
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -163,9 +163,6 @@ class KernelTable:
     def m(self) -> int:
         return self.cell.spec.m
 
-    def value_at(self, x: Iterable[int]) -> np.ndarray:
-        return self.values[self.cell.index(x)]
-
     @property
     def validity_radius(self) -> float:
         if self.source == "periodic":
@@ -201,17 +198,6 @@ class KernelTable:
         blocks = self.values[off]                       # (n, n, m, m)
         mat = blocks.transpose(0, 2, 1, 3).reshape(dim, dim)
         return LinearLatticeOperator(cell, mat, "F_N")
-
-    def to_csv(self, path) -> None:
-        """Offset coordinates and kernel entries, one row per lattice offset."""
-        d, m = self.cell.spec.d, self.m
-        header = [f"l{i+1}" for i in range(d)]
-        header += [f"F{i+1}{j+1}" for i in range(m) for j in range(m)]
-        lines = [",".join(header)]
-        for x, block in zip(self.cell.x.tolist(), self.values.reshape(-1, m * m)):
-            lines.append(",".join([str(v) for v in x] + [repr(float(v)) for v in block]))
-        from .serialize import atomic_write_text
-        atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def _fhat_dual(model: PotentialModel, cell: Supercell) -> np.ndarray:

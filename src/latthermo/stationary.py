@@ -42,6 +42,8 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
+STEP_MAX = 0.25                     # largest per-component saddle step
+
 
 class CertificationError(RuntimeError):
     """A converged point failed its spectral certificate."""
@@ -156,6 +158,16 @@ def relax_minimum(model: PotentialModel, cell: Supercell,
     return finish_point(model, fld, "minimum", energy, gnorm, n_iter, history=history)
 
 
+def _start_values(cell: Supercell, initial_guess) -> np.ndarray:
+    """A fresh zero-mean (n, m) array from None (zeros), a field or an array."""
+    if initial_guess is None:
+        return np.zeros((cell.n, cell.spec.m))
+    if isinstance(initial_guess, DisplacementField):
+        initial_guess = initial_guess.values
+    vals = DisplacementField(cell, initial_guess).values      # checks the shape
+    return vals - vals.mean(axis=0)
+
+
 def _newton_relax(model: PotentialModel, cell: Supercell, initial_guess, max_iter: int,
                   symmetrize=None):
     """Damped Newton to |g| <= tol_grad; returns (field, E, |g|, iterations, |g| history).
@@ -164,17 +176,11 @@ def _newton_relax(model: PotentialModel, cell: Supercell, initial_guess, max_ite
     gradients (used by the symmetric saddle search).
     """
     tol = tol_grad(cell)
-    if initial_guess is None:
-        vals = np.zeros((cell.n, cell.spec.m))
-    elif isinstance(initial_guess, DisplacementField):
-        vals = initial_guess.values.copy()
-    else:
-        vals = np.asarray(initial_guess, dtype=float).copy()
-    u = DisplacementField(cell, vals - vals.mean(axis=0)).values
+    u = _start_values(cell, initial_guess)
     if symmetrize is not None:
         u = symmetrize(u)
     nu = nu_last = 0.0             # the ladder resumes a decade below the last accepted shift
-    energy = energy_periodic(model, DisplacementField(cell, u)).value
+    energy = energy_periodic(model, DisplacementField(cell, u))
     n_iter = 0
     history: list[float] = []
     for n_iter in range(1, max_iter + 1):
@@ -203,7 +209,7 @@ def _newton_relax(model: PotentialModel, cell: Supercell, initial_guess, max_ite
             while t > 1e-6:
                 trial = u + t * p
                 trial -= trial.mean(axis=0)
-                e_t = energy_periodic(model, DisplacementField(cell, trial)).value
+                e_t = energy_periodic(model, DisplacementField(cell, trial))
                 if flat:
                     g_t = gradient_periodic(model, DisplacementField(cell, trial))
                     if symmetrize is not None:
@@ -275,57 +281,34 @@ def _projected_cg(H: sp.spmatrix, rhs: np.ndarray, cell: Supercell,
 
 
 def find_saddle(model: PotentialModel, cell: Supercell,
-                guess_pair: tuple | None = None,
                 initial_guess: DisplacementField | np.ndarray | None = None,
-                max_iter: int = 120, step_max: float = 0.25,
-                method: str = "auto") -> StationaryPoint:
+                max_iter: int = 120) -> StationaryPoint:
     """Index-1 saddle search by eigenvector following.
 
-    Start from the midpoint of two minima (``guess_pair``) or an explicit
-    guess. Tracks the softest non-translation mode between iterations by
-    overlap, inverts it in the Newton step, and certifies an index-1 point.
-    Models declaring a mirror symmetry fall back to a constrained
-    minimisation over the symmetric subspace if mode following fails.
+    Starts from ``initial_guess`` (zero if None), for a mirror-symmetric model
+    typically the midpoint of a minimum and its mirror image. Tracks the
+    softest non-translation mode between iterations by overlap, inverts it in
+    the Newton step, and certifies an index-1 point. Models declaring a mirror
+    symmetry fall back to a constrained minimisation over the symmetric
+    subspace if mode following fails.
     """
-    if method not in ("auto", "follow", "symmetric"):
-        raise ValueError("method must be auto, follow or symmetric")
-    fell_back = False
-    if method in ("auto", "follow"):
-        try:
-            return _saddle_follow(model, cell, guess_pair, initial_guess, max_iter, step_max)
-        except (RuntimeError, AmbiguousSpectrumError) as exc:
-            if method == "follow" or model.mirror is None:
-                raise
-            logger.warning("eigenvector following failed at N=%d (%s: %s); "
-                           "falling back to the symmetric route",
-                           cell.N, type(exc).__name__, exc)
-            fell_back = True
-    if model.mirror is None:
-        raise CertificationError("symmetric saddle search requires a declared mirror")
+    try:
+        return _saddle_follow(model, cell, initial_guess, max_iter)
+    except (RuntimeError, AmbiguousSpectrumError) as exc:
+        if model.mirror is None:
+            raise
+        logger.warning("eigenvector following failed at N=%d (%s: %s); "
+                       "falling back to the symmetric route",
+                       cell.N, type(exc).__name__, exc)
     point = _saddle_symmetric(model, cell, max_iter)
-    if fell_back:
-        point.route = "symmetric_fallback"
+    point.route = "symmetric_fallback"
     return point
 
 
-def _initial_saddle_guess(cell: Supercell, guess_pair, initial_guess) -> np.ndarray:
-    if guess_pair is not None:
-        ua, ub = guess_pair
-        va = ua.u.values if isinstance(ua, StationaryPoint) else np.asarray(ua.values if isinstance(ua, DisplacementField) else ua)
-        vb = ub.u.values if isinstance(ub, StationaryPoint) else np.asarray(ub.values if isinstance(ub, DisplacementField) else ub)
-        return 0.5 * (va + vb)
-    if initial_guess is None:
-        return np.zeros((cell.n, cell.spec.m))
-    if isinstance(initial_guess, DisplacementField):
-        return initial_guess.values.copy()
-    return np.asarray(initial_guess, dtype=float).copy()
-
-
-def _saddle_follow(model: PotentialModel, cell: Supercell, guess_pair,
-                   initial_guess, max_iter: int, step_max: float) -> StationaryPoint:
+def _saddle_follow(model: PotentialModel, cell: Supercell, initial_guess,
+                   max_iter: int) -> StationaryPoint:
     tol = tol_grad(cell)
-    u = _initial_saddle_guess(cell, guess_pair, initial_guess)
-    u -= u.mean(axis=0)
+    u = _start_values(cell, initial_guess)
     n, m = cell.n, cell.spec.m
     precond = FApplier(cell, model).squared().apply
     track = None
@@ -344,7 +327,7 @@ def _saddle_follow(model: PotentialModel, cell: Supercell, guess_pair,
         w, V = _extremal_eig(matvec, cell, scale, k=2, mode="SA", precond=precond, X0=V,
                              stage="saddle step")
         cand = [(float(w[j]), V[:, j]) for j in range(len(w))]
-        if track is not None and len(cand) > 1:
+        if track is not None:
             overlaps = [abs(v @ track) for _, v in cand]
             if max(overlaps) >= 0.5 and overlaps[0] != max(overlaps):
                 cand.sort(key=lambda ev: -abs(ev[1] @ track))
@@ -352,7 +335,7 @@ def _saddle_follow(model: PotentialModel, cell: Supercell, guess_pair,
         v1 = v1 - _mean_project(v1, n, m)
         v1 /= np.linalg.norm(v1)
         track = v1
-        lam2 = cand[1][0] if len(cand) > 1 else scale
+        lam2 = cand[1][0]
 
         delta = 1e-3 * scale
         lam_eff = lam1 if lam1 < -delta else -max(abs(lam1), delta)
@@ -363,8 +346,8 @@ def _saddle_follow(model: PotentialModel, cell: Supercell, guess_pair,
         p_perp = _projected_cg(H.mat, -(g - g1 * v1), cell, [v1], nu, rtol)
         p = p1 + p_perp
         pmax = float(np.max(np.abs(p)))
-        if pmax > step_max:
-            p *= step_max / pmax
+        if pmax > STEP_MAX:
+            p *= STEP_MAX / pmax
         u = u + p.reshape(n, m)
         u -= u.mean(axis=0)
         gnorm_prev = gnorm
@@ -372,7 +355,7 @@ def _saddle_follow(model: PotentialModel, cell: Supercell, guess_pair,
         raise RuntimeError(f"saddle search did not converge in {max_iter} iterations "
                            f"(|g|={gnorm_prev:g})")
 
-    return finish_point(model, fld, "saddle", energy_periodic(model, fld).value, gnorm,
+    return finish_point(model, fld, "saddle", energy_periodic(model, fld), gnorm,
                         n_iter, H=H, route="follow")
 
 

@@ -74,9 +74,8 @@ def dwell_points(N=6):
     kick[cell.index((0, 0))] = [0.15, 0.0]
     minimum = relax_minimum(model, cell, initial_guess=kick)
     from latthermo import find_saddle
-    perm = cell.site_permutation(model.mirror)
-    mirrored = minimum.u.values[perm] @ np.asarray(model.mirror, float).T
-    saddle = find_saddle(model, cell, guess_pair=(minimum.u.values, mirrored))
+    act, u = cell.symmetry(model.mirror).act, minimum.u.values
+    saddle = find_saddle(model, cell, initial_guess=0.5 * (u + act(u)))
     return model, cell, minimum, saddle
 
 
@@ -256,8 +255,8 @@ def test_criterion_11_derivative_consistency():
         v = rng.standard_normal((cell.n, m))
         # gradient vs FD of energy
         g = float(np.sum(gradient_periodic(model, u) * v))
-        ep = energy_periodic(model, DisplacementField(cell, u.values + h * v)).value
-        em = energy_periodic(model, DisplacementField(cell, u.values - h * v)).value
+        ep = energy_periodic(model, DisplacementField(cell, u.values + h * v))
+        em = energy_periodic(model, DisplacementField(cell, u.values - h * v))
         worst = max(worst, abs((ep - em) / (2 * h) - g) / max(abs(g), 1e-8))
         # Hessian quadratic form vs FD of gradient
         Hv = hessian(model, u).apply(v)

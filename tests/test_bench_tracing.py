@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from latthermo import (Supercell, kernel_FN, preset_model, relax_minimum, site_entropies,
-                       site_entropy_first_variation)
+                       site_entropy_first_variation, stationary)
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -46,6 +46,23 @@ def test_tracer_installs_counts_and_restores_every_wrapped_name(monkeypatch):
         assert np.all(np.isfinite(kernel_FN(model, point.u.cell).values))
         assert tracer.counts["lattice.dft_calls"] > 0
         assert tracer.counts["assembly.hessian_calls"] > 0
+        # the N=3 double-well saddle from the midpoint of the minimum and its
+        # mirror image goes through the wrapped find_saddle (looked up on its
+        # module at call time), _saddle_follow and, in the minimum's Newton
+        # steps, _bordered_solve
+        model = preset_model("square_double_well")
+        cell = Supercell(model.spec, 3)
+        kick = np.zeros((cell.n, 2))
+        kick[cell.index((0, 0))] = [0.15, 0.0]
+        solves = tracer.counts["stationary.newton_solves"]
+        minimum = relax_minimum(model, cell, initial_guess=kick)
+        assert tracer.counts["stationary.newton_solves"] > solves
+        act, u = cell.symmetry(model.mirror).act, minimum.u.values
+        saddle = stationary.find_saddle(model, cell, initial_guess=0.5 * (u + act(u)), max_iter=40)
+        assert saddle.route == "follow" and saddle.lam < 0
+        assert tracer.counts["stationary.follow_attempts"] == 1
+        assert tracer.counts["stationary.follow_converged"] == 1
+        assert tracer.counts["stationary.saddle_iters"] == saddle.n_iter
     finally:
         patcher.restore()
     assert all(getattr(owner, attr) is original for owner, attr, original in saved)

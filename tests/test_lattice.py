@@ -340,9 +340,16 @@ class TestPointGroup:
         assert all(np.array_equal(g.R, np.eye(1)) for g in Supercell(spec, 2).point_group)
 
     def test_unknown_element_is_refused(self):
+        # the axis swap is a lattice isometry that does not keep the 2N diag(2, 1)
+        # superlattice: its raw site map collides sites, and no public route builds it
         cell = Supercell(LatticeSpec(A=np.eye(2), B=np.diag([2.0, 1.0]), m=2, r_cut=1.5), 3)
+        swap = np.array([[0, 1], [1, 0]])
+        assert np.unique(cell.site_indices(cell.x @ swap.T)).size < cell.n
         with pytest.raises(ConfigurationError, match="not in the point group"):
-            cell.symmetry(np.array([[0, 1], [1, 0]]))      # swaps the unequal cell axes
+            cell.symmetry(swap)
+        assert not hasattr(cell, "site_permutation")
+        for g in cell.point_group:
+            assert np.array_equal(np.sort(g.perm), np.arange(cell.n))
 
     def test_field_action_in_a_non_orthogonal_basis(self):
         # the square lattice in the basis A = [[1, 1], [0, 1]]: sites map by Q in

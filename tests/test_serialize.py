@@ -3,7 +3,7 @@ import logging
 
 import numpy as np
 
-from latthermo import DisplacementField, Supercell, kernel_FN, preset_model
+from latthermo import DisplacementField, Supercell, preset_model
 from latthermo.serialize import (
     certificate_hash,
     load_field_csv,
@@ -48,9 +48,8 @@ def _double_well_pair(N=4):
     kick = np.zeros((cell.n, 2))
     kick[cell.index((0, 0))] = [0.15, 0.0]
     minimum = relax_minimum(model, cell, initial_guess=kick)
-    perm = cell.site_permutation(model.mirror)
-    mirrored = minimum.u.values[perm] @ np.asarray(model.mirror, float).T
-    saddle = find_saddle(model, cell, guess_pair=(minimum.u.values, mirrored))
+    act, u = cell.symmetry(model.mirror).act, minimum.u.values
+    saddle = find_saddle(model, cell, initial_guess=0.5 * (u + act(u)))
     return model, cell, minimum, saddle
 
 
@@ -80,19 +79,6 @@ def test_resumed_saddle_with_edited_lam_is_rejected(tmp_path, caplog):
     with caplog.at_level(logging.WARNING, logger="latthermo.serialize"):
         assert load_point(tmp_path, "saddle_N4", model, cell) is None
     assert "lam check" in caplog.text
-
-
-def test_kernel_table_csv(tmp_path):
-    model = preset_model("square_misfit")
-    cell = Supercell(model.spec, 3)
-    FN = kernel_FN(model, cell)
-    FN.to_csv(tmp_path / "FN.csv")
-    lines = (tmp_path / "FN.csv").read_text().splitlines()
-    assert lines[0] == "l1,l2,F11,F12,F21,F22"
-    assert len(lines) == cell.n + 1
-    first = lines[1].split(",")
-    x = (int(first[0]), int(first[1]))
-    assert np.isclose(float(first[1 + 1]), FN.value_at(x)[0, 0])
 
 
 def test_rate_report_json_fields(tmp_path):

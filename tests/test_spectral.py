@@ -280,9 +280,8 @@ class TestEigenpairs:
         kick = np.zeros((cell.n, 2))
         kick[cell.index((0, 0))] = [0.15, 0.0]
         minimum = relax_minimum(model, cell, initial_guess=kick)
-        perm = cell.site_permutation(model.mirror)
-        mirrored = minimum.u.values[perm] @ np.asarray(model.mirror, float).T
-        saddle = find_saddle(model, cell, guess_pair=(minimum.u.values, mirrored))
+        act, u = cell.symmetry(model.mirror).act, minimum.u.values
+        saddle = find_saddle(model, cell, initial_guess=0.5 * (u + act(u)))
         _, _, mus, modes = generalized_eigen(saddle.H, model, expected_negative=1)
         assert len(mus) == 1 and mus[0] < 0
         psi = FApplier(cell, model).apply(modes[0])
@@ -299,9 +298,8 @@ class TestEigenpairs:
         kick = np.zeros((cell.n, 2))
         kick[cell.index((0, 0))] = [0.15, 0.0]
         minimum = relax_minimum(model, cell, initial_guess=kick)
-        perm = cell.site_permutation(model.mirror)
-        mirrored = minimum.u.values[perm] @ np.asarray(model.mirror, float).T
-        saddle = find_saddle(model, cell, guess_pair=(minimum.u.values, mirrored))
+        act, u = cell.symmetry(model.mirror).act, minimum.u.values
+        saddle = find_saddle(model, cell, initial_guess=0.5 * (u + act(u)))
         dim = cell.n * cell.spec.m
         calls = []
         eigh = np.linalg.eigh
@@ -576,9 +574,8 @@ class TestSiteOrbits:
         kick = np.zeros((cell.n, 2))
         kick[cell.index((0, 0))] = [0.15, 0.0]
         minimum = relax_minimum(model, cell, initial_guess=kick)
-        mirror = cell.symmetry(model.mirror)
-        saddle = find_saddle(model, cell, guess_pair=(minimum.u.values,
-                                                      mirror.act(minimum.u.values)))
+        act, u = cell.symmetry(model.mirror).act, minimum.u.values
+        saddle = find_saddle(model, cell, initial_guess=0.5 * (u + act(u)))
         sites = np.arange(cell.n)
         for point, order, negatives in ((minimum, 2, 0), (saddle, 4, 1)):
             H = hessian(model, point.u)
@@ -637,9 +634,8 @@ class TestChebyshevAtSaddle:
         kick = np.zeros((cell.n, 2))
         kick[cell.index((0, 0))] = [0.15, 0.0]
         minimum = relax_minimum(model, cell, initial_guess=kick)
-        perm = cell.site_permutation(model.mirror)
-        mirrored = minimum.u.values[perm] @ np.asarray(model.mirror, float).T
-        saddle = find_saddle(model, cell, guess_pair=(minimum.u.values, mirrored))
+        act, u = cell.symmetry(model.mirror).act, minimum.u.values
+        saddle = find_saddle(model, cell, initial_guess=0.5 * (u + act(u)))
         H = hessian(model, saddle.u)
         sites = np.arange(0, cell.n, 5)
         dense = site_log_oracle(model, H, sites, expected_negative=1)

@@ -13,7 +13,8 @@ from latthermo import (
     relax_minimum,
 )
 from latthermo.fitting import envelope_decay
-from latthermo.stationary import CertificationError, tol_grad
+from latthermo.stationary import (CertificationError, _saddle_follow, _saddle_symmetric,
+                                  tol_grad)
 
 
 def coordinate_descent(model, cell, sweeps=120, seed=0):
@@ -42,8 +43,7 @@ def coordinate_descent(model, cell, sweeps=120, seed=0):
 
 
 def mirror_image(model, cell, values):
-    perm = cell.site_permutation(model.mirror)
-    return values[perm] @ np.asarray(model.mirror, float).T
+    return cell.symmetry(model.mirror).act(values)
 
 
 def double_well_minimum(N, kick=(0.15, 0.0)):
@@ -82,7 +82,7 @@ class TestRelaxMinimum:
         cell = Supercell(model.spec, 3)
         pt = relax_minimum(model, cell)
         u_cd = coordinate_descent(model, cell)
-        e_cd = energy_periodic(model, DisplacementField(cell, u_cd)).value
+        e_cd = energy_periodic(model, DisplacementField(cell, u_cd))
         assert abs(pt.energy - e_cd) < 1e-8
 
     def test_gradient_below_tolerance(self):
@@ -151,7 +151,7 @@ class TestFindSaddle:
     def test_saddle_from_midpoint(self):
         vals2 = mirror_image(self.model, self.cell, self.minimum.u.values)
         sd = find_saddle(self.model, self.cell,
-                         guess_pair=(self.minimum.u.values, vals2))
+                         initial_guess=0.5 * (self.minimum.u.values + vals2))
         assert sd.kind == "saddle"
         assert sd.lam < 0
         assert sd.energy > self.minimum.energy
@@ -164,7 +164,7 @@ class TestFindSaddle:
     def test_lambda_matches_dense_oracle(self, N):
         model, cell, minimum = double_well_minimum(N)
         vals2 = mirror_image(model, cell, minimum.u.values)
-        sd = find_saddle(model, cell, guess_pair=(minimum.u.values, vals2))
+        sd = find_saddle(model, cell, initial_guess=0.5 * (minimum.u.values + vals2))
         H = hessian(model, sd.u).dense()
         w = np.sort(np.linalg.eigvalsh(H))
         assert abs(sd.lam - w[0]) < 0.2 * abs(w[0])
@@ -174,8 +174,8 @@ class TestFindSaddle:
     def test_symmetric_route_agrees_with_following(self, N):
         model, cell, minimum = double_well_minimum(N)
         vals2 = mirror_image(model, cell, minimum.u.values)
-        sd1 = find_saddle(model, cell, guess_pair=(minimum.u.values, vals2), method="auto")
-        sd2 = find_saddle(model, cell, method="symmetric")
+        sd1 = find_saddle(model, cell, initial_guess=0.5 * (minimum.u.values + vals2))
+        sd2 = _saddle_symmetric(model, cell, max_iter=120)
         assert sd1.route == "follow"
         assert sd2.route == "symmetric"
         assert abs(sd1.energy - sd2.energy) < 1e-8
@@ -189,7 +189,7 @@ class TestFindSaddle:
 
         monkeypatch.setattr(stationary, "_saddle_follow", no_follow)
         with caplog.at_level("WARNING", logger="latthermo.stationary"):
-            sd = find_saddle(self.model, self.cell, method="auto")
+            sd = find_saddle(self.model, self.cell)
         assert sd.route == "symmetric_fallback"
         assert "following failed" in caplog.text
 
@@ -197,7 +197,7 @@ class TestFindSaddle:
         model = preset_model("square_misfit")
         cell = Supercell(model.spec, 3)
         with pytest.raises((CertificationError, RuntimeError)):
-            find_saddle(model, cell, initial_guess=None, method="follow", max_iter=40)
+            find_saddle(model, cell, max_iter=40)
 
 
 class TestContinuation:
@@ -283,8 +283,8 @@ def test_iterative_certificate_matches_dense(monkeypatch, case):
         kind, H = "minimum", hessian(model, cell.zero_field())
     else:
         model, cell, minimum = double_well_minimum(8)
-        pair = (minimum.u.values, mirror_image(model, cell, minimum.u.values))
-        kind, H = "saddle", find_saddle(model, cell, guess_pair=pair).H
+        mid = 0.5 * (minimum.u.values + mirror_image(model, cell, minimum.u.values))
+        kind, H = "saddle", find_saddle(model, cell, initial_guess=mid).H
     neg = 1 if kind == "saddle" else 0
 
     def spectrum():
@@ -350,8 +350,8 @@ def test_lobpcg_miss_names_its_stage(monkeypatch, stage):
         if stage == "minimum certificate":
             _certify_spectrum(model, minimum.H, "minimum")
         elif stage == "saddle step":
-            pair = (minimum.u.values, mirror_image(model, cell, minimum.u.values))
-            find_saddle(model, cell, guess_pair=pair, method="follow")
+            mid = 0.5 * (minimum.u.values + mirror_image(model, cell, minimum.u.values))
+            _saddle_follow(model, cell, mid, max_iter=120)
         else:
             generalized_eigen(minimum.H, model)
 

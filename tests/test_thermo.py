@@ -40,9 +40,8 @@ def solved_double_well(N=4):
     kick = np.zeros((cell.n, 2))
     kick[cell.index((0, 0))] = [0.15, 0.0]
     minimum = relax_minimum(model, cell, initial_guess=kick)
-    perm = cell.site_permutation(model.mirror)
-    mirrored = minimum.u.values[perm] @ np.asarray(model.mirror, float).T
-    saddle = find_saddle(model, cell, guess_pair=(minimum.u.values, mirrored))
+    act, u = cell.symmetry(model.mirror).act, minimum.u.values
+    saddle = find_saddle(model, cell, initial_guess=0.5 * (u + act(u)))
     return model, cell, minimum, saddle
 
 
