@@ -56,9 +56,9 @@ class LinearLatticeOperator:
             return self.mat.toarray()
         return np.asarray(self.mat)
 
-    def quadratic(self, v: np.ndarray, w: np.ndarray | None = None) -> float:
-        w = v if w is None else w
-        return float(v.reshape(-1) @ (self.mat @ w.reshape(-1)))
+    def quadratic(self, v: np.ndarray) -> float:
+        v = v.reshape(-1)
+        return float(v @ (self.mat @ v))
 
     def symmetry_defect(self) -> float:
         if sp.issparse(self.mat):
@@ -66,14 +66,10 @@ class LinearLatticeOperator:
         return float(np.max(np.abs(self.mat - self.mat.T)))
 
 
-def _site_potential_groups(model: PotentialModel, cell: Supercell,
-                           with_overrides: bool = True):
+def _site_potential_groups(model: PotentialModel, cell: Supercell):
     """Partition sites into (potential, site-index array) groups."""
     groups: list[tuple[SitePotential, np.ndarray]] = []
-    override_idx = {}
-    if with_overrides and model.overrides:
-        for key, pot in model.overrides.items():
-            override_idx[cell.index(key)] = pot
+    override_idx = {cell.index(key): pot for key, pot in model.overrides.items()}
     mask = np.ones(cell.n, dtype=bool)
     for idx, pot in override_idx.items():
         groups.append((pot, np.array([idx])))
@@ -160,46 +156,37 @@ def _nonzero_csr(cell: Supercell, rows, cols, vals) -> sp.csr_matrix:
     return M
 
 
-def _hessian_matrix(model: PotentialModel, u: DisplacementField,
-                    with_overrides: bool) -> sp.csr_matrix:
+def _hessian_matrix(model: PotentialModel, u: DisplacementField) -> sp.csr_matrix:
     cell = u.cell
     G = u.gradients()
     rows, cols, vals = [], [], []
-    for pot, idx in _site_potential_groups(model, cell, with_overrides):
+    for pot, idx in _site_potential_groups(model, cell):
         for lo in range(0, idx.size, _CHUNK):
             sl = idx[lo:lo + _CHUNK]
             _assemble_quadratic(cell, pot.hess_batch(G[sl]), sl, rows, cols, vals)
     return _nonzero_csr(cell, rows, cols, vals)
 
 
-def hessian(model: PotentialModel, u: DisplacementField,
-            kind: str = "defect") -> LinearLatticeOperator:
-    """Second variation of the supercell energy at u.
-
-    kind='defect' uses the per-site potentials V_ell, kind='homogeneous' the
-    homogeneous V everywhere. Symmetric, constants in the kernel.
+def hessian(model: PotentialModel, u: DisplacementField) -> LinearLatticeOperator:
+    """Second variation of the supercell energy at u, from the per-site
+    potentials V_ell (``model.homogenized()`` puts the homogeneous V on every
+    site). Symmetric, constants in the kernel.
     """
-    if kind not in ("defect", "homogeneous"):
-        raise ValueError("kind must be 'defect' or 'homogeneous'")
-    H = _hessian_matrix(model, u, with_overrides=(kind == "defect"))
-    tag = "hessian" if kind == "defect" else "hessian_hom"
-    return LinearLatticeOperator(u.cell, H, tag)
+    return LinearLatticeOperator(u.cell, _hessian_matrix(model, u), "hessian")
 
 
 def variation_contractions(model: PotentialModel, u: DisplacementField,
-                           v: DisplacementField,
-                           with_overrides: bool = True) -> LinearLatticeOperator:
+                           v: DisplacementField) -> LinearLatticeOperator:
     """First variation of the Hessian at u in the direction v.
 
     Assembles the operator with blocks sum_xi nabla^3 V_xi(Du)[., ., Dv(xi)].
-    For homogeneous variations pass the homogenized model or
-    with_overrides=False.
+    For homogeneous variations pass ``model.homogenized()``.
     """
     cell = u.cell
     G = u.gradients()
     Gv = v.gradients()
     rows, cols, vals = [], [], []
-    for pot, idx in _site_potential_groups(model, cell, with_overrides):
+    for pot, idx in _site_potential_groups(model, cell):
         for lo in range(0, idx.size, _CHUNK):
             sl = idx[lo:lo + _CHUNK]
             T = np.einsum("nabcdef,nef->nabcd", pot.third_batch(G[sl]), Gv[sl], optimize=True)

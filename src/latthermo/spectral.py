@@ -62,8 +62,8 @@ class ModeClassification:
     """Audit record of an operator spectrum split into zero / negative / positive.
 
     ``complete`` is False for a Hessian certificate, which keeps only the low
-    end and a top entry; above ``DENSE_EIG_LIMIT`` that entry is the
-    Gershgorin bound, so ``sigma_max`` and ``tau_zero`` are upper bounds.
+    end and a top entry; at every size that entry is the Gershgorin bound, so
+    ``sigma_max`` and ``tau_zero`` are upper bounds.
     """
 
     eigenvalues: np.ndarray
@@ -456,59 +456,42 @@ def _dense_symmetric(matvec, dim: int) -> np.ndarray:
     return 0.5 * (A + A.T)
 
 
-def _dense_eigh(matvec, cell: Supercell, pi_shift: float = 0.0):
-    """Full eigh of an operator built from its matvec, with the constants
-    shifted by ``pi_shift``."""
-    n, m = cell.n, cell.spec.m
-    A = _dense_symmetric(matvec, n * m)
-    if pi_shift != 0.0:
-        A += pi_shift * _mean_project(np.eye(n * m), n, m)
-    return np.linalg.eigh(A)
+def _extremal_eig(matvec, cell: Supercell, norm_scale: float, k: int = 1, seed: int = 7,
+                  precond=None, X0: np.ndarray | None = None,
+                  stage: str = "extremal eigenpairs", top: bool = False):
+    """The k lowest eigenpairs (w, V) of a symmetric operator on the
+    complement of the translations and, with ``top``, its top eigenvalue
+    there: (w, V, w_top). ``matvec`` takes (dim,) vectors and (dim, batch)
+    blocks; ``norm_scale`` bounds the operator norm, or is 0 when no bound
+    is known.
 
-
-def _spectrum_ends(model: PotentialModel, H: LinearLatticeOperator, k: int, stage: str):
-    """(eigs, w_small, V_small): the lowest eigenpairs of a lattice Hessian
-    and, in ``eigs``, those eigenvalues, the m translation zeros and a top
-    entry. ``stationary._certify_spectrum`` gives the two routes."""
-    cell = H.cell
-    n, m = cell.n, cell.spec.m
-    matvec = lambda v: np.asarray(H.mat @ v)
-    if n * m <= DENSE_EIG_LIMIT:
-        w, V = _dense_eigh(matvec, cell)
-        k = min(m + k, n * m - 1)
-        return np.concatenate([w[:k], w[-1:]]), w[:k], V[:, :k]
-    top = float(abs(H.mat).sum(axis=1).max())
-    T = _translation_modes(n, m)
-    HT = matvec(T)
-    drift = float(np.max(np.linalg.norm(HT, axis=0)))
-    if drift > ZERO_TOL_FACTOR * top:
-        raise AmbiguousSpectrumError(
-            f"{stage} at N={cell.N}: |H t| = {drift:g} on a unit translation field")
-    w, V = _extremal_eig(matvec, cell, top, k=k, mode="SA",
-                         precond=FApplier(cell, model).squared().apply, stage=stage)
-    return np.concatenate([np.einsum("ij,ij->j", T, HT), w, [top]]), w, V
-
-
-def _extremal_eig(matvec, cell: Supercell, norm_scale: float, k: int = 1, mode: str = "SA",
-                  seed: int = 7, precond=None, X0: np.ndarray | None = None,
-                  stage: str = "extremal eigenpairs"):
-    """The k lowest (``mode`` 'SA') or highest ('LA') eigenpairs of a symmetric
-    operator on the complement of the translations. ``matvec`` takes (dim,)
-    vectors and (dim, batch) blocks; ``norm_scale`` bounds the operator norm.
-
-    Up to ``DENSE_EIG_LIMIT`` degrees of freedom the operator is built in one
-    block matvec, its constants are shifted 10 ``norm_scale`` out of view and
-    it is diagonalised densely. Above it LOBPCG runs with the translations as
-    constraints, from a seeded random block or ``X0``, preconditioned by
-    ``precond`` (a symmetric positive map of blocks, such as F_N^2 = (H^hom)^+
-    for a lattice Hessian) when given. Its residuals are checked, and a miss
-    raises RuntimeError naming ``stage``, the cell size N and the residual.
+    The one size switch of every extremal solve. Up to ``DENSE_EIG_LIMIT``
+    degrees of freedom the operator is built in block matvecs, its constants
+    are shifted above the spectrum by 10 ``norm_scale`` (10 times the built
+    matrix's Gershgorin bound when that is 0), and one dense ``eigh`` gives
+    both ends. Above it LOBPCG runs with the translations as constraints,
+    preconditioned by ``precond`` (a symmetric positive map of blocks, such
+    as F_N^2 = (H^hom)^+ for a lattice Hessian) when given: first the top
+    (LA, named ``stage`` + ' top'), then the k lowest (SA, from a seeded
+    random block or ``X0``, named ``stage`` + ' bottom' when the top was
+    solved). Residuals are checked, and a miss raises RuntimeError naming the
+    solve, the cell size N and the residual.
     """
-    if cell.n * cell.spec.m <= DENSE_EIG_LIMIT:
-        w, V = _dense_eigh(matvec, cell, 10.0 * norm_scale if mode == "SA" else -10.0 * norm_scale)
-        idx = (np.argsort(w) if mode == "SA" else np.argsort(-w))[:k]
-        return w[idx], V[:, idx]
-    return _lobpcg_eig(matvec, cell, norm_scale, k, mode, seed, precond, X0, stage)
+    n, m = cell.n, cell.spec.m
+    if n * m <= DENSE_EIG_LIMIT:
+        A = _dense_symmetric(matvec, n * m)
+        shift = 10.0 * (norm_scale or float(np.abs(A).sum(axis=1).max()))
+        A += shift * _mean_project(np.eye(n * m), n, m)
+        w, V = np.linalg.eigh(A)
+        k = min(k, n * m - m)
+        return (w[:k], V[:, :k], float(w[-m - 1])) if top else (w[:k], V[:, :k])
+    if not top:
+        return _lobpcg_eig(matvec, cell, norm_scale, k, "SA", seed, precond, X0, stage)
+    w_top = float(_lobpcg_eig(matvec, cell, norm_scale, 1, "LA", seed, precond, None,
+                              f"{stage} top")[0][0])
+    w, V = _lobpcg_eig(matvec, cell, max(norm_scale, w_top), k, "SA", seed, precond, X0,
+                       f"{stage} bottom")
+    return w, V, w_top
 
 
 class FApplier:
@@ -582,6 +565,20 @@ class FApplier:
         return sq
 
 
+def _hessian_precond(cell: Supercell, model: PotentialModel):
+    """F_N^2 = (H^hom)^+ as a block map, the LOBPCG preconditioner of a
+    lattice Hessian. Its ``FApplier`` is built at the first call, so the
+    dense route of ``_extremal_eig``, which makes none, does not pay for it."""
+    built = []
+
+    def apply(X: np.ndarray) -> np.ndarray:
+        if not built:
+            built.append(FApplier(cell, model).squared())
+        return built[0].apply(X)
+
+    return apply
+
+
 def _site_columns(F: FApplier, sites: np.ndarray):
     """(slice of ``sites``, half-grid spectra of their unit columns) per chunk
     of sites: the m columns e_(ell, i) of up to 256 // m sites at a time."""
@@ -606,53 +603,39 @@ def generalized_eigen(H: LinearLatticeOperator, model: PotentialModel,
     """The one F_N H F_N solve of a point: positive bounds and negative pairs.
 
     The nonzero spectrum of F_N H F_N is the generalized spectrum of
-    H psi = mu H_hom psi on the zero-mean subspace, with psi = F_N w. Up to
-    ``DENSE_EIG_LIMIT`` one dense diagonalisation of the unshifted operator,
-    classified with the translation zeros, gives every fact. Above it two
-    unpreconditioned LOBPCG solves on the complement of the translations
-    give them: the top eigenvalue (LA), then the ``expected_negative`` + 1
-    lowest (SA), the negative pairs and ``sigma_lo`` together. Each negative
-    pair is checked as a generalized eigenpair against the assembled H_hom.
-    Returns (sigma_lo, sigma_hi, mus, modes): the bounds of the positive
-    spectrum, the negative eigenvalues and their unit zero-mean modes w.
+    H psi = mu H_hom psi on the zero-mean subspace, with psi = F_N w. One
+    unpreconditioned ``_extremal_eig`` call gives the ``expected_negative``
+    + 1 lowest eigenpairs and the top eigenvalue off the translations, on
+    either route. ``classify_eigenvalues`` checks those ends: nothing in the
+    dead zone and exactly ``expected_negative`` negatives, so an unexpected
+    negative mode and a missing one both raise AmbiguousSpectrumError. Each
+    negative pair is checked as a generalized eigenpair against the assembled
+    H_hom. Returns (sigma_lo, sigma_hi, mus, modes): the bounds of the
+    positive spectrum, the negative eigenvalues and their unit zero-mean
+    modes w.
     """
     cell = H.cell
     n, m = cell.n, cell.spec.m
     F = FApplier(cell, model)
-    matvec = _fhf_matvec(F, H)
-
-    def checked_pairs(wneg, Vneg):
-        mus, modes = [], []
-        if not expected_negative:
-            return mus, modes
-        H_hom = hessian(model, cell.zero_field(), kind="homogeneous")
-        for mu, vec in zip(wneg, Vneg.T):
-            if mu >= 0:
-                raise AmbiguousSpectrumError("expected negative mode not found")
-            vec = vec - _mean_project(vec, n, m)
-            vec /= np.linalg.norm(vec)
-            psi = F.apply(vec)
-            lhs = np.asarray(H.mat @ psi)
-            res = np.linalg.norm(lhs - mu * np.asarray(H_hom.mat @ psi))
-            if res > tol * max(np.linalg.norm(lhs), 1e-12):
-                raise RuntimeError(f"generalized eigenpair residual {res:g} above tolerance")
-            mus.append(float(mu))
-            modes.append(vec)
-        return mus, modes
-
-    if n * m <= DENSE_EIG_LIMIT:
-        w, V = _dense_eigh(matvec, cell)
-        cls = classify_eigenvalues(w, expected_zero=m)
-        if cls.n_negative != expected_negative:
-            raise AmbiguousSpectrumError(
-                f"expected {expected_negative} negative modes, found {cls.n_negative}")
-        mus, modes = checked_pairs(w[:expected_negative], V[:, :expected_negative])
-        return cls.sigma_min, cls.sigma_max, mus, modes
-    w_hi, _ = _extremal_eig(matvec, cell, 0.0, k=1, mode="LA", stage="F_N H F_N top")
-    w, V = _extremal_eig(matvec, cell, max(float(w_hi[0]), 1.0), k=expected_negative + 1,
-                         mode="SA", stage="F_N H F_N bottom")
-    mus, modes = checked_pairs(w[:expected_negative], V[:, :expected_negative])
-    return float(w[expected_negative]), float(w_hi[0]), mus, modes
+    w, V, w_top = _extremal_eig(_fhf_matvec(F, H), cell, 0.0, k=expected_negative + 1,
+                                stage="F_N H F_N", top=True)
+    cls = classify_eigenvalues(np.append(w, w_top), expected_zero=0)
+    if cls.n_negative != expected_negative:
+        raise AmbiguousSpectrumError(
+            f"expected {expected_negative} negative modes, found {cls.n_negative}")
+    mus, modes = [], []
+    H_hom = hessian(model.homogenized(), cell.zero_field()) if expected_negative else None
+    for mu, vec in zip(w[:expected_negative], V[:, :expected_negative].T):
+        vec = vec - _mean_project(vec, n, m)
+        vec /= np.linalg.norm(vec)
+        psi = F.apply(vec)
+        lhs = np.asarray(H.mat @ psi)
+        res = np.linalg.norm(lhs - mu * np.asarray(H_hom.mat @ psi))
+        if res > tol * max(np.linalg.norm(lhs), 1e-12):
+            raise RuntimeError(f"generalized eigenpair residual {res:g} above tolerance")
+        mus.append(float(mu))
+        modes.append(vec)
+    return cls.sigma_min, cls.sigma_max, mus, modes
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,13 @@ from .lattice import DisplacementField, Supercell, cutoff_T_R
 from .potentials import PotentialModel
 from .spectral import (
     AmbiguousSpectrumError,
-    FApplier,
+    ZERO_TOL_FACTOR,
     ModeClassification,
     _bordered,
     _extremal_eig,
+    _hessian_precond,
     _mean_project,
-    _spectrum_ends,
+    _translation_modes,
     classify_eigenvalues,
     generalized_eigen,
 )
@@ -71,7 +72,7 @@ class StationaryPoint:
     lam: float | None = None        # unstable eigenvalue at a saddle
     phi: np.ndarray | None = None   # unstable mode at a saddle
     gradient_history: list = field(default_factory=list)
-    route: str | None = None        # saddle route: follow, symmetric or symmetric_fallback
+    route: str | None = None        # saddle route: follow or symmetric_fallback
     mu: float | None = None         # negative eigenvalue of F_N H F_N at a saddle
     w: np.ndarray | None = None     # its unit mode; psi = F_N w
     H: LinearLatticeOperator | None = field(default=None, repr=False, compare=False)
@@ -92,11 +93,10 @@ def _bordered_solve(H: sp.spmatrix, nu: float, rhs: np.ndarray, cell: Supercell)
 def _certify_spectrum(model: PotentialModel, H: LinearLatticeOperator, kind: str):
     """Partial spectral classification from the extremal spectrum of the Hessian.
 
-    Up to ``DENSE_EIG_LIMIT`` degrees of freedom one dense diagonalisation
-    gives the m + 2 lowest eigenvalues (m + 3 at a saddle) and the top one.
-    Above it the m zeros are the Rayleigh quotients of the unit translation
-    fields t, each with |H t| checked against the zero tolerance; one
-    F_N^2-preconditioned LOBPCG solve gives the 2 (3) lowest eigenpairs on
+    Built the same way at every size from three parts: the m zeros are the
+    Rayleigh quotients of the unit translation fields t, each with |H t|
+    checked against the zero tolerance; one F_N^2-preconditioned
+    ``_extremal_eig`` call gives the 2 (3 at a saddle) lowest eigenpairs on
     their complement; and the top entry, ``sigma_max``, is the Gershgorin
     row-sum bound on |H|, which keeps ``tau_zero`` conservative.
 
@@ -105,8 +105,19 @@ def _certify_spectrum(model: PotentialModel, H: LinearLatticeOperator, kind: str
     """
     cell = H.cell
     n, m = cell.n, cell.spec.m
+    stage = f"{kind} certificate"
     expected_neg = 1 if kind == "saddle" else 0
-    eigs, w_small, V_small = _spectrum_ends(model, H, expected_neg + 2, f"{kind} certificate")
+    matvec = lambda v: np.asarray(H.mat @ v)
+    top = float(abs(H.mat).sum(axis=1).max())
+    T = _translation_modes(n, m)
+    HT = matvec(T)
+    drift = float(np.max(np.linalg.norm(HT, axis=0)))
+    if drift > ZERO_TOL_FACTOR * top:
+        raise AmbiguousSpectrumError(
+            f"{stage} at N={cell.N}: |H t| = {drift:g} on a unit translation field")
+    w, V = _extremal_eig(matvec, cell, top, k=expected_neg + 2,
+                         precond=_hessian_precond(cell, model), stage=stage)
+    eigs = np.concatenate([np.einsum("ij,ij->j", T, HT), w, [top]])
     cls = classify_eigenvalues(eigs, expected_zero=m, complete=False)
     cls.n_positive = n * m - cls.n_zero - cls.n_negative
     if cls.n_negative != expected_neg:
@@ -115,8 +126,8 @@ def _certify_spectrum(model: PotentialModel, H: LinearLatticeOperator, kind: str
             f"found {cls.n_negative}", cls)
     if not expected_neg:
         return cls, None, None
-    lam = float(w_small[0])
-    phi = V_small[:, 0] - _mean_project(V_small[:, 0], n, m)
+    lam = float(w[0])
+    phi = V[:, 0] - _mean_project(V[:, 0], n, m)
     phi /= np.linalg.norm(phi)
     res = float(np.linalg.norm(H.mat @ phi - lam * phi))
     if res > 1e-9 * max(float(np.max(np.abs(eigs))), 1.0):
@@ -300,9 +311,7 @@ def find_saddle(model: PotentialModel, cell: Supercell,
         logger.warning("eigenvector following failed at N=%d (%s: %s); "
                        "falling back to the symmetric route",
                        cell.N, type(exc).__name__, exc)
-    point = _saddle_symmetric(model, cell, max_iter)
-    point.route = "symmetric_fallback"
-    return point
+    return _saddle_symmetric(model, cell, max_iter)
 
 
 def _saddle_follow(model: PotentialModel, cell: Supercell, initial_guess,
@@ -310,7 +319,7 @@ def _saddle_follow(model: PotentialModel, cell: Supercell, initial_guess,
     tol = tol_grad(cell)
     u = _start_values(cell, initial_guess)
     n, m = cell.n, cell.spec.m
-    precond = FApplier(cell, model).squared().apply
+    precond = _hessian_precond(cell, model)
     track = None
     V = None                        # the previous step's two softest modes warm-start the next
     gnorm_prev = np.inf
@@ -324,7 +333,7 @@ def _saddle_follow(model: PotentialModel, cell: Supercell, initial_guess,
         matvec = lambda v: np.asarray(H.mat @ v)
         scale = float(abs(H.mat).sum(axis=1).max())     # Gershgorin bound on ||H||
         # constants shifted out of view: the two softest non-translation modes
-        w, V = _extremal_eig(matvec, cell, scale, k=2, mode="SA", precond=precond, X0=V,
+        w, V = _extremal_eig(matvec, cell, scale, k=2, precond=precond, X0=V,
                              stage="saddle step")
         cand = [(float(w[j]), V[:, j]) for j in range(len(w))]
         if track is not None:
@@ -362,7 +371,7 @@ def _saddle_follow(model: PotentialModel, cell: Supercell, initial_guess,
 def _saddle_symmetric(model: PotentialModel, cell: Supercell, max_iter: int) -> StationaryPoint:
     symmetrize = _mirror_symmetrizer(cell, model.mirror)
     fld, energy, gnorm, n_iter, _ = _newton_relax(model, cell, None, max_iter, symmetrize)
-    return finish_point(model, fld, "saddle", energy, gnorm, n_iter, route="symmetric")
+    return finish_point(model, fld, "saddle", energy, gnorm, n_iter, route="symmetric_fallback")
 
 
 def continue_in_N(model: PotentialModel, point: StationaryPoint,

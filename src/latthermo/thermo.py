@@ -165,7 +165,7 @@ def _resolve_state(model: PotentialModel, state):
         modes = [] if state.w is None else [state.w.reshape(-1)]
         return state.u, state.kind, state.lam, state.H, (*state.sigma, mus, modes)
     if isinstance(state, DisplacementField):
-        return state, "state", None, hessian(model, state, kind="defect"), None
+        return state, "state", None, hessian(model, state), None
     raise TypeError("state must be a StationaryPoint or DisplacementField")
 
 
@@ -238,8 +238,7 @@ def site_entropy_first_variation(model: PotentialModel, sites,
     """
     cell = u.cell
     sites = np.atleast_1d(np.asarray(sites, dtype=int))
-    B = variation_contractions(model.homogenized(), cell.zero_field(), u,
-                               with_overrides=False).mat
+    B = variation_contractions(model.homogenized(), cell.zero_field(), u).mat
     F = FApplier(cell, model)
     out = np.empty(len(sites))
     for chunk, E_hat in _site_columns(F, sites):

@@ -89,7 +89,7 @@ def test_criterion_01_operator_identities():
             FN = kernel_FN(model, cell)
             Fop = FN.dense_operator()
             worst = max(worst, Fop.symmetry_defect())                       # FopN1
-            H = hessian(model, cell.zero_field(), kind="homogeneous")
+            H = hessian(model.homogenized(), cell.zero_field())
             A = conjugate_operator(FN, H, include_pi=True)
             eye = np.eye(cell.n * cell.spec.m)
             worst = max(worst, float(np.max(np.abs(A.dense() - eye))))      # FopN2

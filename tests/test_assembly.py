@@ -61,13 +61,13 @@ class TestEnergy:
 
     def test_harmonic_energy_equals_quadratic_form(self):
         model, cell, u = small_state("square_harmonic", scale=0.3)
-        H = hessian(model, u, kind="homogeneous")
+        H = hessian(model.homogenized(), u)
         quad = 0.5 * H.quadratic(u.values)
         assert abs(energy_periodic(model, u) - quad) < 1e-10 * max(1.0, abs(quad))
 
     def test_harmonic_defect_energy_quadratic_oracle(self):
         model, cell, u = small_state("square_harmonic_defect", scale=0.2)
-        H = hessian(model, u, kind="defect")
+        H = hessian(model, u)
         g0 = gradient_periodic(model, cell.zero_field())
         # quadratic model with misfit force: E(u) = E(0) + <g0,u> + 1/2 <Hu,u>
         quad = float(np.sum(g0 * u.values)) + 0.5 * H.quadratic(u.values)
@@ -144,7 +144,7 @@ class TestGradientHessian:
     def test_chain_hessian_eigenvalues_match_symbol(self):
         model = PRESETS["chain_harmonic"]()
         cell = Supercell(model.spec, 2)
-        H = hessian(model, cell.zero_field(), kind="homogeneous")
+        H = hessian(model.homogenized(), cell.zero_field())
         eigs = np.sort(np.linalg.eigvalsh(H.dense()))
         ks = cell.dual.k[:, 0]
         expected = np.sort(4 * np.sin(ks / 2) ** 2)
@@ -153,7 +153,7 @@ class TestGradientHessian:
     def test_homogeneous_hessian_psd_with_translation_kernel(self):
         for name in ["square_harmonic", "square_anharmonic"]:
             model, cell, _ = small_state(name, N=4)
-            H = hessian(model, cell.zero_field(), kind="homogeneous")
+            H = hessian(model.homogenized(), cell.zero_field())
             w = np.linalg.eigvalsh(H.dense())
             assert w.min() > -1e-10
             assert (np.abs(w) < 1e-10).sum() == cell.spec.m
@@ -203,8 +203,7 @@ def test_assembled_operators_store_only_nonzeros(name, monkeypatch):
     monkeypatch.setattr(assembly, "_nonzero_csr", spy)
     mats = [hessian(model, u).mat,
             variation_contractions(model, u, u).mat,
-            variation_contractions(model.homogenized(), cell.zero_field(), u,
-                                   with_overrides=False).mat]
+            variation_contractions(model.homogenized(), cell.zero_field(), u).mat]
     dim = cell.n * cell.spec.m
     for mat, (rows, cols, vals) in zip(mats, scattered, strict=True):
         summed = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()

@@ -245,9 +245,9 @@ class TestSweep:
 
         hessian = assembly.hessian
 
-        def keyed_hessian(model, u, kind="defect"):
-            assembled[(u.cell.N, kind, u.values.tobytes())] += 1
-            return hessian(model, u, kind)
+        def keyed_hessian(model, u):
+            assembled[(u.cell.N, model.name, u.values.tobytes())] += 1
+            return hessian(model, u)
 
         for fn, wrapper in [(hessian, keyed_hessian)] + [
                 (fn, counted(fn)) for fn in (thermo.entropy_total, thermo.site_entropies,

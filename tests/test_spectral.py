@@ -35,6 +35,19 @@ from latthermo.spectral import (
 BENCH_CONFIGS = Path(__file__).resolve().parent.parent / "bench" / "configs"
 
 
+def double_well_pair():
+    """The N=4 square double-well minimum, relaxed from the kick, and the
+    saddle found from the midpoint of it and its mirror image."""
+    from latthermo import find_saddle, relax_minimum
+    model = preset_model("square_double_well")
+    cell = Supercell(model.spec, 4)
+    kick = np.zeros((cell.n, 2))
+    kick[cell.index((0, 0))] = [0.15, 0.0]
+    minimum = relax_minimum(model, cell, initial_guess=kick)
+    act, u = cell.symmetry(model.mirror).act, minimum.u.values
+    return model, cell, minimum, find_saddle(model, cell, initial_guess=0.5 * (u + act(u)))
+
+
 def stable_state(name="square_misfit", N=4, scale=0.03, seed=0):
     model = PRESETS[name]()
     cell = Supercell(model.spec, N)
@@ -112,7 +125,7 @@ class TestConjugation:
             FN = kernel_FN(model, cell)
             Fmat = FN.dense_operator()
             assert Fmat.symmetry_defect() < 1e-12           # FopN1: self-adjoint
-            H = hessian(model, cell.zero_field(), kind="homogeneous")
+            H = hessian(model.homogenized(), cell.zero_field())
             pi = projector_constants(cell).mat
             A = conjugate_operator(FN, H, include_pi=True)
             dim = cell.n * cell.spec.m
@@ -240,16 +253,16 @@ class TestEigenpairs:
         w -= w.mean()
         w /= np.linalg.norm(w)
         A = 3.0 * np.eye(cell.n) - 2.5 * np.outer(w, w)
-        lam, phi = _extremal_eig(lambda v: A @ v, cell, 3.0, k=1, mode="SA")
+        lam, phi = _extremal_eig(lambda v: A @ v, cell, 3.0, k=1)
         assert abs(lam[0] - 0.5) < 1e-9
         assert abs(abs(phi[:, 0] @ w) - 1.0) < 1e-8
 
     def test_hom_smallest_matches_symbol(self):
         model = preset_model("square_anharmonic")
         cell = Supercell(model.spec, 4)
-        H = hessian(model, cell.zero_field(), kind="homogeneous")
+        H = hessian(model.homogenized(), cell.zero_field())
         gershgorin = float(abs(H.mat).sum(axis=1).max())
-        lam, _ = _extremal_eig(lambda v: H.mat @ v, cell, gershgorin, k=1, mode="SA")
+        lam, _ = _extremal_eig(lambda v: H.mat @ v, cell, gershgorin, k=1)
         ks = cell.dual.k
         nonzero = ~np.all(cell.dual.y == 0, axis=1)
         w = np.linalg.eigvalsh(symbol_h_batch(model, ks[nonzero]))
@@ -257,7 +270,7 @@ class TestEigenpairs:
 
     def test_generalized_identity_and_scaling(self):
         model, cell, _ = stable_state("square_anharmonic", N=3)
-        Hh = hessian(model, cell.zero_field(), kind="homogeneous")
+        Hh = hessian(model.homogenized(), cell.zero_field())
         lo, hi, mus, _ = generalized_eigen(Hh, model)
         assert abs(lo - 1.0) < 1e-8 and abs(hi - 1.0) < 1e-8 and mus == []
         H2 = LinearLatticeOperator(cell, 2.0 * Hh.mat, "composite")
@@ -274,32 +287,18 @@ class TestEigenpairs:
         w_nonzero = w[np.abs(w) > 1e-10 * np.max(np.abs(w))]
         assert abs(lo - w_nonzero.min()) < 1e-8
         # a negative pair: the double-well saddle; psi = F_N w has <H_hom psi, psi> = 1
-        from latthermo import find_saddle, relax_minimum
-        model = preset_model("square_double_well")
-        cell = Supercell(model.spec, 4)
-        kick = np.zeros((cell.n, 2))
-        kick[cell.index((0, 0))] = [0.15, 0.0]
-        minimum = relax_minimum(model, cell, initial_guess=kick)
-        act, u = cell.symmetry(model.mirror).act, minimum.u.values
-        saddle = find_saddle(model, cell, initial_guess=0.5 * (u + act(u)))
+        model, cell, minimum, saddle = double_well_pair()
         _, _, mus, modes = generalized_eigen(saddle.H, model, expected_negative=1)
         assert len(mus) == 1 and mus[0] < 0
         psi = FApplier(cell, model).apply(modes[0])
-        Hh = hessian(model, cell.zero_field(), kind="homogeneous")
+        Hh = hessian(model.homogenized(), cell.zero_field())
         assert abs(Hh.quadratic(psi) - 1.0) < 1e-8
 
 
     def test_dense_route_takes_one_eigh(self, monkeypatch):
         # the double-well saddle at N=4: one diagonalisation gives the bounds
         # and the negative pair that the iterative solves give separately
-        from latthermo import find_saddle, relax_minimum
-        model = preset_model("square_double_well")
-        cell = Supercell(model.spec, 4)
-        kick = np.zeros((cell.n, 2))
-        kick[cell.index((0, 0))] = [0.15, 0.0]
-        minimum = relax_minimum(model, cell, initial_guess=kick)
-        act, u = cell.symmetry(model.mirror).act, minimum.u.values
-        saddle = find_saddle(model, cell, initial_guess=0.5 * (u + act(u)))
+        model, cell, minimum, saddle = double_well_pair()
         dim = cell.n * cell.spec.m
         calls = []
         eigh = np.linalg.eigh
@@ -318,6 +317,18 @@ class TestEigenpairs:
         assert abs(lo - lo2) < 1e-9 and abs(hi - hi2) < 1e-9
         assert len(mus) == len(mus2) == 1 and abs(mus[0] - mus2[0]) < 1e-9
         assert abs(abs(modes[0] @ modes2[0]) - 1.0) < 1e-8
+
+    @pytest.mark.parametrize("limit", [None, 0])
+    def test_generalized_rejects_a_wrong_negative_count(self, monkeypatch, limit):
+        # the N=4 double-well pair on the dense route and, with the limit at
+        # 0, on LOBPCG: an unexpected negative mode and a missing one raise
+        model, cell, minimum, saddle = double_well_pair()
+        if limit is not None:
+            monkeypatch.setattr(spectral, "DENSE_EIG_LIMIT", limit)
+        with pytest.raises(AmbiguousSpectrumError, match="expected 0 negative modes, found 1"):
+            generalized_eigen(saddle.H, model, expected_negative=0)
+        with pytest.raises(AmbiguousSpectrumError, match="expected 1 negative modes, found 0"):
+            generalized_eigen(minimum.H, model, expected_negative=1)
 
 
 def site_log_oracle(model, H, sites, expected_negative=0):
@@ -628,14 +639,7 @@ class TestLogPlusCommutation:
 
 class TestChebyshevAtSaddle:
     def test_matches_dense_with_negative_mode_deflated(self):
-        from latthermo import find_saddle, relax_minimum
-        model = preset_model("square_double_well")
-        cell = Supercell(model.spec, 4)
-        kick = np.zeros((cell.n, 2))
-        kick[cell.index((0, 0))] = [0.15, 0.0]
-        minimum = relax_minimum(model, cell, initial_guess=kick)
-        act, u = cell.symmetry(model.mirror).act, minimum.u.values
-        saddle = find_saddle(model, cell, initial_guess=0.5 * (u + act(u)))
+        model, cell, minimum, saddle = double_well_pair()
         H = hessian(model, saddle.u)
         sites = np.arange(0, cell.n, 5)
         dense = site_log_oracle(model, H, sites, expected_negative=1)
@@ -649,7 +653,7 @@ def test_conjugate_operator_size_mismatch():
     small = Supercell(model.spec, 3)
     big = Supercell(model.spec, 4)
     FN = kernel_FN(model, small)
-    H = hessian(model, big.zero_field(), kind="homogeneous")
+    H = hessian(model.homogenized(), big.zero_field())
     with pytest.raises(ValueError):
         conjugate_operator(FN, H)
 
@@ -658,6 +662,6 @@ def test_fopn_identity_d3():
     model = preset_model("cube_harmonic")
     cell = Supercell(model.spec, 2)
     FN = kernel_FN(model, cell)
-    H = hessian(model, cell.zero_field(), kind="homogeneous")
+    H = hessian(model.homogenized(), cell.zero_field())
     A = conjugate_operator(FN, H, include_pi=True)
     assert np.max(np.abs(A.dense() - np.eye(cell.n))) < 1e-10

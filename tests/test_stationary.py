@@ -177,7 +177,7 @@ class TestFindSaddle:
         sd1 = find_saddle(model, cell, initial_guess=0.5 * (minimum.u.values + vals2))
         sd2 = _saddle_symmetric(model, cell, max_iter=120)
         assert sd1.route == "follow"
-        assert sd2.route == "symmetric"
+        assert sd2.route == "symmetric_fallback"
         assert abs(sd1.energy - sd2.energy) < 1e-8
         assert np.max(np.abs(sd1.u.values - sd2.u.values)) < 1e-6
 
@@ -248,15 +248,16 @@ def test_certify_reruns_classification():
 
 
 def test_dense_certificate_takes_one_eigh(monkeypatch):
-    # both ends of the spectrum come from one diagonalisation, equal bit for
-    # bit to one eigh of the assembled Hessian (symmetrised: it is symmetric
-    # only to round-off)
+    # the low end comes from one diagonalisation with the constants shifted
+    # out of view, and agrees with one eigh of the assembled Hessian
+    # (symmetrised: it is symmetric only to round-off); the zeros are the
+    # translation Rayleigh quotients and the top is the Gershgorin bound
     from latthermo.stationary import _certify_spectrum
     model, cell, minimum = double_well_minimum(4)
     H = minimum.H
     A = H.dense()
     w = np.linalg.eigh(0.5 * (A + A.T))[0]
-    k = cell.spec.m + 2
+    m, k = cell.spec.m, 2
     calls = []
     eigh = np.linalg.eigh
 
@@ -266,8 +267,12 @@ def test_dense_certificate_takes_one_eigh(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
     cls = _certify_spectrum(model, H, "minimum")[0]
-    assert calls == [(cell.n * 2, cell.n * 2)]
-    assert np.array_equal(cls.eigenvalues, np.concatenate([w[:k], w[-1:]]))
+    assert calls == [(cell.n * m, cell.n * m)]
+    gershgorin = float(abs(H.mat).sum(axis=1).max())
+    assert len(cls.eigenvalues) == m + k + 1
+    assert np.max(np.abs(cls.eigenvalues[:m])) < 1e-12 * gershgorin
+    np.testing.assert_allclose(cls.eigenvalues[m:m + k], w[m:m + k], rtol=1e-12)
+    assert cls.eigenvalues[-1] == cls.sigma_max == gershgorin
 
 
 @pytest.mark.parametrize("case", ["cube_harmonic_minimum", "double_well_saddle"])
@@ -303,10 +308,56 @@ def test_iterative_certificate_matches_dense(monkeypatch, case):
     assert len(it_low) == len(dense_low) == neg + 2
     np.testing.assert_allclose(it_low, dense_low, rtol=1e-9)
     np.testing.assert_allclose(it_facts, dense_facts, rtol=1e-9)
-    # the top entry is the Gershgorin bound, above the top eigenvalue
-    assert it.sigma_max >= dense.sigma_max and it.tau_zero >= dense.tau_zero
+    # one layout on both routes (sorted): the expected negatives + 2 lowest,
+    # m translation zeros between them, and the Gershgorin bound as the top
+    m = cell.spec.m
+    gershgorin = float(abs(H.mat).sum(axis=1).max())
+    for cls in (dense, it):
+        assert len(cls.eigenvalues) == m + neg + 2 + 1
+        assert cls.labels == (["unstable_negative"] * neg + ["translation_zero"] * m
+                              + ["positive"] * 3)
+        assert cls.eigenvalues[-1] == cls.sigma_max == gershgorin
+    # the zeros are the same translation Rayleigh quotients
+    np.testing.assert_array_equal(it.eigenvalues[neg:neg + m], dense.eigenvalues[neg:neg + m])
+    assert it.tau_zero == dense.tau_zero
     if case == "cube_harmonic_minimum":
         np.testing.assert_allclose(it_low, 1.3397, rtol=1e-4)
+
+
+@pytest.mark.parametrize("N", [4, 8])
+def test_finish_point_solve_counts(monkeypatch, N):
+    # at N=4 (128 dofs) one dense eigh per operator, H then F_N H F_N; at N=8
+    # (512 dofs) one LOBPCG solve for the certificate and two (top, bottom)
+    # for F_N H F_N. A restart inside _lobpcg_eig does not count.
+    from latthermo import spectral
+    from latthermo.stationary import finish_point
+    model, cell, minimum = double_well_minimum(N)
+    mid = 0.5 * (minimum.u.values + mirror_image(model, cell, minimum.u.values))
+    saddle = find_saddle(model, cell, initial_guess=mid)
+    dim = cell.n * cell.spec.m
+    eighs, lobpcgs = [], []
+    eigh, lobpcg_eig = np.linalg.eigh, spectral._lobpcg_eig
+
+    def counted_eigh(a, *args, **kwargs):
+        if np.ndim(a) == 2:
+            eighs.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    def counted_lobpcg(*args, **kwargs):
+        lobpcgs.append(args[8] if len(args) > 8 else kwargs["stage"])
+        return lobpcg_eig(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(spectral, "_lobpcg_eig", counted_lobpcg)
+    for pt in (minimum, saddle):
+        eighs.clear()
+        lobpcgs.clear()
+        finish_point(model, pt.u, pt.kind, pt.energy, pt.gradient_norm, pt.n_iter, H=pt.H)
+        if N == 4:
+            assert eighs == [(dim, dim)] * 2 and lobpcgs == []
+        else:
+            assert eighs == []
+            assert lobpcgs == [f"{pt.kind} certificate", "F_N H F_N top", "F_N H F_N bottom"]
 
 
 def test_no_arpack_on_any_route(monkeypatch):
@@ -368,7 +419,7 @@ def test_preconditioned_lobpcg_converges_from_every_seed():
     scale = float(abs(H.mat).sum(axis=1).max())
     lows = []
     for seed in range(4):
-        w, V = _extremal_eig(matvec, cell, scale, k=2, mode="SA", precond=precond, seed=seed)
+        w, V = _extremal_eig(matvec, cell, scale, k=2, precond=precond, seed=seed)
         assert np.max(np.linalg.norm(matvec(V) - V * w, axis=0)) <= 1e-9 * scale
         lows.append(w)
     assert np.ptp(np.array(lows), axis=0).max() < 1e-10 * scale

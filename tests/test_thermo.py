@@ -58,7 +58,7 @@ class TestEntropyTotal:
         pt = relax_minimum(model, cell)
         S = entropy_total(model, pt)
         w_def = np.linalg.eigvalsh(hessian(model, pt.u).dense())
-        w_hom = np.linalg.eigvalsh(hessian(model, cell.zero_field(), "homogeneous").dense())
+        w_hom = np.linalg.eigvalsh(hessian(model.homogenized(), cell.zero_field()).dense())
         oracle = -0.5 * np.sum(np.log(w_def[w_def > 1e-8])) \
             + 0.5 * np.sum(np.log(w_hom[w_hom > 1e-8]))
         assert abs(S - oracle) < 1e-9 * max(1.0, abs(oracle))
@@ -157,7 +157,7 @@ class TestFirstVariation:
         vals = []
         for s in (h, -h):
             us = DisplacementField(cell, s * u.values)
-            H = hessian(model, us, kind="homogeneous")
+            H = hessian(model.homogenized(), us)
             tr, _ = site_log_traces(H, model, sites)
             vals.append(-0.5 * tr)
         fd = (vals[0] - vals[1]) / (2 * h)
@@ -199,7 +199,7 @@ def test_first_variation_matches_dense_kernel_oracle(case):
         cell = Supercell(model.spec, N)
         u = relax_minimum(model, cell).u
     m = model.spec.m
-    B = variation_contractions(model.homogenized(), cell.zero_field(), u, with_overrides=False)
+    B = variation_contractions(model.homogenized(), cell.zero_field(), u)
     A = conjugate_operator(kernel_FN(model, cell), B, include_pi=False).dense()
     oracle = -0.5 * np.diagonal(A).reshape(-1, m).sum(axis=1)
     fv = site_entropy_first_variation(model, np.arange(cell.n), u)
@@ -447,7 +447,7 @@ def test_sheared_supercell_pipeline():
 
     cell = Supercell(spec, 3)
     FN = kernel_FN(model, cell)
-    H_hom = hessian(model, cell.zero_field(), kind="homogeneous")
+    H_hom = hessian(model.homogenized(), cell.zero_field())
     A_id = conjugate_operator(FN, H_hom, include_pi=True)
     assert np.max(np.abs(A_id.dense() - np.eye(cell.n * 2))) < 1e-10
 
@@ -467,7 +467,7 @@ def test_homogeneous_logdet_closed_form(case):
     else:
         model = preset_model("square_misfit")
         cell = Supercell(model.spec, 8)
-    H_hom = hessian(model, cell.zero_field(), kind="homogeneous")
+    H_hom = hessian(model.homogenized(), cell.zero_field())
     if case == "sheared_dense":
         oracle, _ = logdet_plus(H_hom, expected_zero=model.spec.m)
     else:
