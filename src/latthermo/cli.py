@@ -30,9 +30,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _load(args) -> RunConfig:
-    formats = ("csv", "json") if args.format == "both" else (args.format,)
-    cfg = load_config(args.config, out_override=args.out, seed=args.seed,
-                      formats=formats)
+    cfg = load_config(args.config, out_override=args.out, seed=args.seed)
     if cfg.out is None:
         cfg.out = _default_out() / cfg.model.name
     return cfg
@@ -112,7 +110,7 @@ def _cmd_rate(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = _load(args)
     table = sweep(cfg)
-    files = emit(table, cfg.out, cfg.formats)
+    files = emit(table, cfg.out, ("csv", "json") if args.format == "both" else (args.format,))
     for f in files:
         print(f"wrote {f}")
     bad = [r for r in table.rows if r["status"] != "ok"]
@@ -133,9 +131,7 @@ def _cmd_fit(args) -> int:
         print("not enough rows with positive errors", file=sys.stderr)
         return 2
     f = fit_rate(np.array([e[0] for e in errs], float),
-                 np.array([e[1] for e in errs], float),
-                 mode="power_with_log" if args.log_power else "pure_power",
-                 log_power=args.log_power)
+                 np.array([e[1] for e in errs], float), log_power=args.log_power)
     print(f"{args.column}: exponent {f.exponent:+.4f} +- {f.ci95:.4f} "
           f"(residual {f.residual:.3g}, {f.n_points} points, {f.dropped} dropped)")
     return 0

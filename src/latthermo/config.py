@@ -18,8 +18,7 @@ from .potentials import (
 
 __all__ = ["load_config", "model_from_config"]
 
-RUN_KEYS = ("N_list", "beta", "seed", "out", "saddle", "kick", "N_ref", "R_sum",
-            "max_iter", "formats")
+RUN_KEYS = ("N_list", "beta", "seed", "out", "saddle", "kick", "N_ref", "R_sum", "max_iter")
 POTENTIAL_KEYS = {"harmonic": ("kind", "classes", "scale", "b_radial"),
                   "morse": ("kind", "classes", "scale", "shift")}
 CLASS_KEYS = {"harmonic": ("len", "k"), "morse": ("len", "D", "a")}
@@ -107,8 +106,8 @@ def model_from_config(cfg: dict) -> PotentialModel:
                           mirror=mirror)
 
 
-def load_config(path: Path, out_override: Path | None = None, seed: int | None = None,
-                formats: tuple[str, ...] | None = None) -> RunConfig:
+def load_config(path: Path, out_override: Path | None = None,
+                seed: int | None = None) -> RunConfig:
     with open(path) as fh:
         raw = yaml.safe_load(fh)
     _check_keys(raw, ("model", "run"), "top-level")
@@ -134,5 +133,4 @@ def load_config(path: Path, out_override: Path | None = None, seed: int | None =
         N_ref=None if run.get("N_ref") is None else int(run["N_ref"]),
         R_sum=None if run.get("R_sum") is None else float(run["R_sum"]),
         max_iter=int(run.get("max_iter", 100)),
-        formats=formats or tuple(run.get("formats", ("csv", "json"))),
     )

@@ -16,7 +16,6 @@ class RateFit:
     ci95: float                 # half-width of the 95% interval on the exponent
     residual: float             # rms residual of the log-log fit
     n_points: int
-    mode: str = "pure_power"
     log_power: float = 0.0
     dropped: int = 0            # nonpositive values filtered out
 
@@ -25,9 +24,9 @@ class RateFit:
         return self.exponent < -0.2
 
 
-def fit_rate(x: np.ndarray, err: np.ndarray, mode: str = "pure_power",
-             log_power: float = 0.0) -> RateFit:
-    """Least squares of log err against log x, optionally minus q log log x.
+def fit_rate(x: np.ndarray, err: np.ndarray, log_power: float = 0.0) -> RateFit:
+    """Least squares of log err - q log log x against log x, q = ``log_power``
+    (0, a pure power law, by default).
 
     Nonpositive errors (exact zeros) are filtered with a notice in the
     result. The fitted exponent is invariant under err -> c * err.
@@ -39,11 +38,7 @@ def fit_rate(x: np.ndarray, err: np.ndarray, mode: str = "pure_power",
     x, err = x[keep], err[keep]
     if x.size < 3:
         raise ValueError("rate fit needs at least 3 positive error values")
-    ly = np.log(err)
-    if mode == "power_with_log":
-        ly = ly - log_power * np.log(np.log(np.maximum(x, np.e)))
-    elif mode != "pure_power":
-        raise ValueError("mode must be 'pure_power' or 'power_with_log'")
+    ly = np.log(err) - log_power * np.log(np.log(np.maximum(x, np.e)))
     lx = np.log(x)
     A = np.stack([lx, np.ones_like(lx)], axis=1)
     coef, res, *_ = np.linalg.lstsq(A, ly, rcond=None)
@@ -57,7 +52,7 @@ def fit_rate(x: np.ndarray, err: np.ndarray, mode: str = "pure_power",
     tq = {1: 12.706, 2: 4.303, 3: 3.182, 4: 2.776, 5: 2.571, 6: 2.447, 7: 2.365,
           8: 2.306, 9: 2.262, 10: 2.228}.get(dof, 2.0)
     return RateFit(exponent=slope, intercept=intercept, ci95=tq * stderr,
-                   residual=float(np.sqrt(s2)), n_points=int(x.size), mode=mode,
+                   residual=float(np.sqrt(s2)), n_points=int(x.size),
                    log_power=log_power, dropped=dropped)
 
 

@@ -47,7 +47,6 @@ class RunConfig:
     N_ref: int | None = None
     R_sum: float | None = None
     max_iter: int = 100
-    formats: tuple[str, ...] = ("csv", "json")
 
     def __post_init__(self):
         Ns = list(self.N_list)

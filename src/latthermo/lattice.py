@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -271,7 +271,7 @@ class Supercell:
     Sites are stored in integer coordinates (rows of ``x``); real positions
     are ``x @ A.T``. With unimodular U, V and U (2N C) V = diag(s), site x
     sits in slot U x mod s of an s-shaped grid and dual label y in slot
-    V^T y mod s: on every cell, lookup is a table read and the DFT an FFT.
+    -V^T y mod s: on every cell, lookup is a table read and the DFT an FFT.
     """
 
     def __init__(self, spec: LatticeSpec, N: int, check_interaction: bool = True):
@@ -298,8 +298,6 @@ class Supercell:
         if check_interaction and not self.interaction_fits:
             raise PreconditionError(f"N={N} too small for r_cut={spec.r_cut}")
         self.dual = self._build_dual()
-        self._y_slots = self._slots(self.dual.y, V.T)
-        self._dual_at_slot = np.argsort(self._y_slots)
         self._neg_y_slots = self._slots(-self.dual.y, V.T)
 
     # -- site bookkeeping -------------------------------------------------
@@ -363,29 +361,25 @@ class Supercell:
         k = (np.pi / self.N) * np.linalg.solve(self.spec.B.T, y.T).T
         return DualGrid(N=self.N, y=y, k=k)
 
-    def _fft(self, f: np.ndarray, at_slot: np.ndarray, out_slots: np.ndarray,
-             transform: Callable) -> np.ndarray:
-        """Lay f out on the s-grid, transform the grid axes, read it back at out_slots."""
-        grid = f[at_slot].astype(complex, copy=False).reshape(self._fft_shape + f.shape[1:])
-        grid = transform(grid, axes=tuple(range(self.spec.d)))
-        return grid.reshape((self.n,) + f.shape[1:])[out_slots]
-
     def dft(self, f: np.ndarray) -> np.ndarray:
         """g_hat(k) = sum_ell e^{i k.ell} f(ell); f has shape (n, ...).
 
-        k.ell = 2 pi (V^T y)^T diag(s)^-1 (U x), so this is an inverse FFT of shape s.
+        k.ell = 2 pi (V^T y)^T diag(s)^-1 (U x), so this is the FFT of shape s
+        read at the dual slots -V^T y.
         """
         f = np.asarray(f)
         if f.shape[0] != self.n:
             raise ValueError(f"field has {f.shape[0]} entries, cell has {self.n} sites")
-        return self._fft(f, self._site_at_slot, self._y_slots, np.fft.ifftn) * self.n
+        grid = np.fft.fftn(self.to_grid(f), axes=tuple(range(self.spec.d)))
+        return self.from_grid(grid, dual=True)
 
     def idft(self, fhat: np.ndarray) -> np.ndarray:
         """Inverse transform: f(ell) = |B_N|^-1 sum_k e^{-i k.ell} g_hat(k)."""
         fhat = np.asarray(fhat, dtype=complex)
         if fhat.shape[0] != self.n:
             raise ValueError("spectrum size does not match dual grid")
-        return self._fft(fhat, self._dual_at_slot, self._x_slots, np.fft.fftn) / self.n
+        grid = np.fft.ifftn(self.to_grid(fhat, dual=True), axes=tuple(range(self.spec.d)))
+        return self.from_grid(grid)
 
     @property
     def grid_shape(self) -> tuple[int, ...]:
@@ -404,10 +398,12 @@ class Supercell:
         grid[slots] = f
         return grid.reshape(self._fft_shape + f.shape[1:])
 
-    def from_grid(self, grid: np.ndarray) -> np.ndarray:
-        """Read an (*s, ...) grid back at the site slots; (n, ...)."""
+    def from_grid(self, grid: np.ndarray, dual: bool = False) -> np.ndarray:
+        """Read an (*s, ...) grid back at the site slots, or with ``dual`` at
+        the dual slots -V^T y; (n, ...)."""
         d = len(self._fft_shape)
-        return grid.reshape((self.n,) + grid.shape[d:])[self._x_slots]
+        slots = self._neg_y_slots if dual else self._x_slots
+        return grid.reshape((self.n,) + grid.shape[d:])[slots]
 
     # -- fields -----------------------------------------------------------
 

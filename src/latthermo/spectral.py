@@ -294,12 +294,6 @@ def _perm_parity(perm: np.ndarray) -> int:
     return parity
 
 
-def _bordered(K: sp.spmatrix, cell: Supercell) -> sp.csc_matrix:
-    """[[K, Z], [Z^T, 0]] with Z the orthonormal translation modes of ``cell``."""
-    Z = sp.csc_matrix(_translation_modes(cell.n, cell.spec.m))
-    return sp.bmat([[K, Z], [Z.T, None]], format="csc")
-
-
 def logdet_plus_factorized(H: LinearLatticeOperator, negatives: Sequence[float] = ()) -> float:
     """log det+ of a sparse lattice Hessian via a bordered sparse factorization.
 
@@ -309,7 +303,8 @@ def logdet_plus_factorized(H: LinearLatticeOperator, negatives: Sequence[float] 
     the overall sign is audited.
     """
     m = H.cell.spec.m
-    lu = spla.splu(_bordered(H.mat, H.cell))
+    Z = sp.csc_matrix(_translation_modes(H.cell.n, m))
+    lu = spla.splu(sp.bmat([[H.mat, Z], [Z.T, None]], format="csc"))
     diag = lu.U.diagonal()
     if np.any(diag == 0):
         raise AmbiguousSpectrumError("singular bordered factorization")

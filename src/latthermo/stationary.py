@@ -1,9 +1,10 @@
 """Stationary points of the supercell energy: minima, index-1 saddles, tracking.
 
-The minimiser is a damped Newton iteration with the exact sparse Hessian,
-solved on the zero-mean subspace through a bordered factorization. The saddle
-search follows the softest non-translation mode (eigenvector following), with
-a symmetric-subspace fallback for models that declare a mirror symmetry.
+The minimiser is a damped Newton iteration with the exact sparse Hessian.
+The saddle search follows the softest non-translation mode (eigenvector
+following), with a symmetric-subspace fallback for models that declare a
+mirror symmetry. Every Newton step of both takes one linear solver: CG on the
+complement of the constants, preconditioned by F_N^2 = (H^hom)^+.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import logging
 from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .assembly import LinearLatticeOperator, energy_periodic, gradient_periodic, hessian
 from .lattice import DisplacementField, Supercell, cutoff_T_R
@@ -21,7 +21,6 @@ from .spectral import (
     AmbiguousSpectrumError,
     ZERO_TOL_FACTOR,
     ModeClassification,
-    _bordered,
     _extremal_eig,
     _hessian_precond,
     _mean_project,
@@ -44,6 +43,8 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 STEP_MAX = 0.25                     # largest per-component saddle step
+CG_RTOL = 1e-10                     # relative residual of every Newton-step solve
+CG_MAXITER = 1000
 
 
 class CertificationError(RuntimeError):
@@ -82,12 +83,50 @@ class StationaryPoint:
         return self.u.cell.N
 
 
-def _bordered_solve(H: sp.spmatrix, nu: float, rhs: np.ndarray, cell: Supercell) -> np.ndarray:
-    """Solve (H + nu I) p = rhs on the zero-mean subspace via translation borders."""
-    dim = cell.n * cell.spec.m
-    K = H + nu * sp.identity(dim, format="csr")
-    sol = spla.splu(_bordered(K, cell)).solve(np.concatenate([rhs, np.zeros(cell.spec.m)]))
-    return sol[:dim]
+def _bordered_solve(H: sp.spmatrix, nu: float, rhs: np.ndarray, cell: Supercell, precond,
+                    modes=(), stage: str = "Newton step") -> np.ndarray | None:
+    """Solve (H + nu I) p = rhs on the complement of the constants and ``modes``.
+
+    CG preconditioned by P F_N^2 P, with P the orthogonal projector on that
+    complement and F_N^2 the block map ``precond`` (``_hessian_precond``), to
+    relative residual ``CG_RTOL``. ``modes`` are orthonormal and orthogonal to
+    the constants. Returns None when a search direction has non-positive
+    curvature, so H + nu I is not positive there; raises RuntimeError naming
+    ``stage`` and N at ``CG_MAXITER`` iterations.
+
+    The one Newton-step solver of the minimiser and the saddle search. It
+    keeps the name of the bordered LU it replaced because bench/tracing.py
+    wraps it by that name; the two are renamed together.
+    """
+    n, m = cell.n, cell.spec.m
+
+    def project(v):
+        out = v - _mean_project(v, n, m)
+        for w in modes:
+            out = out - w * (w @ out)
+        return out
+
+    r = project(rhs)
+    x = np.zeros_like(r)
+    r_tol = CG_RTOL * float(np.linalg.norm(r))
+    z = project(precond(r))
+    p, rz = z, float(r @ z)
+    for _ in range(CG_MAXITER):
+        if np.linalg.norm(r) <= r_tol:
+            return x
+        Kp = project(np.asarray(H @ p) + nu * p)
+        curv = float(p @ Kp)
+        if curv <= 0:
+            return None
+        alpha = rz / curv
+        x += alpha * p
+        r -= alpha * Kp
+        z = project(precond(r))
+        rz_new = float(r @ z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    raise RuntimeError(f"{stage} at N={cell.N}: CG residual {np.linalg.norm(r):g} above "
+                       f"{r_tol:g} after {CG_MAXITER} iterations")
 
 
 def _certify_spectrum(model: PotentialModel, H: LinearLatticeOperator, kind: str):
@@ -184,9 +223,13 @@ def _newton_relax(model: PotentialModel, cell: Supercell, initial_guess, max_ite
     """Damped Newton to |g| <= tol_grad; returns (field, E, |g|, iterations, |g| history).
 
     ``symmetrize`` is an optional field projector applied to iterates and
-    gradients (used by the symmetric saddle search).
+    gradients (used by the symmetric saddle search). A step whose solve meets
+    non-positive curvature, or that is no descent direction, moves to the
+    next shift of the ``nu`` ladder.
     """
     tol = tol_grad(cell)
+    precond = _hessian_precond(cell, model)
+    stage = "minimum step" if symmetrize is None else "symmetric saddle step"
     u = _start_values(cell, initial_guess)
     if symmetrize is not None:
         u = symmetrize(u)
@@ -206,11 +249,13 @@ def _newton_relax(model: PotentialModel, cell: Supercell, initial_guess, max_ite
         H = hessian(model, fld).mat
         accepted = False
         for _ in range(12):
-            p = _bordered_solve(H, nu, -g.reshape(-1), fld.cell).reshape(u.shape)
-            if symmetrize is not None:
-                p = symmetrize(p)
-            slope = float(np.sum(p * g))
-            if slope >= 0:
+            p = _bordered_solve(H, nu, -g.reshape(-1), cell, precond, stage=stage)
+            if p is not None:
+                p = p.reshape(u.shape)
+                if symmetrize is not None:
+                    p = symmetrize(p)
+            slope = np.inf if p is None else float(np.sum(p * g))
+            if slope >= 0:              # non-positive curvature or no descent: shift more
                 nu = 10.0 * nu if nu else max(0.1 * nu_last, 1e-6)
                 continue
             # a predicted decrease below the rounding of E cannot be seen in E:
@@ -258,37 +303,6 @@ def _mirror_symmetrizer(cell: Supercell, Q: np.ndarray):
         return 0.5 * (values + mirror.act(values))
 
     return symmetrize
-
-
-def _projected_cg(H: sp.spmatrix, rhs: np.ndarray, cell: Supercell,
-                  modes: list[np.ndarray], nu: float, rtol: float,
-                  max_iter: int = 400) -> np.ndarray:
-    """CG for (H + nu) p = rhs on the complement of constants and given modes."""
-    n, m = cell.n, cell.spec.m
-
-    def project(v):
-        out = v - _mean_project(v, n, m)
-        for w in modes:
-            out = out - w * (w @ out)
-        return out
-
-    b = project(rhs)
-    x = np.zeros_like(b)
-    r = b.copy()
-    p = r.copy()
-    rs = float(r @ r)
-    b2 = np.sqrt(rs)
-    for _ in range(max_iter):
-        Hp = project(np.asarray(H @ p) + nu * p)
-        alpha = rs / float(p @ Hp)
-        x += alpha * p
-        r -= alpha * Hp
-        rs_new = float(r @ r)
-        if np.sqrt(rs_new) <= rtol * max(b2, 1e-300):
-            break
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    return project(x)
 
 
 def find_saddle(model: PotentialModel, cell: Supercell,
@@ -351,8 +365,11 @@ def _saddle_follow(model: PotentialModel, cell: Supercell, initial_guess,
         g1 = float(g @ v1)
         p1 = -(g1 / lam_eff) * v1
         nu = max(0.0, delta - lam2)
-        rtol = min(0.1, max(gnorm, 1e-14)) if gnorm > 1e3 * tol else 1e-10
-        p_perp = _projected_cg(H.mat, -(g - g1 * v1), cell, [v1], nu, rtol)
+        p_perp = _bordered_solve(H.mat, nu, -(g - g1 * v1), cell, precond, modes=[v1],
+                                 stage="saddle step")
+        if p_perp is None:
+            raise RuntimeError(f"saddle step at N={cell.N}: non-positive curvature "
+                               f"off the followed mode (shift {nu:g})")
         p = p1 + p_perp
         pmax = float(np.max(np.abs(p)))
         if pmax > STEP_MAX:

@@ -86,7 +86,6 @@ class RenormalisedEntropy:
 
 @dataclass
 class DeltaSReport:
-    value: float
     direct: float                # bordered-LU det+ route
     splitting: float             # site-sum + eigenvalue corrections route
     lam: float
@@ -131,7 +130,7 @@ class RateReport:
             raise ValueError("inverse temperature must be positive")
         beta, ds = self.beta, self.delta_S
         self.dE = self.E_saddle - self.E_min
-        self.dS, self.lam, self.mu = ds.value, ds.lam, ds.mu
+        self.dS, self.lam, self.mu = ds.direct, ds.lam, ds.mu
         logK = -beta * self.dE + self.dS
         self.logK = float(logK)
         self.K = float(np.exp(logK))
@@ -328,7 +327,7 @@ def delta_S_saddle(model: PotentialModel, min_point: StationaryPoint,
     S_saddle_split = (_site_entropy_sum(model, saddle_point)
                       - 0.5 * np.log(abs(mu)) + 0.5 * np.log(abs(lam)))
     splitting = S_saddle_split - S_min
-    return DeltaSReport(value=direct, direct=direct, splitting=splitting,
+    return DeltaSReport(direct=direct, splitting=splitting,
                         lam=float(lam), mu=float(mu), S_min=S_min, S_saddle=S_saddle_direct)
 
 

@@ -48,8 +48,8 @@ def test_tracer_installs_counts_and_restores_every_wrapped_name(monkeypatch):
         assert tracer.counts["assembly.hessian_calls"] > 0
         # the N=3 double-well saddle from the midpoint of the minimum and its
         # mirror image goes through the wrapped find_saddle (looked up on its
-        # module at call time), _saddle_follow and, in the minimum's Newton
-        # steps, _bordered_solve
+        # module at call time), _saddle_follow and, in the Newton steps of
+        # the minimum and the saddle, _bordered_solve
         model = preset_model("square_double_well")
         cell = Supercell(model.spec, 3)
         kick = np.zeros((cell.n, 2))
@@ -58,7 +58,9 @@ def test_tracer_installs_counts_and_restores_every_wrapped_name(monkeypatch):
         minimum = relax_minimum(model, cell, initial_guess=kick)
         assert tracer.counts["stationary.newton_solves"] > solves
         act, u = cell.symmetry(model.mirror).act, minimum.u.values
+        solves = tracer.counts["stationary.newton_solves"]
         saddle = stationary.find_saddle(model, cell, initial_guess=0.5 * (u + act(u)), max_iter=40)
+        assert tracer.counts["stationary.newton_solves"] > solves
         assert saddle.route == "follow" and saddle.lam < 0
         assert tracer.counts["stationary.follow_attempts"] == 1
         assert tracer.counts["stationary.follow_converged"] == 1

@@ -50,7 +50,7 @@ class TestFitRate:
         err = 2.0 * N**-2.0 * np.log(N) ** 5
         pure = fit_rate(N, err)
         assert -0.9 < pure.exponent < -0.1
-        corrected = fit_rate(N, err, mode="power_with_log", log_power=5.0)
+        corrected = fit_rate(N, err, log_power=5.0)
         assert abs(corrected.exponent + 2.0) < 1e-10
 
     def test_constant_not_converging(self):

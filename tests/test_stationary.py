@@ -120,9 +120,9 @@ class TestRelaxMinimum:
         solve = stationary._bordered_solve
         shifts = []
 
-        def counted(H, nu, rhs, cell):
+        def counted(H, nu, rhs, cell, *args, **kwargs):
             shifts.append(nu)
-            return solve(H, nu, rhs, cell)
+            return solve(H, nu, rhs, cell, *args, **kwargs)
 
         monkeypatch.setattr(stationary, "_bordered_solve", counted)
         _, cell, pt = double_well_minimum(8)
@@ -423,3 +423,53 @@ def test_preconditioned_lobpcg_converges_from_every_seed():
         assert np.max(np.linalg.norm(matvec(V) - V * w, axis=0)) <= 1e-9 * scale
         lows.append(w)
     assert np.ptp(np.array(lows), axis=0).max() < 1e-10 * scale
+
+
+def double_well_pair(N):
+    """The N-cell double-well minimum from the kick and the saddle found from
+    the midpoint of the minimum and its mirror image."""
+    model, cell, minimum = double_well_minimum(N)
+    mid = 0.5 * (minimum.u.values + mirror_image(model, cell, minimum.u.values))
+    return model, cell, minimum, find_saddle(model, cell, initial_guess=mid)
+
+
+@pytest.mark.parametrize("N", [4, 8])
+def test_stationary_points_take_no_lu(monkeypatch, N):
+    # the minimiser and the saddle search step by one preconditioned CG solve
+    import scipy.sparse.linalg as spla
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("splu called by a Newton step")
+
+    monkeypatch.setattr(spla, "splu", refuse)
+    model, cell, minimum, saddle = double_well_pair(N)
+    assert minimum.gradient_norm <= tol_grad(cell) and minimum.certificate.n_negative == 0
+    assert saddle.route == "follow" and saddle.gradient_norm <= tol_grad(cell)
+    assert saddle.certificate.n_negative == 1
+
+
+@pytest.mark.parametrize("N", [4, 8])
+def test_newton_step_solve_matches_dense_solve(N):
+    # on the complement of the constants and phi the saddle Hessian is positive
+    from scipy.linalg import null_space
+    from latthermo.spectral import _hessian_precond, _translation_modes
+    from latthermo.stationary import _bordered_solve
+    model, cell, _, saddle = double_well_pair(N)
+    phi = saddle.phi.reshape(-1)
+    Q = null_space(np.column_stack([_translation_modes(cell.n, cell.spec.m), phi]).T)
+    A = saddle.H.dense()
+    rhs = np.random.default_rng(5).standard_normal(A.shape[0])
+    dense = Q @ np.linalg.solve(Q.T @ A @ Q, Q.T @ rhs)
+    p = _bordered_solve(saddle.H.mat, 0.0, rhs, cell, _hessian_precond(cell, model),
+                        modes=[phi])
+    assert np.linalg.norm(p - dense) <= 1e-9 * np.linalg.norm(dense)
+
+
+def test_newton_step_solve_reports_negative_curvature():
+    # without the unstable mode projected out, the unshifted saddle Hessian
+    # is indefinite: CG meets a direction of negative curvature
+    from latthermo.spectral import _hessian_precond
+    from latthermo.stationary import _bordered_solve
+    model, cell, _, saddle = double_well_pair(4)
+    rhs = np.random.default_rng(5).standard_normal(cell.n * cell.spec.m)
+    assert _bordered_solve(saddle.H.mat, 0.0, rhs, cell, _hessian_precond(cell, model)) is None

@@ -259,7 +259,7 @@ class TestDeltaSAndRate:
     def test_identical_points_zero(self):
         model, cell, minimum, saddle = solved_double_well(3)
         rep = delta_S_saddle(model, saddle, saddle)
-        assert abs(rep.value) < 1e-12
+        assert abs(rep.direct) < 1e-12
         assert abs(rep.splitting - rep.direct) < 1e-8
 
     def test_splitting_agrees_with_direct(self):
