@@ -4,6 +4,12 @@ All operators act on flattened periodic displacement vectors (site-major,
 component-minor) and are stored as sparse CSR blocks or dense arrays wrapped
 in LinearLatticeOperator. Hessians have bandwidth bounded by twice the
 interaction cut-off and annihilate constant displacements.
+
+Site potentials are bond sums, so the Hessian and its first variation are
+sums of one m x m block K per bond (ell, ell+rho): +K at (ell, ell) and
+(ell+rho, ell+rho), -K at (ell, ell+rho) and (ell+rho, ell). The blocks are
+summed into the cell's cached ``bond_pattern`` and stored in CSR without
+the entries that sum to zero.
 """
 
 from __future__ import annotations
@@ -22,9 +28,6 @@ __all__ = [
     "hessian",
     "variation_contractions",
 ]
-
-_CHUNK = 128
-
 
 @dataclass
 class LinearLatticeOperator:
@@ -102,69 +105,33 @@ def gradient_periodic(model: PotentialModel, u: DisplacementField) -> np.ndarray
     return out
 
 
-def _incidence(cell: Supercell):
-    """Local-to-global signed incidence for stencil quadratic forms.
-
-    D(delta_loc e_i)(xi) couples each site xi to its |R| neighbours and
-    itself; the local DOF list is (neighbours..., center).
-    """
-    nR = cell.spec.nR
-    W = np.zeros((nR, nR + 1))
-    W[:, :nR] = np.eye(nR)
-    W[:, nR] = -1.0
-    return W
-
-
-def _scatter_local(cell: Supercell, idx: np.ndarray, local: np.ndarray,
-                   rows_out, cols_out, vals_out) -> None:
-    """Accumulate per-site local matrices (ns, (nR+1)m, (nR+1)m) into COO lists."""
+def _bond_blocks(model: PotentialModel, cell: Supercell, blocks) -> np.ndarray:
+    """Per-bond blocks (n, |R|, m, m) of every site: ``blocks(pot, idx)``
+    evaluates them on the sites idx of one potential group."""
     m = cell.spec.m
-    nR = cell.spec.nR
-    sites = np.concatenate([cell.neighbors[idx], idx[:, None]], axis=1)  # (ns, nR+1)
-    dof = (sites[:, :, None] * m + np.arange(m)[None, None, :]).reshape(idx.size, -1)
-    ns, ld = dof.shape
-    rows_out.append(np.repeat(dof, ld, axis=1).reshape(-1))
-    cols_out.append(np.tile(dof, (1, ld)).reshape(-1))
-    vals_out.append(local.reshape(-1))
-
-
-def _assemble_quadratic(cell: Supercell, site_tensors, idx: np.ndarray,
-                        rows, cols, vals) -> None:
-    """site_tensors: (ns, nR, m, nR, m) second-derivative tensors at sites idx."""
-    m = cell.spec.m
-    nR = cell.spec.nR
-    W = _incidence(cell)
-    Wm = np.kron(W, np.eye(m))                       # (nR*m, (nR+1)*m)
-    T = site_tensors.reshape(idx.size, nR * m, nR * m)
-    local = np.einsum("ra,nrs,sb->nab", Wm, T, Wm, optimize=True)
-    _scatter_local(cell, idx, local, rows, cols, vals)
-
-
-def _nonzero_csr(cell: Supercell, rows, cols, vals) -> sp.csr_matrix:
-    """Sum the scattered local matrices into CSR storing only nonzero entries.
-
-    For bond-sum potentials every cross-bond block of a local matrix is an
-    exact zero; CSR would otherwise keep those entries.
-    """
-    dim = cell.n * cell.spec.m
-    M = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim),
-    ).tocsr()
-    M.sum_duplicates()
-    M.eliminate_zeros()
-    return M
-
-
-def _hessian_matrix(model: PotentialModel, u: DisplacementField) -> sp.csr_matrix:
-    cell = u.cell
-    G = u.gradients()
-    rows, cols, vals = [], [], []
+    out = np.empty((cell.n, cell.spec.nR, m, m))
     for pot, idx in _site_potential_groups(model, cell):
-        for lo in range(0, idx.size, _CHUNK):
-            sl = idx[lo:lo + _CHUNK]
-            _assemble_quadratic(cell, pot.hess_batch(G[sl]), sl, rows, cols, vals)
-    return _nonzero_csr(cell, rows, cols, vals)
+        if idx.size:
+            out[idx] = blocks(pot, idx)
+    return out
+
+
+def _bond_operator(cell: Supercell, K: np.ndarray, kind: str) -> LinearLatticeOperator:
+    """Sum the bond blocks K (n, |R|, m, m) over ``cell.bond_pattern``."""
+    pattern = cell.bond_pattern
+    m = cell.spec.m
+    nb = pattern.indices.size
+    K = K.reshape(-1, m * m).T
+    signed = np.concatenate([K, K, -K, -K], axis=1)     # order of pattern.slot
+    slot = pattern.slot.reshape(-1)
+    data = np.stack([np.bincount(slot, weights=w, minlength=nb) for w in signed], axis=1)
+    dim = cell.n * m
+    # tocsr writes fresh index arrays, so eliminate_zeros leaves the cached
+    # pattern intact
+    mat = sp.bsr_matrix((data.reshape(nb, m, m), pattern.indices, pattern.indptr),
+                        shape=(dim, dim)).tocsr()
+    mat.eliminate_zeros()
+    return LinearLatticeOperator(cell, mat, kind)
 
 
 def hessian(model: PotentialModel, u: DisplacementField) -> LinearLatticeOperator:
@@ -172,23 +139,21 @@ def hessian(model: PotentialModel, u: DisplacementField) -> LinearLatticeOperato
     potentials V_ell (``model.homogenized()`` puts the homogeneous V on every
     site). Symmetric, constants in the kernel.
     """
-    return LinearLatticeOperator(u.cell, _hessian_matrix(model, u), "hessian")
+    G = u.gradients()
+    K = _bond_blocks(model, u.cell, lambda pot, idx: pot.bond_hess_batch(G[idx]))
+    return _bond_operator(u.cell, K, "hessian")
 
 
 def variation_contractions(model: PotentialModel, u: DisplacementField,
                            v: DisplacementField) -> LinearLatticeOperator:
     """First variation of the Hessian at u in the direction v.
 
-    Assembles the operator with blocks sum_xi nabla^3 V_xi(Du)[., ., Dv(xi)].
+    Assembles the operator with blocks sum_xi nabla^3 V_xi(Du)[., ., Dv(xi)],
+    contracting each bond's third derivative with its Dv first.
     For homogeneous variations pass ``model.homogenized()``.
     """
-    cell = u.cell
     G = u.gradients()
     Gv = v.gradients()
-    rows, cols, vals = [], [], []
-    for pot, idx in _site_potential_groups(model, cell):
-        for lo in range(0, idx.size, _CHUNK):
-            sl = idx[lo:lo + _CHUNK]
-            T = np.einsum("nabcdef,nef->nabcd", pot.third_batch(G[sl]), Gv[sl], optimize=True)
-            _assemble_quadratic(cell, T, sl, rows, cols, vals)
-    return LinearLatticeOperator(cell, _nonzero_csr(cell, rows, cols, vals), "hessian_variation")
+    K = _bond_blocks(model, u.cell, lambda pot, idx: np.einsum(
+        "nrabc,nrc->nrab", pot.bond_third_batch(G[idx]), Gv[idx]))
+    return _bond_operator(u.cell, K, "hessian_variation")

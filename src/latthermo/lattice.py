@@ -21,6 +21,7 @@ __all__ = [
     "Supercell",
     "DualGrid",
     "PointSymmetry",
+    "BondPattern",
     "DisplacementField",
     "cutoff_T_R",
 ]
@@ -212,6 +213,19 @@ class PointSymmetry:
         return out
 
 
+@dataclass(frozen=True)
+class BondPattern:
+    """Block sparsity of the operators summed over the stencil bonds
+    (ell, ell+rho) of a supercell: block row i holds the sorted block columns
+    ``indices[indptr[i]:indptr[i+1]]``, and ``slot`` (4, n, |R|, int32) names
+    the block that takes each bond's term at (ell, ell), (ell+rho, ell+rho),
+    (ell, ell+rho) and (ell+rho, ell), in that order."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    slot: np.ndarray
+
+
 def _enumerate_cell(C: np.ndarray, N: int) -> np.ndarray:
     """Integer points x with C^-1 x in (-N, N]^d, ordered by C^-1 x lexicographically."""
     d = C.shape[0]
@@ -343,6 +357,19 @@ class Supercell:
             R = spec.A @ Q @ A_inv if spec.m == spec.d else np.eye(spec.m)
             group.append(PointSymmetry(Q, R, self.site_indices(self.x @ Q.T)))
         return tuple(group)
+
+    @cached_property
+    def bond_pattern(self) -> BondPattern:
+        """The site-pair blocks {(ell, ell), (ell, ell+rho)} of every stencil
+        bond, built on first use and shared by all assemblies on this cell."""
+        n, nb = self.n, self._neighbors
+        site = np.broadcast_to(np.arange(n)[:, None], nb.shape)
+        rows = np.stack([site, nb, site, nb])
+        cols = np.stack([site, nb, nb, site])
+        keys, slot = np.unique(rows * n + cols, return_inverse=True)
+        indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+        return BondPattern(indptr.astype(np.int32), (keys % n).astype(np.int32),
+                           slot.reshape(rows.shape).astype(np.int32))
 
     def symmetry(self, Q: np.ndarray) -> PointSymmetry:
         """The element of ``point_group`` with lattice map Q."""

@@ -1,9 +1,13 @@
 """Site potentials on stencil gradients with analytic derivatives to order 3.
 
-Two built-in families: harmonic springs with per-bond stiffness blocks, and a
-quartic bond-length potential whose coefficients follow the Taylor expansion
-of a Morse curve. A defect is a finite set of per-site overrides near the
-origin; everything else uses the homogeneous potential.
+Every site potential is a sum over its stencil bonds, so its derivatives are
+per-bond blocks: ``bond_hess_batch`` (ns, |R|, m, m) and ``bond_third_batch``
+(ns, |R|, m, m, m) are the contract, and the full stencil tensors
+(``hess_batch``, ``third_batch``) are their block diagonals. Two built-in
+families: harmonic springs with per-bond stiffness blocks, and a quartic
+bond-length potential whose coefficients follow the Taylor expansion of a
+Morse curve. A defect is a finite set of per-site overrides near the origin;
+everything else uses the homogeneous potential.
 """
 
 from __future__ import annotations
@@ -31,11 +35,14 @@ __all__ = [
 
 
 class SitePotential:
-    """Energy of one site as a function of its stencil gradient.
+    """Energy of one site, a sum over its stencil bonds, as a function of its
+    stencil gradient.
 
     Derivative tensors are exposed both per single gradient (value, grad, ...)
     and batched over many sites at once (the *_batch methods, first axis =
-    site). Shapes use the flattened stencil-slot ordering of LatticeSpec.
+    site). Subclasses give the per-bond blocks of the second and third
+    derivatives; the full stencil tensors, in the flattened stencil-slot
+    ordering of LatticeSpec, follow from them.
     """
 
     order = 3
@@ -52,11 +59,19 @@ class SitePotential:
     def grad_batch(self, G: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def hess_batch(self, G: np.ndarray) -> np.ndarray:
+    def bond_hess_batch(self, G: np.ndarray) -> np.ndarray:
+        """Second derivative of each bond term; (ns, nR, m, m)."""
         raise NotImplementedError
 
-    def third_batch(self, G: np.ndarray) -> np.ndarray:
+    def bond_third_batch(self, G: np.ndarray) -> np.ndarray:
+        """Third derivative of each bond term; (ns, nR, m, m, m)."""
         raise NotImplementedError
+
+    def hess_batch(self, G: np.ndarray) -> np.ndarray:
+        return _blockdiag(G.shape[0], self.nR, self.m, self.bond_hess_batch(G), 2)
+
+    def third_batch(self, G: np.ndarray) -> np.ndarray:
+        return _blockdiag(G.shape[0], self.nR, self.m, self.bond_third_batch(G), 3)
 
     # single-site helpers
     def value(self, g: np.ndarray) -> float:
@@ -113,14 +128,11 @@ class HarmonicBondPotential(SitePotential):
     def grad_batch(self, G):
         return np.einsum("rAB,srB->srA", self.K, G - self.b)
 
-    def hess_batch(self, G):
-        ns = G.shape[0]
-        blocks = np.broadcast_to(self.K, (ns, self.nR, self.m, self.m))
-        return _blockdiag(ns, self.nR, self.m, blocks, 2)
+    def bond_hess_batch(self, G):
+        return np.broadcast_to(self.K, (G.shape[0],) + self.K.shape)
 
-    def third_batch(self, G):
-        ns = G.shape[0]
-        return np.zeros((ns,) + (self.nR, self.m) * 3)
+    def bond_third_batch(self, G):
+        return np.zeros((G.shape[0], self.nR, self.m, self.m, self.m))
 
     def params(self):
         return {"kind": "harmonic", "K": self.K.tolist(), "b": self.b.tolist()}
@@ -202,16 +214,13 @@ class MorseBondPotential(SitePotential):
         t, n = self._sigma(G, 1)
         return self._phi(t, 1)[..., None] * n
 
-    def _bond_hess(self, G):
+    def bond_hess_batch(self, G):
         t, n, s2 = self._sigma(G, 2)
         p1, p2 = self._phi(t, 1), self._phi(t, 2)
         nn = n[..., :, None] * n[..., None, :]
         return p2[..., None, None] * nn + p1[..., None, None] * s2
 
-    def hess_batch(self, G):
-        return _blockdiag(G.shape[0], self.nR, self.m, self._bond_hess(G), 2)
-
-    def _bond_third(self, G):
+    def bond_third_batch(self, G):
         t, n, s2, s3 = self._sigma(G, 3)
         p1, p2, p3 = self._phi(t, 1), self._phi(t, 2), self._phi(t, 3)
         nnn = n[..., :, None, None] * n[..., None, :, None] * n[..., None, None, :]
@@ -220,9 +229,6 @@ class MorseBondPotential(SitePotential):
         return (p3[..., None, None, None] * nnn
                 + p2[..., None, None, None] * sym_ns2
                 + p1[..., None, None, None] * s3)
-
-    def third_batch(self, G):
-        return _blockdiag(G.shape[0], self.nR, self.m, self._bond_third(G), 3)
 
     def params(self):
         return {"kind": "morse_quartic", "c2": self.c2.tolist(), "c3": self.c3.tolist(),

@@ -300,11 +300,13 @@ def logdet_plus_factorized(H: LinearLatticeOperator, negatives: Sequence[float] 
     Borders H with the orthonormal translation modes Z, so that
     det [[H, Z], [Z^T, 0]] = (-1)^m det+(H) * prod(negative eigenvalues).
     Known negative eigenvalues (from certification) are divided back out;
-    the overall sign is audited.
+    the overall sign is audited. The bordered matrix has a symmetric
+    pattern, so the columns take a minimum-degree order of A^T + A.
     """
     m = H.cell.spec.m
     Z = sp.csc_matrix(_translation_modes(H.cell.n, m))
-    lu = spla.splu(sp.bmat([[H.mat, Z], [Z.T, None]], format="csc"))
+    lu = spla.splu(sp.bmat([[H.mat, Z], [Z.T, None]], format="csc"),
+                   permc_spec="MMD_AT_PLUS_A")
     diag = lu.U.diagonal()
     if np.any(diag == 0):
         raise AmbiguousSpectrumError("singular bordered factorization")

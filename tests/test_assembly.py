@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from latthermo import (
     DisplacementField,
@@ -182,32 +181,75 @@ class TestVariations:
 def defect_minimum(name):
     model = PRESETS[name]()
     cell = Supercell(model.spec, 4)
-    kick = np.zeros((cell.n, 2))
+    kick = np.zeros((cell.n, model.spec.m))
     if name == "square_double_well":
         kick[cell.index((0, 0))] = [0.15, 0.0]
     return model, cell, relax_minimum(model, cell, initial_guess=kick).u
 
 
-@pytest.mark.parametrize("name", ["square_misfit", "square_double_well"])
-def test_assembled_operators_store_only_nonzeros(name, monkeypatch):
-    # bond-sum potentials leave every cross-bond block of the local matrices
-    # exactly zero: the assembled CSR drops those entries and keeps the values
+def dense_oracle(model, u, v=None):
+    """Dense Hessian at u, or its first variation in the direction v, summed
+    site by site from the full stencil tensors as W^T T W, where
+    W = [I | -1] (x) I_m maps the local dofs (neighbours..., centre) to Du."""
+    cell = u.cell
+    m, nR = cell.spec.m, cell.spec.nR
+    W = np.kron(np.hstack([np.eye(nR), -np.ones((nR, 1))]), np.eye(m))
+    pots = [model.homogeneous] * cell.n
+    for key, pot in model.overrides.items():
+        pots[cell.index(key)] = pot
+    G = u.gradients()
+    Gv = None if v is None else v.gradients()
+    out = np.zeros((cell.n * m, cell.n * m))
+    for site, pot in enumerate(pots):
+        if v is None:
+            T = pot.hess(G[site])
+        else:
+            T = np.einsum("abcdef,ef->abcd", pot.third(G[site]), Gv[site])
+        local = W.T @ T.reshape(nR * m, nR * m) @ W
+        sites = np.append(cell.neighbors[site], site)
+        dof = (sites[:, None] * m + np.arange(m)).reshape(-1)
+        np.add.at(out, (dof[:, None], dof[None, :]), local)
+    return out
+
+
+def assert_matches_oracle(mat, oracle):
+    """Same values to 1e-14 relative, no stored zero, and the oracle's nonzeros
+    stored: cross-bond zeros stay dropped. A coupling that cancels by symmetry
+    may round to zero in one sum and to round-off in the other."""
+    A = mat.toarray()
+    tol = 1e-14 * np.abs(oracle).max(initial=0.0)
+    assert np.abs(A - oracle).max() <= tol
+    assert np.count_nonzero(mat.data) == mat.nnz
+    differ = (A != 0) != (oracle != 0)
+    assert np.abs(oracle[differ]).max(initial=0.0) <= tol
+    assert np.count_nonzero(np.abs(mat.data) > tol) == np.count_nonzero(np.abs(oracle) > tol)
+
+
+@pytest.mark.parametrize("name", ["square_misfit", "square_double_well",
+                                  "chain_misfit", "cube_harmonic"])
+def test_assembled_operators_store_only_nonzeros(name):
+    # bond-sum potentials couple only the ends of each bond: the assembled CSR
+    # holds the nonzeros of the site-by-site dense sum, with its values
     model, cell, u = defect_minimum(name)
-    scattered = []
-    nonzero_csr = assembly._nonzero_csr
+    zero = cell.zero_field()
+    assert_matches_oracle(hessian(model, u).mat, dense_oracle(model, u))
+    assert_matches_oracle(variation_contractions(model, u, u).mat,
+                          dense_oracle(model, u, u))
+    hom = model.homogenized()
+    assert_matches_oracle(variation_contractions(hom, zero, u).mat,
+                          dense_oracle(hom, zero, u))
 
-    def spy(cell, rows, cols, vals):
-        scattered.append((np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)))
-        return nonzero_csr(cell, rows, cols, vals)
 
-    monkeypatch.setattr(assembly, "_nonzero_csr", spy)
-    mats = [hessian(model, u).mat,
-            variation_contractions(model, u, u).mat,
-            variation_contractions(model.homogenized(), cell.zero_field(), u).mat]
-    dim = cell.n * cell.spec.m
-    for mat, (rows, cols, vals) in zip(mats, scattered, strict=True):
-        summed = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
-        summed.sum_duplicates()
-        assert np.count_nonzero(mat.data) == mat.nnz
-        assert mat.nnz < summed.nnz
-        assert np.array_equal(mat.toarray(), summed.toarray())
+def test_cached_bond_pattern_survives_dropped_zeros():
+    # the zero field's axis-bond blocks have vanishing off-diagonals that CSR
+    # drops; a field that fills them, and the zero field again, must still
+    # assemble onto the intact cached pattern
+    model, cell, u = small_state("square_misfit", N=4, scale=0.05, seed=11)
+    hom = model.homogenized()
+    zero = cell.zero_field()
+    pattern_entries = cell.bond_pattern.indices.size * cell.spec.m ** 2
+    assert np.count_nonzero(dense_oracle(hom, zero)) < pattern_entries
+    for field in (zero, u, zero):
+        mat, oracle = hessian(hom, field).mat, dense_oracle(hom, field)
+        assert_matches_oracle(mat, oracle)
+        assert mat.nnz == np.count_nonzero(oracle)

@@ -19,7 +19,7 @@ from latthermo import (
     projector_constants,
     symbol_F,
 )
-from latthermo import entropy_total, site_entropies, spectral
+from latthermo import entropy_total, site_entropies, spectral, thermo
 from latthermo.assembly import LinearLatticeOperator
 from latthermo.config import load_config, model_from_config
 from latthermo.potentials import PRESETS, symbol_h_batch
@@ -187,6 +187,16 @@ class TestLogdet:
         dense_val, _ = logdet_plus(H, expected_zero=2)
         fact_val = logdet_plus_factorized(H)
         assert abs(dense_val - fact_val) < 1e-9 * max(1.0, abs(dense_val))
+
+    @pytest.mark.parametrize("name, N", [("square_misfit", 12), ("sheared_misfit", 6)])
+    def test_factorized_matches_symbol_on_homogeneous_hessian(self, name, N):
+        # two independent routes to log det+ H_N^hom: the bordered sparse LU of
+        # the assembled Hessian, and the sum of log det h_hat(k) over k != 0
+        model = sheared_misfit() if name == "sheared_misfit" else PRESETS[name]()
+        cell = Supercell(model.spec, N)
+        fact_val = logdet_plus_factorized(hessian(model.homogenized(), cell.zero_field()))
+        closed = thermo._logdet_plus_homogeneous(model, cell)
+        assert abs(fact_val - closed) < 1e-10 * abs(closed)
 
     def test_factorized_matches_dense_indefinite(self):
         # flip one eigenvalue to emulate a saddle Hessian
