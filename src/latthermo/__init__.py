@@ -19,7 +19,6 @@ from .potentials import (
     MorseBondPotential,
     PotentialModel,
     SitePotential,
-    evaluate,
     preset_model,
     stability_scan,
     symbol_h,

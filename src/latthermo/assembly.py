@@ -35,7 +35,6 @@ class LinearLatticeOperator:
 
     cell: Supercell
     mat: sp.spmatrix | np.ndarray
-    kind: str = "composite"
 
     @property
     def n(self) -> int:
@@ -116,7 +115,7 @@ def _bond_blocks(model: PotentialModel, cell: Supercell, blocks) -> np.ndarray:
     return out
 
 
-def _bond_operator(cell: Supercell, K: np.ndarray, kind: str) -> LinearLatticeOperator:
+def _bond_operator(cell: Supercell, K: np.ndarray) -> LinearLatticeOperator:
     """Sum the bond blocks K (n, |R|, m, m) over ``cell.bond_pattern``."""
     pattern = cell.bond_pattern
     m = cell.spec.m
@@ -131,7 +130,7 @@ def _bond_operator(cell: Supercell, K: np.ndarray, kind: str) -> LinearLatticeOp
     mat = sp.bsr_matrix((data.reshape(nb, m, m), pattern.indices, pattern.indptr),
                         shape=(dim, dim)).tocsr()
     mat.eliminate_zeros()
-    return LinearLatticeOperator(cell, mat, kind)
+    return LinearLatticeOperator(cell, mat)
 
 
 def hessian(model: PotentialModel, u: DisplacementField) -> LinearLatticeOperator:
@@ -141,7 +140,7 @@ def hessian(model: PotentialModel, u: DisplacementField) -> LinearLatticeOperato
     """
     G = u.gradients()
     K = _bond_blocks(model, u.cell, lambda pot, idx: pot.bond_hess_batch(G[idx]))
-    return _bond_operator(u.cell, K, "hessian")
+    return _bond_operator(u.cell, K)
 
 
 def variation_contractions(model: PotentialModel, u: DisplacementField,
@@ -156,4 +155,4 @@ def variation_contractions(model: PotentialModel, u: DisplacementField,
     Gv = v.gradients()
     K = _bond_blocks(model, u.cell, lambda pot, idx: np.einsum(
         "nrabc,nrc->nrab", pot.bond_third_batch(G[idx]), Gv[idx]))
-    return _bond_operator(u.cell, K, "hessian_variation")
+    return _bond_operator(u.cell, K)

@@ -191,9 +191,6 @@ class DualGrid:
     y: np.ndarray        # (nk, d) integer labels, k = (pi/N) B^-T y
     k: np.ndarray        # (nk, d) real k-points
 
-    def __len__(self) -> int:
-        return self.y.shape[0]
-
 
 @dataclass(frozen=True)
 class PointSymmetry:
@@ -458,9 +455,6 @@ class DisplacementField:
     @property
     def m(self) -> int:
         return self.cell.spec.m
-
-    def __call__(self, x: Iterable[int]) -> np.ndarray:
-        return self.values[self.cell.index(x)]
 
     def mean(self) -> np.ndarray:
         return self.values.mean(axis=0)

@@ -1,9 +1,10 @@
 """Site potentials on stencil gradients with analytic derivatives to order 3.
 
-Every site potential is a sum over its stencil bonds, so its derivatives are
+Every site potential is a sum over its stencil bonds, so its second and
+third derivatives are block-diagonal over the bonds and are given only as
 per-bond blocks: ``bond_hess_batch`` (ns, |R|, m, m) and ``bond_third_batch``
-(ns, |R|, m, m, m) are the contract, and the full stencil tensors
-(``hess_batch``, ``third_batch``) are their block diagonals. Two built-in
+(ns, |R|, m, m, m). The homogeneous Hessian symbol is built from the same
+blocks, h_hat(k) = 4 sum_rho sin^2(k.rho/2) nabla^2 phi_rho(0). Two built-in
 families: harmonic springs with per-bond stiffness blocks, and a quartic
 bond-length potential whose coefficients follow the Taylor expansion of a
 Morse curve. A defect is a finite set of per-site overrides near the origin;
@@ -26,7 +27,6 @@ __all__ = [
     "HarmonicBondPotential",
     "MorseBondPotential",
     "PotentialModel",
-    "evaluate",
     "symbol_h",
     "stability_scan",
     "preset_model",
@@ -38,14 +38,10 @@ class SitePotential:
     """Energy of one site, a sum over its stencil bonds, as a function of its
     stencil gradient.
 
-    Derivative tensors are exposed both per single gradient (value, grad, ...)
-    and batched over many sites at once (the *_batch methods, first axis =
-    site). Subclasses give the per-bond blocks of the second and third
-    derivatives; the full stencil tensors, in the flattened stencil-slot
-    ordering of LatticeSpec, follow from them.
+    Everything is batched over many sites at once (the *_batch methods, first
+    axis = site); value and grad also take a single gradient. The second and
+    third derivatives are per-bond blocks, one per stencil slot of LatticeSpec.
     """
-
-    order = 3
 
     def __init__(self, stencil: np.ndarray, m: int):
         self.stencil = np.asarray(stencil, dtype=float)
@@ -67,12 +63,6 @@ class SitePotential:
         """Third derivative of each bond term; (ns, nR, m, m, m)."""
         raise NotImplementedError
 
-    def hess_batch(self, G: np.ndarray) -> np.ndarray:
-        return _blockdiag(G.shape[0], self.nR, self.m, self.bond_hess_batch(G), 2)
-
-    def third_batch(self, G: np.ndarray) -> np.ndarray:
-        return _blockdiag(G.shape[0], self.nR, self.m, self.bond_third_batch(G), 3)
-
     # single-site helpers
     def value(self, g: np.ndarray) -> float:
         return float(self.value_batch(np.asarray(g, dtype=float)[None])[0])
@@ -80,26 +70,8 @@ class SitePotential:
     def grad(self, g: np.ndarray) -> np.ndarray:
         return self.grad_batch(np.asarray(g, dtype=float)[None])[0]
 
-    def hess(self, g: np.ndarray) -> np.ndarray:
-        return self.hess_batch(np.asarray(g, dtype=float)[None])[0]
-
-    def third(self, g: np.ndarray) -> np.ndarray:
-        return self.third_batch(np.asarray(g, dtype=float)[None])[0]
-
     def params(self) -> dict:
         raise NotImplementedError
-
-
-def _blockdiag(ns: int, nR: int, m: int, blocks: np.ndarray, rank: int) -> np.ndarray:
-    """Scatter per-bond tensors (ns, nR, m^rank) onto the block-diagonal of the
-    full stencil tensor (ns, (nR, m)*rank)."""
-    shape = (ns,) + (nR, m) * rank
-    out = np.zeros(shape)
-    idx = np.arange(nR)
-    key = (slice(None),) + tuple(v for _ in range(rank) for v in (idx, slice(None)))
-    # advanced indices move to the front: assign (nR, ns, m, m, ...) layout
-    out[key] = np.moveaxis(blocks, 1, 0)
-    return out
 
 
 class HarmonicBondPotential(SitePotential):
@@ -235,18 +207,6 @@ class MorseBondPotential(SitePotential):
                 "c4": self.c4.tolist(), "shift": self.shift.tolist()}
 
 
-def evaluate(V: SitePotential, g: np.ndarray, order: int = 0):
-    """Value of a site potential and its derivative tensors up to ``order``.
-
-    Returns (value, [tensor_1, ..., tensor_order]) with tensor_j of shape
-    (nR, m) * j, interpreted as a multilinear form over stencil gradients.
-    """
-    if order > V.order:
-        raise ValueError(f"derivative order {order} exceeds potential regularity {V.order}")
-    g = np.asarray(g, dtype=float)
-    return V.value(g), [fn(g) for fn in (V.grad, V.hess, V.third)[:order]]
-
-
 @dataclass
 class PotentialModel:
     """Homogeneous site potential plus finitely many defect overrides.
@@ -290,9 +250,9 @@ class PotentialModel:
                               mirror=self.mirror)
 
     def hess0(self) -> np.ndarray:
-        """Homogeneous nabla^2 V(0) as an (nR, m, nR, m) tensor."""
-        zero = np.zeros((self.spec.nR, self.spec.m))
-        return self.homogeneous.hess(zero)
+        """Homogeneous nabla^2 V(0) as its bond blocks, (nR, m, m)."""
+        zero = np.zeros((1, self.spec.nR, self.spec.m))
+        return self.homogeneous.bond_hess_batch(zero)[0]
 
     def model_hash(self) -> str:
         payload = {
@@ -305,70 +265,34 @@ class PotentialModel:
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
-def _sine_coefficients(model: PotentialModel):
-    """Collect offset matrices E_sigma with h_hat(k) = sum_sigma E_sigma e^{i k sigma}."""
-    spec = model.spec
-    H2 = model.hess0()
-    coeffs: dict[tuple, np.ndarray] = {}
-
-    def add(sig: tuple, M: np.ndarray):
-        coeffs[sig] = coeffs.get(sig, np.zeros((spec.m, spec.m))) + M
-
-    sx = spec.stencil_x
-    for p in range(spec.nR):
-        for q in range(spec.nR):
-            M = H2[p, :, q, :]
-            if not np.any(M):
-                continue
-            add(tuple((sx[q] - sx[p]).tolist()), M)
-            add(tuple((-sx[p]).tolist()), -M)
-            add(tuple(sx[q].tolist()), -M)
-            add(tuple(np.zeros_like(sx[p]).tolist()), M)
-    return coeffs
-
-
 def symbol_h(model: PotentialModel, k: np.ndarray) -> np.ndarray:
     """Homogeneous Hessian symbol at one k in the raw difference form; (m, m).
 
-    The definition, sum over rho, sigma of (e^{-i k.rho} - 1) nabla^2 V(0)
-    (e^{i k.sigma} - 1), serves as the reference for ``symbol_h_batch``,
-    whose sine form every stage uses; the two agree to round-off for
-    point-symmetric potentials.
+    The definition, sum over rho of (e^{-i k.rho} - 1) K_rho (e^{i k.rho} - 1)
+    with K_rho = nabla^2 phi_rho(0), serves as the reference for
+    ``symbol_h_batch``, whose sine form every stage uses.
     """
-    spec = model.spec
-    k = np.asarray(k, dtype=float)
-    H2 = model.hess0().reshape(spec.nR * spec.m, spec.nR * spec.m)
-    phase = spec.stencil @ k
-    left = np.repeat(np.exp(-1j * phase) - 1.0, spec.m)
-    right = np.repeat(np.exp(1j * phase) - 1.0, spec.m)
-    weighted = (left[:, None] * right[None, :]) * H2
-    return weighted.reshape(spec.nR, spec.m, spec.nR, spec.m).sum(axis=(0, 2))
+    phase = model.spec.stencil @ np.asarray(k, dtype=float)
+    weight = (np.exp(-1j * phase) - 1.0) * (np.exp(1j * phase) - 1.0)
+    return np.einsum("r,rab->ab", weight, model.hess0())
 
 
 def symbol_h_batch(model: PotentialModel, ks: np.ndarray) -> np.ndarray:
-    """Sine-form symbols for many k-points at once; shape (nk, m, m)."""
-    spec = model.spec
+    """Sine-form symbols 4 sum_rho sin^2(k.rho/2) K_rho for many k-points at
+    once; shape (nk, m, m). Summed bond by bond, so a large k-mesh needs no
+    (nk, |R|) temporary."""
     ks = np.asarray(ks, dtype=float)
-    out = np.zeros((ks.shape[0], spec.m, spec.m))
-    for sig, E in _sine_coefficients(model).items():
-        if all(v == 0 for v in sig):
-            continue
-        arg = 0.5 * (ks @ (spec.A @ np.asarray(sig, dtype=float)))
-        out += -2.0 * np.sin(arg)[:, None, None] ** 2 * E
+    out = np.zeros((ks.shape[0], model.spec.m, model.spec.m))
+    for rho, K in zip(model.spec.stencil, model.hess0()):
+        out += np.sin(0.5 * (ks @ rho))[:, None, None] ** 2 * (4.0 * K)
     return out
 
 
 def _acoustic_limits(model: PotentialModel, khats: np.ndarray) -> np.ndarray:
-    """lim_{eps->0} h_hat(eps khat)/eps^2 from the sine form, for every row
-    khat of ``khats``; shape (ndirs, m, m)."""
-    spec = model.spec
-    out = np.zeros((khats.shape[0], spec.m, spec.m))
-    for sig, E in _sine_coefficients(model).items():
-        if all(v == 0 for v in sig):
-            continue
-        proj = khats @ (spec.A @ np.asarray(sig, dtype=float))
-        out += -0.5 * proj[:, None, None] ** 2 * E
-    return out
+    """lim_{eps->0} h_hat(eps khat)/eps^2 = sum_rho (khat.rho)^2 K_rho, for
+    every row khat of ``khats``; shape (ndirs, m, m)."""
+    proj = khats @ model.spec.stencil.T
+    return np.einsum("kr,rab->kab", proj**2, model.hess0())
 
 
 @dataclass

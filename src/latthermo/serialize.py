@@ -58,20 +58,20 @@ def save_field_csv(path: Path, field: DisplacementField) -> None:
 
 
 def load_field_csv(path: Path, cell: Supercell) -> DisplacementField:
+    """Read a ``save_field_csv`` file; refused unless it lists every site of
+    the cell exactly once, each row with its d + m columns."""
     d, m = cell.spec.d, cell.spec.m
-    values = np.zeros((cell.n, m))
-    seen = 0
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if len(header) != d + m:
-            raise ValueError(f"field file has {len(header)} columns, expected {d + m}")
-        for row in reader:
-            x = [int(v) for v in row[:d]]
-            values[cell.index(x)] = [float(v) for v in row[d:]]
-            seen += 1
-    if seen != cell.n:
-        raise ValueError(f"field file has {seen} sites, cell has {cell.n}")
+        header, *rows = csv.reader(fh)
+    if len(header) != d + m or any(len(row) != d + m for row in rows):
+        raise ValueError(f"field file rows must have {d + m} columns")
+    sites = cell.site_indices(np.array([row[:d] for row in rows], dtype=np.int64).reshape(-1, d))
+    distinct = np.unique(sites).size
+    if len(rows) != cell.n or distinct != cell.n:
+        raise ValueError(f"field file lists {distinct} distinct sites in {len(rows)} rows, "
+                         f"cell has {cell.n}")
+    values = np.empty((cell.n, m))
+    values[sites] = np.array([row[d:] for row in rows], dtype=float)
     return DisplacementField(cell, values)
 
 
@@ -108,11 +108,11 @@ def save_point(outdir: Path, name: str, point: StationaryPoint) -> None:
 def load_point(outdir: Path, name: str, model, cell: Supercell) -> StationaryPoint | None:
     """Reload a persisted stationary point of this model and cell, revalidated.
 
-    The gradient norm is recomputed against ``tol_grad``, and ``finish_point``
-    re-runs the certificate and rebuilds the spectral record; a saddle's
-    stored lam must match the certificate's to 1e-8 relative. A point that
-    fails a check is logged by check name and not returned, so the caller
-    solves it again.
+    The field file must list every site once, the gradient norm is recomputed
+    against ``tol_grad``, and ``finish_point`` re-runs the certificate and
+    rebuilds the spectral record; a saddle's stored lam must match the
+    certificate's to 1e-8 relative. A point that fails a check is logged by
+    check name and not returned, so the caller solves it again.
     """
     outdir = Path(outdir)
     meta_path = outdir / f"{name}.json"
@@ -127,7 +127,10 @@ def load_point(outdir: Path, name: str, model, cell: Supercell) -> StationaryPoi
         logger.warning("resumed point %s failed its %s check (%s); solving it again",
                        name, check, detail)
 
-    u = load_field_csv(field_path, cell)
+    try:
+        u = load_field_csv(field_path, cell)
+    except ValueError as exc:
+        return rejected("field", f"{type(exc).__name__}: {exc}")
     gnorm = float(np.linalg.norm(gradient_periodic(model, u)))
     if gnorm > tol_grad(cell):
         return rejected("gradient", f"|g|={gnorm:g} > tol_grad={tol_grad(cell):g}")

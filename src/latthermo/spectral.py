@@ -197,7 +197,7 @@ class KernelTable:
         off = cell.offset_table()
         blocks = self.values[off]                       # (n, n, m, m)
         mat = blocks.transpose(0, 2, 1, 3).reshape(dim, dim)
-        return LinearLatticeOperator(cell, mat, "F_N")
+        return LinearLatticeOperator(cell, mat)
 
 
 def _fhat_dual(model: PotentialModel, cell: Supercell) -> np.ndarray:
@@ -237,7 +237,7 @@ def projector_constants(cell: Supercell) -> LinearLatticeOperator:
     """Orthogonal projector pi_N onto constant (translation) displacements."""
     n, m = cell.n, cell.spec.m
     mat = np.kron(np.full((n, n), 1.0 / n), np.eye(m))
-    return LinearLatticeOperator(cell, mat, "projector")
+    return LinearLatticeOperator(cell, mat)
 
 
 def conjugate_operator(FN: KernelTable, H: LinearLatticeOperator,
@@ -251,7 +251,7 @@ def conjugate_operator(FN: KernelTable, H: LinearLatticeOperator,
     A = 0.5 * (A + A.T)
     if include_pi:
         A += projector_constants(H.cell).mat
-    return LinearLatticeOperator(H.cell, A, "F_H_F")
+    return LinearLatticeOperator(H.cell, A)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +337,7 @@ def matrix_log_plus(op, expected_zero: int,
     cell = op.cell if isinstance(op, LinearLatticeOperator) else None
     if cell is None:
         return L, cls
-    return LinearLatticeOperator(cell, L, "log_plus"), cls
+    return LinearLatticeOperator(cell, L), cls
 
 
 def _rectangle_nodes(sig_lo: float, sig_hi: float, n_per_edge: int):

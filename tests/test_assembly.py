@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from latthermo import (
     DisplacementField,
@@ -189,7 +190,8 @@ def defect_minimum(name):
 
 def dense_oracle(model, u, v=None):
     """Dense Hessian at u, or its first variation in the direction v, summed
-    site by site from the full stencil tensors as W^T T W, where
+    site by site as W^T T W, where T is the block diagonal of the site's bond
+    blocks (the third-order blocks contracted with Dv first) and
     W = [I | -1] (x) I_m maps the local dofs (neighbours..., centre) to Du."""
     cell = u.cell
     m, nR = cell.spec.m, cell.spec.nR
@@ -202,10 +204,10 @@ def dense_oracle(model, u, v=None):
     out = np.zeros((cell.n * m, cell.n * m))
     for site, pot in enumerate(pots):
         if v is None:
-            T = pot.hess(G[site])
+            blocks = pot.bond_hess_batch(G[site][None])[0]
         else:
-            T = np.einsum("abcdef,ef->abcd", pot.third(G[site]), Gv[site])
-        local = W.T @ T.reshape(nR * m, nR * m) @ W
+            blocks = np.einsum("rabc,rc->rab", pot.bond_third_batch(G[site][None])[0], Gv[site])
+        local = W.T @ block_diag(*blocks) @ W
         sites = np.append(cell.neighbors[site], site)
         dof = (sites[:, None] * m + np.arange(m)).reshape(-1)
         np.add.at(out, (dof[:, None], dof[None, :]), local)

@@ -1,14 +1,18 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from latthermo import (
     ConfigurationError,
     LatticeSpec,
-    evaluate,
+    Supercell,
+    hessian,
     preset_model,
     stability_scan,
     symbol_h,
 )
+from latthermo.config import load_config
 from latthermo.potentials import (
     PRESETS,
     PotentialModel,
@@ -22,13 +26,7 @@ def random_gradient(pot, rng, scale=0.1):
     return scale * rng.standard_normal((pot.nR, pot.m))
 
 
-def contract(tensor, args):
-    """Multilinear form applied to stencil-gradient direction arguments."""
-    out = tensor
-    for a in reversed(args):
-        out = np.tensordot(out, a, axes=([-2, -1], [0, 1]))
-    return out
-
+BENCH_CONFIGS = Path(__file__).resolve().parent.parent / "bench" / "configs"
 
 ALL_POTS = ["chain_harmonic", "square_harmonic", "square_anharmonic",
             "square_misfit", "square_double_well", "square_harmonic_defect"]
@@ -44,45 +42,44 @@ class TestDerivatives:
     def test_harmonic_zero_point(self):
         model = preset_model("square_harmonic")
         zero = np.zeros((model.spec.nR, 2))
-        value, (grad,) = evaluate(model.homogeneous, zero, order=1)
-        assert value == 0.0
-        assert np.all(grad == 0.0)
-
-    def test_order_above_regularity_rejected(self):
-        model = preset_model("square_harmonic")
-        with pytest.raises(ValueError):
-            evaluate(model.homogeneous, np.zeros((model.spec.nR, 2)), order=4)
+        assert model.homogeneous.value(zero) == 0.0
+        assert np.all(model.homogeneous.grad(zero) == 0.0)
 
     @pytest.mark.parametrize("name", ALL_POTS)
     def test_fd_ladder(self, name):
-        """nabla^{j+1}V contracted with a direction equals the FD of nabla^j V."""
+        """Each derivative contracted with a direction equals the FD of the one
+        below it, bond by bond: bond rho's gradient moves only with g_rho."""
         rng = np.random.default_rng(42)
         h = 1e-5
         for pot in iter_site_potentials(name):
             g = random_gradient(pot, rng)
             direction = rng.standard_normal(g.shape)
             direction /= np.linalg.norm(direction)
-            tensors = [pot.grad(g), pot.hess(g), pot.third(g)]
-            lower = [pot.value, pot.grad, pot.hess]
+            G, D = g[None], direction[None]
+            lower = [pot.value_batch, pot.grad_batch, pot.bond_hess_batch]
+            exact = [np.sum(pot.grad_batch(G) * D, axis=(1, 2)),
+                     np.einsum("srab,srb->sra", pot.bond_hess_batch(G), D),
+                     np.einsum("srabc,src->srab", pot.bond_third_batch(G), D)]
             for j in range(3):
-                fd = (lower[j](g + h * direction) - lower[j](g - h * direction)) / (2 * h)
-                exact = np.tensordot(tensors[j], direction, axes=([-2, -1], [0, 1]))
+                fd = (lower[j](G + h * D) - lower[j](G - h * D)) / (2 * h)
                 scale = max(np.max(np.abs(fd)), 1e-8)
                 tol = 1e-6 if j == 0 else 1e-5
-                assert np.max(np.abs(exact - fd)) / scale < tol, (name, j)
+                assert np.max(np.abs(exact[j] - fd)) / scale < tol, (name, j)
 
     @pytest.mark.parametrize("name", ALL_POTS)
     def test_hessian_slot_symmetry(self, name):
+        # every bond's second (third) derivative block is symmetric in its
+        # two (three) indices
         rng = np.random.default_rng(7)
         for pot in iter_site_potentials(name):
-            g = random_gradient(pot, rng)
-            H = pot.hess(g)
-            for _ in range(10):
-                a = rng.standard_normal(g.shape)
-                b = rng.standard_normal(g.shape)
-                ab = contract(H, [a, b])
-                ba = contract(H, [b, a])
-                assert abs(ab - ba) < 1e-12 * max(1.0, abs(ab))
+            G = random_gradient(pot, rng)[None]
+            H = pot.bond_hess_batch(G)
+            T = pot.bond_third_batch(G)
+            assert H.shape == (1, pot.nR, pot.m, pot.m)
+            assert np.max(np.abs(H - np.swapaxes(H, 2, 3))) < 1e-12 * max(1.0, np.abs(H).max())
+            tol = 1e-12 * max(1.0, np.abs(T).max())
+            for perm in [(0, 1, 3, 2, 4), (0, 1, 2, 4, 3), (0, 1, 4, 3, 2)]:
+                assert np.max(np.abs(T - np.transpose(T, perm))) < tol
 
     @pytest.mark.parametrize("name", ALL_POTS)
     def test_point_symmetry(self, name):
@@ -151,6 +148,26 @@ class TestSymbol:
                 assert np.max(np.abs(raw - sine_symbol(model, k))) < 1e-12
                 herm = np.max(np.abs(raw - raw.conj().T))
                 assert herm < 1e-12
+
+    @pytest.mark.parametrize("name, N", [("square_misfit", 6), ("chain_misfit", 5),
+                                         ("cube_harmonic", 3), ("sheared", 4)])
+    def test_sine_form_is_the_dft_of_the_assembled_hessian(self, name, N):
+        # on the dual grid the symbol is the block DFT sum_l H_hom(0, l) e^{i k.l}
+        # of the origin row of the assembled homogeneous Hessian
+        if name == "sheared":
+            model = load_config(BENCH_CONFIGS / "sheared_entropy.yaml").model
+        else:
+            model = PRESETS[name]()
+        cell = Supercell(model.spec, N)
+        m = model.spec.m
+        origin = cell.index([0] * model.spec.d)
+        H = hessian(model.homogenized(), cell.zero_field()).mat
+        row = H[origin * m:(origin + 1) * m].toarray().reshape(m, cell.n, m)
+        phases = np.exp(1j * cell.dual.k @ cell.pos.T)                 # (nk, n)
+        dft = np.einsum("kl,alb->kab", phases, row)
+        sine = symbol_h_batch(model, cell.dual.k)
+        assert np.abs(dft.imag).max() <= 1e-13 * np.abs(sine).max()
+        assert np.abs(dft.real - sine).max() <= 1e-13 * np.abs(sine).max()
 
     def test_symbol_positive_semidefinite_for_stable_models(self):
         rng = np.random.default_rng(4)

@@ -2,8 +2,9 @@ import json
 import logging
 
 import numpy as np
+import pytest
 
-from latthermo import DisplacementField, Supercell, preset_model
+from latthermo import DisplacementField, RunConfig, Supercell, preset_model, sweep
 from latthermo.serialize import (
     certificate_hash,
     load_field_csv,
@@ -99,3 +100,39 @@ def test_rate_report_json_fields(tmp_path):
     del meta["route"]                   # a point written before routes were recorded
     meta_path.write_text(json.dumps(meta))
     assert load_point(tmp_path, "saddle_N4", model, cell).route is None
+
+
+def test_field_file_listing_a_site_twice_is_refused(tmp_path, caplog):
+    # one site written twice and another left out: the row count still matches
+    model = preset_model("square_misfit")
+    cell = Supercell(model.spec, 4)
+    save_point(tmp_path, "min_N4", relax_minimum(model, cell))
+    field_path = tmp_path / "min_N4.csv"
+    header, first, second, *rest = field_path.read_text().splitlines()
+    second = ",".join(first.split(",")[:2] + second.split(",")[2:])
+    field_path.write_text("\n".join([header, first, second, *rest]) + "\n")
+    with pytest.raises(ValueError, match="63 distinct sites in 64 rows"):
+        load_field_csv(field_path, cell)
+    with caplog.at_level(logging.WARNING, logger="latthermo.serialize"):
+        assert load_point(tmp_path, "min_N4", model, cell) is None
+    assert "field check" in caplog.text
+
+
+def test_sweep_resolves_a_malformed_resumed_field(tmp_path, caplog):
+    # an extra column in one row of a persisted field: the resumed sweep logs
+    # the failed field check and solves that point again
+    def run():
+        return sweep(RunConfig(model=preset_model("square_misfit"), N_list=[4, 5, 6],
+                               out=tmp_path, saddle="off"))
+
+    fresh = run()
+    field_path = tmp_path / "points" / "min_N5.csv"
+    lines = field_path.read_text().splitlines()
+    lines[3] += ",0.0"
+    field_path.write_text("\n".join(lines) + "\n")
+    with caplog.at_level(logging.WARNING, logger="latthermo.serialize"):
+        resumed = run()
+    assert "min_N5 failed its field check" in caplog.text
+    assert [r["status"] for r in resumed.rows] == ["ok"] * 3
+    for a, b in zip(fresh.rows, resumed.rows):
+        assert a["E_min"] == b["E_min"] and a["S_min"] == b["S_min"]

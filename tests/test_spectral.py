@@ -149,7 +149,7 @@ class TestLogdet:
         # diag(0, 0, 2, 2) -> 2 log 2
         model, cell, _ = stable_state("chain_harmonic", N=2)
         vals = np.diag([0.0, 0.0, 2.0, 2.0])
-        op = LinearLatticeOperator(cell, vals, "composite")
+        op = LinearLatticeOperator(cell, vals)
         v, cls = logdet_plus(op, expected_zero=2)
         assert abs(v - 2 * np.log(2.0)) < 1e-12
         assert cls.n_positive == 2
@@ -158,7 +158,7 @@ class TestLogdet:
         model, cell, _ = stable_state("chain_harmonic", N=2)
         n = cell.n
         pi = projector_constants(cell).mat
-        op = LinearLatticeOperator(cell, np.eye(n) - pi, "composite")
+        op = LinearLatticeOperator(cell, np.eye(n) - pi)
         v, _ = logdet_plus(op, expected_zero=1)
         assert abs(v) < 1e-12
 
@@ -169,7 +169,7 @@ class TestLogdet:
         Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
         lam = np.concatenate([np.zeros(1), rng.uniform(0.5, 3.0, n - 1)])
         A = (Q * lam) @ Q.T
-        op = LinearLatticeOperator(cell, A, "composite")
+        op = LinearLatticeOperator(cell, A)
         v, _ = logdet_plus(op, expected_zero=1)
         oracle = np.sum(np.log(lam[1:]))
         assert abs(v - oracle) < 1e-9 * max(1.0, abs(oracle))
@@ -177,7 +177,7 @@ class TestLogdet:
     def test_dead_zone_raises(self):
         model, cell, _ = stable_state("chain_harmonic", N=2)
         vals = np.diag([1e-9, 1.0, 1.0, 1.0])   # ambiguous: inside (tau, 10 tau)
-        op = LinearLatticeOperator(cell, vals, "composite")
+        op = LinearLatticeOperator(cell, vals)
         with pytest.raises(AmbiguousSpectrumError):
             logdet_plus(op, expected_zero=0)
 
@@ -206,11 +206,11 @@ class TestLogdet:
         w2 = w.copy()
         w2[np.argmax(w > 1e-8)] *= -1.0          # smallest positive becomes negative
         A = (V * w2) @ V.T
-        op = LinearLatticeOperator(cell, A, "composite")
+        op = LinearLatticeOperator(cell, A)
         dense_val, cls = logdet_plus(op, expected_zero=2, expected_negative=1)
         neg = w2[w2 < -cls.tau_zero]
         import scipy.sparse as sp
-        op_sparse = LinearLatticeOperator(cell, sp.csr_matrix(A), "composite")
+        op_sparse = LinearLatticeOperator(cell, sp.csr_matrix(A))
         fact_val = logdet_plus_factorized(op_sparse, negatives=list(neg))
         assert abs(dense_val - fact_val) < 1e-8 * max(1.0, abs(dense_val))
 
@@ -218,7 +218,7 @@ class TestLogdet:
 class TestMatrixLogPlus:
     def test_scaled_identity(self):
         model, cell, _ = stable_state("chain_harmonic", N=2)
-        op = LinearLatticeOperator(cell, 2.0 * np.eye(cell.n), "composite")
+        op = LinearLatticeOperator(cell, 2.0 * np.eye(cell.n))
         L, _ = matrix_log_plus(op, expected_zero=0)
         assert np.max(np.abs(L.dense() - np.log(2.0) * np.eye(cell.n))) < 1e-12
 
@@ -283,7 +283,7 @@ class TestEigenpairs:
         Hh = hessian(model.homogenized(), cell.zero_field())
         lo, hi, mus, _ = generalized_eigen(Hh, model)
         assert abs(lo - 1.0) < 1e-8 and abs(hi - 1.0) < 1e-8 and mus == []
-        H2 = LinearLatticeOperator(cell, 2.0 * Hh.mat, "composite")
+        H2 = LinearLatticeOperator(cell, 2.0 * Hh.mat)
         lo2, hi2, _, _ = generalized_eigen(H2, model)
         assert abs(lo2 - 2.0) < 1e-8 and abs(hi2 - 2.0) < 1e-8
 
