@@ -85,8 +85,7 @@ def energy_periodic(model: PotentialModel, u: DisplacementField) -> float:
     G = u.gradients()
     total = 0.0
     for pot, idx in _site_potential_groups(model, u.cell):
-        if idx.size:
-            total += float(pot.value_batch(G[idx]).sum())
+        total += float(pot.value_batch(G[idx]).sum())
     return total
 
 
@@ -96,8 +95,6 @@ def gradient_periodic(model: PotentialModel, u: DisplacementField) -> np.ndarray
     G = u.gradients()
     out = np.zeros((cell.n, cell.spec.m))
     for pot, idx in _site_potential_groups(model, cell):
-        if idx.size == 0:
-            continue
         gv = pot.grad_batch(G[idx])                      # (ns, nR, m)
         np.add.at(out, cell.neighbors[idx], gv)
         np.add.at(out, idx, -gv.sum(axis=1))
@@ -110,8 +107,7 @@ def _bond_blocks(model: PotentialModel, cell: Supercell, blocks) -> np.ndarray:
     m = cell.spec.m
     out = np.empty((cell.n, cell.spec.nR, m, m))
     for pot, idx in _site_potential_groups(model, cell):
-        if idx.size:
-            out[idx] = blocks(pot, idx)
+        out[idx] = blocks(pot, idx)
     return out
 
 
@@ -148,11 +144,10 @@ def variation_contractions(model: PotentialModel, u: DisplacementField,
     """First variation of the Hessian at u in the direction v.
 
     Assembles the operator with blocks sum_xi nabla^3 V_xi(Du)[., ., Dv(xi)],
-    contracting each bond's third derivative with its Dv first.
+    each bond's third derivative contracted with its Dv by the potential.
     For homogeneous variations pass ``model.homogenized()``.
     """
     G = u.gradients()
     Gv = v.gradients()
-    K = _bond_blocks(model, u.cell, lambda pot, idx: np.einsum(
-        "nrabc,nrc->nrab", pot.bond_third_batch(G[idx]), Gv[idx]))
+    K = _bond_blocks(model, u.cell, lambda pot, idx: pot.bond_third_dot(G[idx], Gv[idx]))
     return _bond_operator(u.cell, K)

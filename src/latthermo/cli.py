@@ -25,7 +25,7 @@ def _default_out() -> Path:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True, type=Path, help="YAML run configuration")
     p.add_argument("--out", type=Path, default=None, help="output directory")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None, help="run label; no solver reads it")
     p.add_argument("--format", choices=("csv", "json", "both"), default="both")
 
 

@@ -36,6 +36,9 @@ ERROR_COLUMNS = [("E_min", "err_E"), ("S_min", "err_S"), ("dE", "err_dE"), ("dS"
 
 @dataclass
 class RunConfig:
+    """A sweep's model, cell sizes and settings. ``seed`` only labels the run in
+    the table meta: no solver reads it (LOBPCG seeds 7, the symmetry probe 11)."""
+
     model: PotentialModel
     N_list: list[int]
     beta: list[float] = field(default_factory=lambda: [1.0])
@@ -97,6 +100,18 @@ def richardson(Ns: np.ndarray, values: np.ndarray, exponent: float) -> tuple[flo
     return best, abs(best - alt)
 
 
+class StageError(RuntimeError):
+    """A row stage failed; the message is ``<relax|saddle|thermo>: Type: msg``."""
+
+
+def _stage(name: str, fn, *args):
+    """``fn(*args)``, with a failure raised again as a StageError naming the stage."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - every failure of a stage is named
+        raise StageError(f"{name}: {type(exc).__name__}: {exc}") from exc
+
+
 def solve_points(config: RunConfig, N: int, previous: tuple | None = None):
     """The certified minimum and, if the config wants one, saddle of one cell size.
 
@@ -104,10 +119,11 @@ def solve_points(config: RunConfig, N: int, previous: tuple | None = None):
     point starts from its ``continue_in_N`` prolongation. Without one, the
     minimum starts from the kick and the saddle from the midpoint of the
     minimum and its mirror image. Under ``config.out`` a persisted point is
-    resumed (revalidated) and a solved one is saved.
+    resumed (revalidated) and a solved one is saved. A failure raises a
+    StageError that names its stage, relax (with the cell) or saddle.
     """
     model = config.model
-    cell = Supercell(model.spec, N)
+    cell = _stage("relax", Supercell, model.spec, N)
     prev_min, prev_saddle = previous or (None, None)
     outdir = None if config.out is None else Path(config.out) / "points"
 
@@ -130,7 +146,7 @@ def solve_points(config: RunConfig, N: int, previous: tuple | None = None):
             guess[cell.index(config.kick_site)] = config.kick_vector
         return relax_minimum(model, cell, initial_guess=guess, max_iter=config.max_iter)
 
-    minimum = load_or_solve(f"min_N{N}", relax)
+    minimum = _stage("relax", load_or_solve, f"min_N{N}", relax)
     if not config.wants_saddle:
         return minimum, None
 
@@ -142,7 +158,7 @@ def solve_points(config: RunConfig, N: int, previous: tuple | None = None):
             guess = _mirror_symmetrizer(cell, model.mirror)(minimum.u.values)
         return find_saddle(model, cell, initial_guess=guess, max_iter=config.max_iter)
 
-    return minimum, load_or_solve(f"saddle_N{N}", solve_saddle)
+    return minimum, _stage("saddle", load_or_solve, f"saddle_N{N}", solve_saddle)
 
 
 def _row(config: RunConfig, minimum: StationaryPoint, saddle: StationaryPoint | None) -> dict:
@@ -177,8 +193,8 @@ def sweep(config: RunConfig) -> ConvergenceTable:
     """Run the N-sweep, attach error-vs-reference columns and rate fits.
 
     Rows run in ascending N, each warm-started from the points of the last
-    row that succeeded (the kick seeds only the first). A failing stage
-    marks its row with the reason, seeds nothing, and the sweep continues.
+    row that succeeded (the kick seeds only the first). A failing stage marks
+    its row ``error: <stage>: Type: msg``, seeds nothing, and the sweep continues.
     Rate fits exclude the largest rows used as extrapolation anchors.
     """
     scan = stability_scan(config.model)
@@ -190,10 +206,10 @@ def sweep(config: RunConfig) -> ConvergenceTable:
     for N in config.N_list:
         try:
             points = solve_points(config, N, previous)
-            row = _row(config, *points)
-        except Exception as exc:  # noqa: BLE001 - failure is a recorded row state
+            row = _stage("thermo", _row, config, *points)
+        except StageError as exc:
             row = {k: None for k in ROW_COLUMNS}
-            row.update(N=N, status=f"error: {type(exc).__name__}: {exc}")
+            row.update(N=N, status=f"error: {exc}")
         else:
             previous = points
         rows.append(row)
@@ -283,7 +299,7 @@ def plot_data_csv(table: ConvergenceTable) -> str:
 
 def emit(table: ConvergenceTable, outdir: Path,
          formats: tuple[str, ...] = ("csv", "json")) -> list[Path]:
-    """Write table files (atomic, byte-deterministic for a fixed config+seed)."""
+    """Write table files (atomic, byte-deterministic for a fixed config; seed is a label)."""
     outdir = Path(outdir)
     written: list[Path] = []
     try:

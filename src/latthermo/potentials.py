@@ -1,10 +1,10 @@
 """Site potentials on stencil gradients with analytic derivatives to order 3.
 
 Every site potential is a sum over its stencil bonds, so its second and
-third derivatives are block-diagonal over the bonds and are given only as
-per-bond blocks: ``bond_hess_batch`` (ns, |R|, m, m) and ``bond_third_batch``
-(ns, |R|, m, m, m). The homogeneous Hessian symbol is built from the same
-blocks, h_hat(k) = 4 sum_rho sin^2(k.rho/2) nabla^2 phi_rho(0). Two built-in
+third derivatives are block-diagonal over the bonds and are given only per
+bond, as (ns, |R|, m, m) blocks: ``bond_hess_batch``, and ``bond_third_dot``,
+the third derivative contracted with a direction in one slot. The Hessian
+symbol is h_hat(k) = 4 sum_rho sin^2(k.rho/2) nabla^2 phi_rho(0). Two built-in
 families: harmonic springs with per-bond stiffness blocks, and a quartic
 bond-length potential whose coefficients follow the Taylor expansion of a
 Morse curve. A defect is a finite set of per-site overrides near the origin;
@@ -38,9 +38,9 @@ class SitePotential:
     """Energy of one site, a sum over its stencil bonds, as a function of its
     stencil gradient.
 
-    Everything is batched over many sites at once (the *_batch methods, first
-    axis = site); value and grad also take a single gradient. The second and
-    third derivatives are per-bond blocks, one per stencil slot of LatticeSpec.
+    Everything is batched over many sites at once (first axis = site); value
+    and grad also take a single gradient. The second derivative, and the third
+    contracted with a direction, are one block per stencil slot of LatticeSpec.
     """
 
     def __init__(self, stencil: np.ndarray, m: int):
@@ -59,8 +59,9 @@ class SitePotential:
         """Second derivative of each bond term; (ns, nR, m, m)."""
         raise NotImplementedError
 
-    def bond_third_batch(self, G: np.ndarray) -> np.ndarray:
-        """Third derivative of each bond term; (ns, nR, m, m, m)."""
+    def bond_third_dot(self, G: np.ndarray, W: np.ndarray) -> np.ndarray:
+        """Third derivative of each bond term contracted with W (ns, nR, m) in
+        one slot, nabla^3 phi_rho(g_rho)[., ., w_rho]; (ns, nR, m, m)."""
         raise NotImplementedError
 
     # single-site helpers
@@ -103,36 +104,11 @@ class HarmonicBondPotential(SitePotential):
     def bond_hess_batch(self, G):
         return np.broadcast_to(self.K, (G.shape[0],) + self.K.shape)
 
-    def bond_third_batch(self, G):
-        return np.zeros((G.shape[0], self.nR, self.m, self.m, self.m))
+    def bond_third_dot(self, G, W):
+        return np.zeros((G.shape[0], self.nR, self.m, self.m))
 
     def params(self):
         return {"kind": "harmonic", "K": self.K.tolist(), "b": self.b.tolist()}
-
-
-def _norm_derivative_tensors(y: np.ndarray, order: int = 3):
-    """Derivative tensors of x -> |y|, y = x + rho, batched over (..., m).
-
-    Returns (s, n, s2, s3) up to derivative ``order``: the norm, unit
-    vector, and the second and third derivative tensors of the norm.
-    """
-    s = np.linalg.norm(y, axis=-1)
-    if np.any(s < 1e-12):
-        raise FloatingPointError("bond length collapsed to zero")
-    if order == 0:
-        return (s,)
-    n = y / s[..., None]
-    if order == 1:
-        return s, n
-    m = y.shape[-1]
-    eye = np.eye(m)
-    P = eye - n[..., :, None] * n[..., None, :]
-    s2 = P / s[..., None, None]
-    if order == 2:
-        return s, n, s2
-    pn = P[..., :, :, None] * n[..., None, None, :]          # P_ij n_k
-    s3 = -(pn + np.moveaxis(pn, -1, -2) + np.moveaxis(pn, -1, -3)) / s[..., None, None, None] ** 2
-    return s, n, s2, s3
 
 
 class MorseBondPotential(SitePotential):
@@ -158,8 +134,7 @@ class MorseBondPotential(SitePotential):
 
     @classmethod
     def from_morse(cls, stencil, m, D, a, shift=None):
-        D = np.broadcast_to(np.asarray(D, dtype=float), (stencil.shape[0],))
-        a = np.broadcast_to(np.asarray(a, dtype=float), (stencil.shape[0],))
+        D, a = np.asarray(D, dtype=float), np.asarray(a, dtype=float)
         return cls(stencil, m, 2 * D * a**2, -6 * D * a**3, 14 * D * a**4, shift)
 
     def _phi(self, t: np.ndarray, order: int) -> np.ndarray:
@@ -172,35 +147,42 @@ class MorseBondPotential(SitePotential):
             return c2 + c3 * t + c4 * t**2 / 2
         return c3 + c4 * t
 
-    def _sigma(self, G: np.ndarray, order: int):
-        """Bond stretch t and the norm's derivative tensors up to ``order``."""
-        s, *tensors = _norm_derivative_tensors(G + self.stencil, order)
-        return s - self.rho_len - self.shift, *tensors
+    def _bonds(self, G: np.ndarray):
+        """Stretch t, length s and unit vector n of every bond y = g_rho + rho."""
+        y = G + self.stencil
+        s = np.linalg.norm(y, axis=-1)
+        if np.any(s < 1e-12):
+            raise FloatingPointError("bond length collapsed to zero")
+        return s - self.rho_len - self.shift, s, y / s[..., None]
 
     def value_batch(self, G):
-        t, = self._sigma(G, 0)
-        t0 = -self.shift
-        return (self._phi(t, 0) - self._phi(t0, 0)[None, :]).sum(axis=1)
+        t, _, _ = self._bonds(G)
+        return (self._phi(t, 0) - self._phi(-self.shift, 0)).sum(axis=1)
 
     def grad_batch(self, G):
-        t, n = self._sigma(G, 1)
+        t, _, n = self._bonds(G)
         return self._phi(t, 1)[..., None] * n
 
     def bond_hess_batch(self, G):
-        t, n, s2 = self._sigma(G, 2)
-        p1, p2 = self._phi(t, 1), self._phi(t, 2)
-        nn = n[..., :, None] * n[..., None, :]
-        return p2[..., None, None] * nn + p1[..., None, None] * s2
+        """phi'' n n^T + (phi'/s) P per bond, with P = I - n n^T, summed as
+        (phi'' - phi'/s) n n^T + (phi'/s) I."""
+        t, s, n = self._bonds(G)
+        p1s = self._phi(t, 1) / s
+        return ((self._phi(t, 2) - p1s)[..., None, None] * (n[..., :, None] * n[..., None, :])
+                + p1s[..., None, None] * np.eye(self.m))
 
-    def bond_third_batch(self, G):
-        t, n, s2, s3 = self._sigma(G, 3)
-        p1, p2, p3 = self._phi(t, 1), self._phi(t, 2), self._phi(t, 3)
-        nnn = n[..., :, None, None] * n[..., None, :, None] * n[..., None, None, :]
-        ns2 = n[..., :, None, None] * s2[..., None, :, :]
-        sym_ns2 = ns2 + np.moveaxis(ns2, -3, -2) + np.moveaxis(ns2, -3, -1)
-        return (p3[..., None, None, None] * nnn
-                + p2[..., None, None, None] * sym_ns2
-                + p1[..., None, None, None] * s3)
+    def bond_third_dot(self, G, W):
+        """``bond_hess_batch`` differentiated along w: per bond, with a = (phi'' - phi'/s)/s,
+        phi''' (n.w) n n^T + a [(n.w) P + P w n^T + n (P w)^T], summed as
+        (phi''' - 3a)(n.w) n n^T + a [(n.w) I + w n^T + n w^T]."""
+        t, s, n = self._bonds(G)
+        a = (self._phi(t, 2) - self._phi(t, 1) / s) / s
+        nw = np.sum(n * W, axis=-1)
+        nn = n[..., :, None] * n[..., None, :]
+        nW = n[..., :, None] * W[..., None, :]
+        return (((self._phi(t, 3) - 3 * a) * nw)[..., None, None] * nn
+                + a[..., None, None] * (nw[..., None, None] * np.eye(self.m)
+                                        + nW + np.swapaxes(nW, -1, -2)))
 
     def params(self):
         return {"kind": "morse_quartic", "c2": self.c2.tolist(), "c3": self.c3.tolist(),

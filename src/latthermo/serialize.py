@@ -108,7 +108,8 @@ def save_point(outdir: Path, name: str, point: StationaryPoint) -> None:
 def load_point(outdir: Path, name: str, model, cell: Supercell) -> StationaryPoint | None:
     """Reload a persisted stationary point of this model and cell, revalidated.
 
-    The field file must list every site once, the gradient norm is recomputed
+    The metadata must parse, with every key it is read for and of its type;
+    the field file must list every site once, the gradient norm is recomputed
     against ``tol_grad``, and ``finish_point`` re-runs the certificate and
     rebuilds the spectral record; a saddle's stored lam must match the
     certificate's to 1e-8 relative. A point that fails a check is logged by
@@ -119,14 +120,21 @@ def load_point(outdir: Path, name: str, model, cell: Supercell) -> StationaryPoi
     field_path = outdir / f"{name}.csv"
     if not (meta_path.exists() and field_path.exists()):
         return None
-    meta = json.loads(meta_path.read_text())
-    if meta["model_hash"] != model.model_hash() or meta["N"] != cell.N:
-        return None
 
     def rejected(check: str, detail: str) -> None:
         logger.warning("resumed point %s failed its %s check (%s); solving it again",
                        name, check, detail)
 
+    try:
+        meta = json.loads(meta_path.read_text())
+        if meta["model_hash"] != model.model_hash() or meta["N"] != cell.N:
+            return None
+        kind, energy, n_iter = meta["kind"], float(meta["energy"]), int(meta["n_iter"])
+        stored = None if meta["lam"] is None else float(meta["lam"])
+        if kind not in ("minimum", "saddle"):
+            raise ValueError(f"unknown kind {kind!r}")
+    except (ValueError, KeyError, TypeError) as exc:
+        return rejected("metadata", f"{type(exc).__name__}: {exc}")
     try:
         u = load_field_csv(field_path, cell)
     except ValueError as exc:
@@ -135,12 +143,10 @@ def load_point(outdir: Path, name: str, model, cell: Supercell) -> StationaryPoi
     if gnorm > tol_grad(cell):
         return rejected("gradient", f"|g|={gnorm:g} > tol_grad={tol_grad(cell):g}")
     try:
-        point = finish_point(model, u, meta["kind"], float(meta["energy"]), gnorm,
-                             meta["n_iter"], route=meta.get("route"))
+        point = finish_point(model, u, kind, energy, gnorm, n_iter, route=meta.get("route"))
     except RuntimeError as exc:
         return rejected("certificate", f"{type(exc).__name__}: {exc}")
     if point.lam is not None:
-        stored = None if meta["lam"] is None else float(meta["lam"])
         if stored is None or abs(stored - point.lam) > 1e-8 * abs(point.lam):
             return rejected("lam", f"stored {stored!r}, certificate {point.lam!r}")
     return point

@@ -13,10 +13,11 @@ from latthermo import (
 )
 from latthermo import assembly
 from latthermo.potentials import PRESETS
+from test_thermo import morse_cube
 
 
 def small_state(name="square_misfit", N=4, scale=0.05, seed=0):
-    model = PRESETS[name]()
+    model = morse_cube() if name == "morse_cube" else PRESETS[name]()
     cell = Supercell(model.spec, N)
     rng = np.random.default_rng(seed)
     u = DisplacementField(cell, scale * rng.standard_normal((cell.n, model.spec.m)))
@@ -167,16 +168,17 @@ class TestVariations:
         assert abs(dH.mat).max() < 1e-14
 
     def test_first_variation_fd(self):
-        model, cell, u = small_state("square_anharmonic", scale=0.05, seed=2)
-        rng = np.random.default_rng(3)
-        v = DisplacementField(cell, rng.standard_normal(u.values.shape))
-        dH = variation_contractions(model, u, v).dense()
-        h = 1e-4
-        Hp = hessian(model, DisplacementField(cell, u.values + h * v.values)).dense()
-        Hm = hessian(model, DisplacementField(cell, u.values - h * v.values)).dense()
-        fd = (Hp - Hm) / (2 * h)
-        scale = max(np.max(np.abs(fd)), 1e-10)
-        assert np.max(np.abs(dH - fd)) / scale < 1e-5
+        for name in ("square_anharmonic", "morse_cube"):
+            model, cell, u = small_state(name, scale=0.05, seed=2)
+            rng = np.random.default_rng(3)
+            v = DisplacementField(cell, rng.standard_normal(u.values.shape))
+            dH = variation_contractions(model, u, v).dense()
+            h = 1e-4
+            Hp = hessian(model, DisplacementField(cell, u.values + h * v.values)).dense()
+            Hm = hessian(model, DisplacementField(cell, u.values - h * v.values)).dense()
+            fd = (Hp - Hm) / (2 * h)
+            scale = max(np.max(np.abs(fd)), 1e-10)
+            assert np.max(np.abs(dH - fd)) / scale < 1e-5, name
 
 
 def defect_minimum(name):
@@ -191,7 +193,7 @@ def defect_minimum(name):
 def dense_oracle(model, u, v=None):
     """Dense Hessian at u, or its first variation in the direction v, summed
     site by site as W^T T W, where T is the block diagonal of the site's bond
-    blocks (the third-order blocks contracted with Dv first) and
+    blocks (the third derivative contracted with Dv) and
     W = [I | -1] (x) I_m maps the local dofs (neighbours..., centre) to Du."""
     cell = u.cell
     m, nR = cell.spec.m, cell.spec.nR
@@ -206,7 +208,7 @@ def dense_oracle(model, u, v=None):
         if v is None:
             blocks = pot.bond_hess_batch(G[site][None])[0]
         else:
-            blocks = np.einsum("rabc,rc->rab", pot.bond_third_batch(G[site][None])[0], Gv[site])
+            blocks = pot.bond_third_dot(G[site][None], Gv[site][None])[0]
         local = W.T @ block_diag(*blocks) @ W
         sites = np.append(cell.neighbors[site], site)
         dof = (sites[:, None] * m + np.arange(m)).reshape(-1)

@@ -315,28 +315,31 @@ class TestChain:
             assert n_chained < n_kicked, name
 
     def test_failed_row_seeds_nothing(self, monkeypatch):
-        solved, guesses = {}, {}
+        # the N=5 minimum, then the N=5 saddle, fails: the status names the
+        # stage, and N=6 starts from the N=4 points
+        relax_minimum, find_saddle = harness.relax_minimum, harness.find_saddle
+        for failing, stage in (("minimum", "relax"), ("saddle", "saddle")):
+            solved, guesses = {}, {}
 
-        def recording(fn, kind):
-            def wrapper(model, cell, **kwargs):
-                guesses[(kind, cell.N)] = kwargs.get("initial_guess")
-                if kind == "minimum" and cell.N == 5:
-                    raise RuntimeError("forced failure")
-                solved[(kind, cell.N)] = point = fn(model, cell, **kwargs)
-                return point
-            return wrapper
+            def recording(fn, kind):
+                def wrapper(model, cell, **kwargs):
+                    guesses[(kind, cell.N)] = kwargs.get("initial_guess")
+                    if kind == failing and cell.N == 5:
+                        raise RuntimeError("forced failure")
+                    solved[(kind, cell.N)] = point = fn(model, cell, **kwargs)
+                    return point
+                return wrapper
 
-        monkeypatch.setattr(harness, "relax_minimum",
-                            recording(harness.relax_minimum, "minimum"))
-        monkeypatch.setattr(harness, "find_saddle", recording(harness.find_saddle, "saddle"))
-        cfg = dwell_config(None)
-        table = sweep(cfg)
-        assert [r["status"] == "ok" for r in table.rows] == [True, False, True]
-        assert "forced failure" in table.rows[1]["status"]
-        cell6 = Supercell(cfg.model.spec, 6)
-        for kind in ("minimum", "saddle"):
-            expected = harness.continue_in_N(cfg.model, solved[(kind, 4)], cell6)
-            assert np.array_equal(guesses[(kind, 6)].values, expected.values), kind
+            monkeypatch.setattr(harness, "relax_minimum", recording(relax_minimum, "minimum"))
+            monkeypatch.setattr(harness, "find_saddle", recording(find_saddle, "saddle"))
+            cfg = dwell_config(None)
+            table = sweep(cfg)
+            assert [r["status"] == "ok" for r in table.rows] == [True, False, True]
+            assert table.rows[1]["status"] == f"error: {stage}: RuntimeError: forced failure"
+            cell6 = Supercell(cfg.model.spec, 6)
+            for kind in ("minimum", "saddle"):
+                expected = harness.continue_in_N(cfg.model, solved[(kind, 4)], cell6)
+                assert np.array_equal(guesses[(kind, 6)].values, expected.values), kind
 
 
 class TestEmit:

@@ -1,3 +1,4 @@
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -17,9 +18,9 @@ from latthermo.potentials import (
     PRESETS,
     PotentialModel,
     _acoustic_limits,
-    _norm_derivative_tensors,
     symbol_h_batch,
 )
+from test_thermo import morse_cube
 
 
 def random_gradient(pot, rng, scale=0.1):
@@ -33,7 +34,8 @@ ALL_POTS = ["chain_harmonic", "square_harmonic", "square_anharmonic",
 
 
 def iter_site_potentials(name):
-    model = PRESETS[name]()
+    # no preset has an m=3 Morse potential
+    model = morse_cube() if name == "morse_cube" else PRESETS[name]()
     yield model.homogeneous
     yield from model.overrides.values()
 
@@ -45,7 +47,7 @@ class TestDerivatives:
         assert model.homogeneous.value(zero) == 0.0
         assert np.all(model.homogeneous.grad(zero) == 0.0)
 
-    @pytest.mark.parametrize("name", ALL_POTS)
+    @pytest.mark.parametrize("name", ALL_POTS + ["morse_cube"])
     def test_fd_ladder(self, name):
         """Each derivative contracted with a direction equals the FD of the one
         below it, bond by bond: bond rho's gradient moves only with g_rho."""
@@ -59,27 +61,31 @@ class TestDerivatives:
             lower = [pot.value_batch, pot.grad_batch, pot.bond_hess_batch]
             exact = [np.sum(pot.grad_batch(G) * D, axis=(1, 2)),
                      np.einsum("srab,srb->sra", pot.bond_hess_batch(G), D),
-                     np.einsum("srabc,src->srab", pot.bond_third_batch(G), D)]
+                     pot.bond_third_dot(G, D)]
             for j in range(3):
                 fd = (lower[j](G + h * D) - lower[j](G - h * D)) / (2 * h)
                 scale = max(np.max(np.abs(fd)), 1e-8)
                 tol = 1e-6 if j == 0 else 1e-5
                 assert np.max(np.abs(exact[j] - fd)) / scale < tol, (name, j)
 
-    @pytest.mark.parametrize("name", ALL_POTS)
+    @pytest.mark.parametrize("name", ALL_POTS + ["morse_cube"])
     def test_hessian_slot_symmetry(self, name):
-        # every bond's second (third) derivative block is symmetric in its
-        # two (three) indices
+        # every bond's second derivative and contracted third derivative are
+        # symmetric blocks, and x^T T(w) y is the same for every order of
+        # (x, y, w): the third derivative is symmetric in all three slots
         rng = np.random.default_rng(7)
         for pot in iter_site_potentials(name):
             G = random_gradient(pot, rng)[None]
+            x, y, w = (rng.standard_normal(G.shape) for _ in range(3))
             H = pot.bond_hess_batch(G)
-            T = pot.bond_third_batch(G)
-            assert H.shape == (1, pot.nR, pot.m, pot.m)
-            assert np.max(np.abs(H - np.swapaxes(H, 2, 3))) < 1e-12 * max(1.0, np.abs(H).max())
-            tol = 1e-12 * max(1.0, np.abs(T).max())
-            for perm in [(0, 1, 3, 2, 4), (0, 1, 2, 4, 3), (0, 1, 4, 3, 2)]:
-                assert np.max(np.abs(T - np.transpose(T, perm))) < tol
+            T = pot.bond_third_dot(G, w)
+            for B in (H, T):
+                assert B.shape == (1, pot.nR, pot.m, pot.m)
+                assert np.max(np.abs(B - np.swapaxes(B, 2, 3))) < 1e-12 * max(1.0, np.abs(B).max())
+            forms = [np.einsum("srab,sra,srb->sr", pot.bond_third_dot(G, c), a, b)
+                     for a, b, c in itertools.permutations((x, y, w))]
+            tol = 1e-12 * max(1.0, np.abs(forms[0]).max())
+            assert all(np.max(np.abs(f - forms[0])) < tol for f in forms)
 
     @pytest.mark.parametrize("name", ALL_POTS)
     def test_point_symmetry(self, name):
@@ -220,17 +226,6 @@ def test_symbol_conjugate_symmetry():
         hp = symbol_h(model, k)
         hm = symbol_h(model, -k)
         assert np.max(np.abs(hm - hp.conj())) < 1e-12
-
-
-def test_norm_derivatives_stop_at_the_requested_order():
-    y = np.random.default_rng(4).standard_normal((6, 8, 2)) + 1.5
-    full = _norm_derivative_tensors(y)
-    assert len(full) == 4
-    for order in range(3):
-        low = _norm_derivative_tensors(y, order)
-        assert len(low) == order + 1
-        for a, b in zip(low, full):
-            assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("A, mirror", [

@@ -119,20 +119,35 @@ def test_field_file_listing_a_site_twice_is_refused(tmp_path, caplog):
 
 
 def test_sweep_resolves_a_malformed_resumed_field(tmp_path, caplog):
-    # an extra column in one row of a persisted field: the resumed sweep logs
-    # the failed field check and solves that point again
+    # a field row with an extra column, a truncated metadata file and one
+    # without its "kind" key: each resumed sweep logs the failed check and
+    # solves that point again, rewriting its files for the next case
     def run():
         return sweep(RunConfig(model=preset_model("square_misfit"), N_list=[4, 5, 6],
                                out=tmp_path, saddle="off"))
 
+    def extra_column(text):
+        lines = text.splitlines()
+        lines[3] += ",0.0"
+        return "\n".join(lines) + "\n"
+
+    def without_kind(text):
+        meta = json.loads(text)
+        del meta["kind"]
+        return json.dumps(meta)
+
     fresh = run()
-    field_path = tmp_path / "points" / "min_N5.csv"
-    lines = field_path.read_text().splitlines()
-    lines[3] += ",0.0"
-    field_path.write_text("\n".join(lines) + "\n")
-    with caplog.at_level(logging.WARNING, logger="latthermo.serialize"):
-        resumed = run()
-    assert "min_N5 failed its field check" in caplog.text
-    assert [r["status"] for r in resumed.rows] == ["ok"] * 3
-    for a, b in zip(fresh.rows, resumed.rows):
-        assert a["E_min"] == b["E_min"] and a["S_min"] == b["S_min"]
+    points = tmp_path / "points"
+    cases = [("min_N5.csv", extra_column, "field"),
+             ("min_N5.json", lambda text: text[:-20], "metadata"),
+             ("min_N5.json", without_kind, "metadata")]
+    for filename, corrupt, check in cases:
+        path = points / filename
+        path.write_text(corrupt(path.read_text()))
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="latthermo.serialize"):
+            resumed = run()
+        assert f"min_N5 failed its {check} check" in caplog.text, filename
+        assert [r["status"] for r in resumed.rows] == ["ok"] * 3
+        for a, b in zip(fresh.rows, resumed.rows):
+            assert a["E_min"] == b["E_min"] and a["S_min"] == b["S_min"]
