@@ -57,8 +57,14 @@ class RunConfig:
             raise ValueError("N list must be strictly ascending")
         if self.N_ref is not None and Ns and self.N_ref < 2 * max(Ns):
             raise ValueError("N_ref must be at least twice the largest sweep N")
+        if not self.beta:
+            raise ValueError("run.beta must list at least one inverse temperature")
         if any(b <= 0 for b in self.beta):
             raise ValueError("inverse temperatures must be positive")
+        if self.saddle not in ("auto", "on", "off"):
+            # YAML reads an unquoted on/off as a boolean
+            raise ValueError(f"run.saddle must be the string \"auto\", \"on\" or \"off\", "
+                             f"not {self.saddle!r}; quote the value in YAML (saddle: \"off\")")
 
     @property
     def wants_saddle(self) -> bool:

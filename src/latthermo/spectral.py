@@ -11,7 +11,6 @@ from __future__ import annotations
 import copy
 import warnings
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -89,12 +88,14 @@ class ModeClassification:
 
 
 def classify_eigenvalues(eigs: np.ndarray, expected_zero: int,
+                         expected_negative: int | None = None,
                          complete: bool = True) -> ModeClassification:
     """Split eigenvalues into translation zeros, negatives and positives.
 
     tau_zero = 1e-8 * max|lambda|; exactly ``expected_zero`` eigenvalues may
-    lie in the dead zone [-tau, tau], and every other eigenvalue must clear
-    the zone by a factor of 10, otherwise a hard error is raised.
+    lie in the dead zone [-tau, tau], every other eigenvalue must clear the
+    zone by a factor of 10 and, when ``expected_negative`` is given, exactly
+    that many must be negative; otherwise AmbiguousSpectrumError is raised.
     """
     eigs = np.sort(np.asarray(eigs, dtype=float))
     scale = float(np.max(np.abs(eigs))) if eigs.size else 0.0
@@ -111,6 +112,9 @@ def classify_eigenvalues(eigs: np.ndarray, expected_zero: int,
     if np.any(ambiguous_neg) or np.any(ambiguous_pos):
         bad = eigs[ambiguous_neg | ambiguous_pos]
         raise AmbiguousSpectrumError(f"eigenvalues {bad} inside the dead zone around {tau:g}")
+    if expected_negative is not None and int(neg.sum()) != expected_negative:
+        raise AmbiguousSpectrumError(
+            f"expected {expected_negative} negative modes, found {int(neg.sum())}")
     labels = np.where(zero, "translation_zero",
                       np.where(neg, "unstable_negative", "positive")).tolist()
     pos_vals = eigs[pos]
@@ -269,11 +273,7 @@ def logdet_plus(op, expected_zero: int,
     """Sum of log over strictly positive eigenvalues, with audit classification."""
     A = _dense(op)
     w = np.linalg.eigvalsh(A)
-    cls = classify_eigenvalues(w, expected_zero)
-    if expected_negative is not None and cls.n_negative != expected_negative:
-        raise AmbiguousSpectrumError(
-            f"expected {expected_negative} negative modes, found {cls.n_negative}"
-        )
+    cls = classify_eigenvalues(w, expected_zero, expected_negative)
     pos = w[w > cls.tau_zero]
     return float(np.sum(np.log(pos))), cls
 
@@ -294,14 +294,15 @@ def _perm_parity(perm: np.ndarray) -> int:
     return parity
 
 
-def logdet_plus_factorized(H: LinearLatticeOperator, negatives: Sequence[float] = ()) -> float:
+def logdet_plus_factorized(H: LinearLatticeOperator, negative: float | None = None) -> float:
     """log det+ of a sparse lattice Hessian via a bordered sparse factorization.
 
     Borders H with the orthonormal translation modes Z, so that
-    det [[H, Z], [Z^T, 0]] = (-1)^m det+(H) * prod(negative eigenvalues).
-    Known negative eigenvalues (from certification) are divided back out;
-    the overall sign is audited. The bordered matrix has a symmetric
-    pattern, so the columns take a minimum-degree order of A^T + A.
+    det [[H, Z], [Z^T, 0]] = (-1)^m det+(H) * (the negative eigenvalue, if
+    any). ``negative`` is the certified negative eigenvalue of an index-1
+    point, None at a minimum; it is divided back out and the overall sign
+    is audited. The bordered matrix has a symmetric pattern, so the columns
+    take a minimum-degree order of A^T + A.
     """
     m = H.cell.spec.m
     Z = sp.csc_matrix(_translation_modes(H.cell.n, m))
@@ -312,13 +313,11 @@ def logdet_plus_factorized(H: LinearLatticeOperator, negatives: Sequence[float] 
         raise AmbiguousSpectrumError("singular bordered factorization")
     logabs = float(np.sum(np.log(np.abs(diag))))
     sign = int(np.prod(np.sign(diag))) * _perm_parity(lu.perm_r) * _perm_parity(lu.perm_c)
-    expect_sign = (-1) ** m * (int(np.prod(np.sign(negatives))) if negatives else 1)
-    if sign != expect_sign:
-        raise AmbiguousSpectrumError(
-            f"determinant sign {sign} inconsistent with {len(negatives)} negative modes"
-        )
-    if negatives:
-        logabs -= float(np.sum(np.log(np.abs(np.asarray(negatives)))))
+    if sign != (-1) ** m * (1 if negative is None else int(np.sign(negative))):
+        raise AmbiguousSpectrumError(f"determinant sign {sign} inconsistent with "
+                                     f"{int(negative is not None)} negative modes")
+    if negative is not None:
+        logabs -= float(np.log(np.abs(negative)))
     return logabs
 
 
@@ -327,11 +326,7 @@ def matrix_log_plus(op, expected_zero: int,
     """log+ A via eigendecomposition: log on positive modes, zero elsewhere."""
     A = _dense(op)
     w, V = np.linalg.eigh(A)
-    cls = classify_eigenvalues(w, expected_zero)
-    if cls.n_negative != expected_negative:
-        raise AmbiguousSpectrumError(
-            f"expected {expected_negative} negative modes, found {cls.n_negative}"
-        )
+    cls = classify_eigenvalues(w, expected_zero, expected_negative)
     lw = np.where(w > cls.tau_zero, np.log(np.maximum(w, 1e-300)), 0.0)
     L = (V * lw) @ V.T
     cell = op.cell if isinstance(op, LinearLatticeOperator) else None
@@ -562,20 +557,6 @@ class FApplier:
         return sq
 
 
-def _hessian_precond(cell: Supercell, model: PotentialModel):
-    """F_N^2 = (H^hom)^+ as a block map, the LOBPCG preconditioner of a
-    lattice Hessian. Its ``FApplier`` is built at the first call, so the
-    dense route of ``_extremal_eig``, which makes none, does not pay for it."""
-    built = []
-
-    def apply(X: np.ndarray) -> np.ndarray:
-        if not built:
-            built.append(FApplier(cell, model).squared())
-        return built[0].apply(X)
-
-    return apply
-
-
 def _site_columns(F: FApplier, sites: np.ndarray):
     """(slice of ``sites``, half-grid spectra of their unit columns) per chunk
     of sites: the m columns e_(ell, i) of up to 256 // m sites at a time."""
@@ -597,42 +578,41 @@ def _fhf_matvec(F: FApplier, H: LinearLatticeOperator):
 
 def generalized_eigen(H: LinearLatticeOperator, model: PotentialModel,
                       expected_negative: int = 0, tol: float = 1e-8):
-    """The one F_N H F_N solve of a point: positive bounds and negative pairs.
+    """The one F_N H F_N solve of a point: positive bounds and negative pair.
 
     The nonzero spectrum of F_N H F_N is the generalized spectrum of
     H psi = mu H_hom psi on the zero-mean subspace, with psi = F_N w. One
     unpreconditioned ``_extremal_eig`` call gives the ``expected_negative``
     + 1 lowest eigenpairs and the top eigenvalue off the translations, on
     either route. ``classify_eigenvalues`` checks those ends: nothing in the
-    dead zone and exactly ``expected_negative`` negatives, so an unexpected
-    negative mode and a missing one both raise AmbiguousSpectrumError. Each
-    negative pair is checked as a generalized eigenpair against the assembled
-    H_hom. Returns (sigma_lo, sigma_hi, mus, modes): the bounds of the
-    positive spectrum, the negative eigenvalues and their unit zero-mean
-    modes w.
+    dead zone and exactly ``expected_negative`` negatives, 0 at a minimum and
+    1 at an index-1 saddle (any other index is refused), so an unexpected
+    negative mode and a missing one both raise AmbiguousSpectrumError. The
+    negative pair is checked as a generalized eigenpair against the
+    assembled H_hom. Returns (sigma_lo, sigma_hi, mu, w): the bounds of the
+    positive spectrum, the negative eigenvalue and its unit zero-mean mode
+    w, flattened to (n m,); mu and w are None at a minimum.
     """
+    if expected_negative not in (0, 1):
+        raise ValueError(f"expected_negative must be 0 or 1, not {expected_negative!r}")
     cell = H.cell
     n, m = cell.n, cell.spec.m
     F = FApplier(cell, model)
     w, V, w_top = _extremal_eig(_fhf_matvec(F, H), cell, 0.0, k=expected_negative + 1,
                                 stage="F_N H F_N", top=True)
-    cls = classify_eigenvalues(np.append(w, w_top), expected_zero=0)
-    if cls.n_negative != expected_negative:
-        raise AmbiguousSpectrumError(
-            f"expected {expected_negative} negative modes, found {cls.n_negative}")
-    mus, modes = [], []
-    H_hom = hessian(model.homogenized(), cell.zero_field()) if expected_negative else None
-    for mu, vec in zip(w[:expected_negative], V[:, :expected_negative].T):
-        vec = vec - _mean_project(vec, n, m)
-        vec /= np.linalg.norm(vec)
-        psi = F.apply(vec)
-        lhs = np.asarray(H.mat @ psi)
-        res = np.linalg.norm(lhs - mu * np.asarray(H_hom.mat @ psi))
-        if res > tol * max(np.linalg.norm(lhs), 1e-12):
-            raise RuntimeError(f"generalized eigenpair residual {res:g} above tolerance")
-        mus.append(float(mu))
-        modes.append(vec)
-    return cls.sigma_min, cls.sigma_max, mus, modes
+    cls = classify_eigenvalues(np.append(w, w_top), expected_zero=0,
+                               expected_negative=expected_negative)
+    if not expected_negative:
+        return cls.sigma_min, cls.sigma_max, None, None
+    vec = V[:, 0] - _mean_project(V[:, 0], n, m)
+    vec /= np.linalg.norm(vec)
+    psi = F.apply(vec)
+    lhs = np.asarray(H.mat @ psi)
+    H_hom = hessian(model.homogenized(), cell.zero_field())
+    res = np.linalg.norm(lhs - w[0] * np.asarray(H_hom.mat @ psi))
+    if res > tol * max(np.linalg.norm(lhs), 1e-12):
+        raise RuntimeError(f"generalized eigenpair residual {res:g} above tolerance")
+    return cls.sigma_min, cls.sigma_max, float(w[0]), vec
 
 
 # ---------------------------------------------------------------------------
@@ -701,29 +681,30 @@ def site_log_traces(H: LinearLatticeOperator, model: PotentialModel,
     """tr [log+ (F_N H F_N)]_{ell ell} for the requested site ordinals.
 
     A Chebyshev expansion of log on the measured positive spectral interval,
-    applied to deflated site basis columns, at every size. The bounds and
-    negative modes come from ``spectrum``, a point's carried
-    ``generalized_eigen`` result, and are solved otherwise. The degree is
-    the lowest that meets the ``_cheb_log_poly`` check, and the moments up
-    to it come from ceil(degree / 2) block products with F_N H F_N per chunk
-    of sites. The recurrence runs on the Hermitian half-grid spectra of
-    ``FApplier``, so a block product is one ``irfftn``, one sparse H product
-    and one ``rfftn``; projections and moments are Parseval inner products
-    there. The recurrence runs once per orbit of the cell's point group
-    that ``_site_orbits`` verifies on F_N H F_N, and each site reads its
+    applied to deflated site basis columns, at every size. ``spectrum`` is a
+    point's carried ``generalized_eigen`` result (sigma_lo, sigma_hi, mu, w),
+    solved with ``expected_negative`` (0 or 1) when not given; at a saddle
+    the one mode w is deflated. The degree is the lowest that meets the
+    ``_cheb_log_poly`` check, and the moments up to it come from
+    ceil(degree / 2) block products with F_N H F_N per chunk of sites. The
+    recurrence runs on the Hermitian half-grid spectra of ``FApplier``, so a
+    block product is one ``irfftn``, one sparse H product and one ``rfftn``;
+    projections and moments are Parseval inner products there. The
+    recurrence runs once per orbit of the cell's point group that
+    ``_site_orbits`` verifies on F_N H F_N, and each site reads its
     representative's trace. Returns (traces, info): info gives the spectral
-    bounds, the degree, its sampled error, the carried negatives,
-    ``matvecs`` (the number of block products of the recurrence),
-    ``symmetry_order`` (verified elements, identity included),
-    ``orbit_sites`` (sites run) and ``symmetry_residual`` (largest accepted
-    probe residual).
+    bounds, the degree, its sampled error, ``negatives`` (the list of the
+    carried mu, empty at a minimum), ``matvecs`` (the number of block
+    products of the recurrence), ``symmetry_order`` (verified elements,
+    identity included), ``orbit_sites`` (sites run) and
+    ``symmetry_residual`` (largest accepted probe residual).
     """
     cell = H.cell
     sites = np.asarray(sites, dtype=int)
     F = FApplier(cell, model)
     if spectrum is None:
         spectrum = generalized_eigen(H, model, expected_negative)
-    sig_lo, sig_hi, negatives, deflate = spectrum
+    sig_lo, sig_hi, negative, mode = spectrum
     if sig_lo <= 0:
         raise AmbiguousSpectrumError(f"positive spectrum lower bound {sig_lo:g} <= 0")
     a, b = 0.95 * sig_lo, 1.05 * sig_hi
@@ -731,7 +712,7 @@ def site_log_traces(H: LinearLatticeOperator, model: PotentialModel,
     coef = poly.coef
     deg = len(coef) - 1
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    deflate_hat = [F.forward(vec) for vec in deflate]
+    mode_hat = None if mode is None else F.forward(mode)
     zero_q = (0,) * len(cell.grid_shape)
 
     def step(X, prev=None):
@@ -745,8 +726,8 @@ def site_log_traces(H: LinearLatticeOperator, model: PotentialModel,
         return Y
 
     def project(X):
-        for vec in deflate_hat:
-            X -= vec * F.dot(np.broadcast_to(vec, X.shape), X)
+        if mode_hat is not None:
+            X -= mode_hat * F.dot(np.broadcast_to(mode_hat, X.shape), X)
         X[zero_q] = 0.0                      # the constants
         return X
 
@@ -754,7 +735,7 @@ def site_log_traces(H: LinearLatticeOperator, model: PotentialModel,
     traces = np.zeros(len(reps))
     matvecs = 0
     for chunk, E_hat in _site_columns(F, reps):
-        # rounding-level components along the translations and deflated modes
+        # rounding-level components along the translations and the deflated mode
         # grow like T_k((0 - mid) / half) in the recurrence: project every term
         t_prev = project(E_hat)
         t_cur = project(step(t_prev))
@@ -772,5 +753,5 @@ def site_log_traces(H: LinearLatticeOperator, model: PotentialModel,
         traces[chunk] = coef @ mu
     info = {"method": "chebyshev", "sigma_min": sig_lo, "sigma_max": sig_hi,
             "cheb_degree": deg, "cheb_error": err, "matvecs": matvecs,
-            "negatives": negatives, **sym_info}
+            "negatives": [] if negative is None else [negative], **sym_info}
     return traces[inverse], info

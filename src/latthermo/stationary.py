@@ -20,9 +20,9 @@ from .potentials import PotentialModel
 from .spectral import (
     AmbiguousSpectrumError,
     ZERO_TOL_FACTOR,
+    FApplier,
     ModeClassification,
     _extremal_eig,
-    _hessian_precond,
     _mean_project,
     _translation_modes,
     classify_eigenvalues,
@@ -75,7 +75,7 @@ class StationaryPoint:
     gradient_history: list = field(default_factory=list)
     route: str | None = None        # saddle route: follow or symmetric_fallback
     mu: float | None = None         # negative eigenvalue of F_N H F_N at a saddle
-    w: np.ndarray | None = None     # its unit mode; psi = F_N w
+    w: np.ndarray | None = None     # its unit mode, flattened (n m,); psi = F_N w
     H: LinearLatticeOperator | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -84,15 +84,17 @@ class StationaryPoint:
 
 
 def _bordered_solve(H: sp.spmatrix, nu: float, rhs: np.ndarray, cell: Supercell, precond,
-                    modes=(), stage: str = "Newton step") -> np.ndarray | None:
-    """Solve (H + nu I) p = rhs on the complement of the constants and ``modes``.
+                    mode: np.ndarray | None = None,
+                    stage: str = "Newton step") -> np.ndarray | None:
+    """Solve (H + nu I) p = rhs on the complement of the constants and ``mode``.
 
     CG preconditioned by P F_N^2 P, with P the orthogonal projector on that
-    complement and F_N^2 the block map ``precond`` (``_hessian_precond``), to
-    relative residual ``CG_RTOL``. ``modes`` are orthonormal and orthogonal to
-    the constants. Returns None when a search direction has non-positive
-    curvature, so H + nu I is not positive there; raises RuntimeError naming
-    ``stage`` and N at ``CG_MAXITER`` iterations.
+    complement and F_N^2 the block map ``precond`` (``FApplier.squared``), to
+    relative residual ``CG_RTOL``. ``mode``, the followed mode of a saddle
+    step, is a unit vector orthogonal to the constants. Returns None when a
+    search direction has non-positive curvature, so H + nu I is not positive
+    there; raises RuntimeError naming ``stage`` and N at ``CG_MAXITER``
+    iterations.
 
     The one Newton-step solver of the minimiser and the saddle search. It
     keeps the name of the bordered LU it replaced because bench/tracing.py
@@ -102,8 +104,8 @@ def _bordered_solve(H: sp.spmatrix, nu: float, rhs: np.ndarray, cell: Supercell,
 
     def project(v):
         out = v - _mean_project(v, n, m)
-        for w in modes:
-            out = out - w * (w @ out)
+        if mode is not None:
+            out = out - mode * (mode @ out)
         return out
 
     r = project(rhs)
@@ -155,7 +157,7 @@ def _certify_spectrum(model: PotentialModel, H: LinearLatticeOperator, kind: str
         raise AmbiguousSpectrumError(
             f"{stage} at N={cell.N}: |H t| = {drift:g} on a unit translation field")
     w, V = _extremal_eig(matvec, cell, top, k=expected_neg + 2,
-                         precond=_hessian_precond(cell, model), stage=stage)
+                         precond=FApplier(cell, model).squared().apply, stage=stage)
     eigs = np.concatenate([np.einsum("ij,ij->j", T, HT), w, [top]])
     cls = classify_eigenvalues(eigs, expected_zero=m, complete=False)
     cls.n_positive = n * m - cls.n_zero - cls.n_negative
@@ -190,11 +192,10 @@ def finish_point(model: PotentialModel, u: DisplacementField, kind: str, energy:
     """
     H = hessian(model, u) if H is None else H
     cls, lam, phi = _certify_spectrum(model, H, kind)
-    lo, hi, mus, modes = generalized_eigen(H, model, expected_negative=cls.n_negative)
+    lo, hi, mu, w = generalized_eigen(H, model, expected_negative=cls.n_negative)
     return StationaryPoint(kind, u, energy, gradient_norm, cls, (lo, hi), model.model_hash(),
                            n_iter, lam=lam, phi=phi, gradient_history=history or [],
-                           route=route, mu=mus[0] if mus else None,
-                           w=modes[0].reshape(u.values.shape) if modes else None, H=H)
+                           route=route, mu=mu, w=w, H=H)
 
 
 def relax_minimum(model: PotentialModel, cell: Supercell,
@@ -228,7 +229,7 @@ def _newton_relax(model: PotentialModel, cell: Supercell, initial_guess, max_ite
     next shift of the ``nu`` ladder.
     """
     tol = tol_grad(cell)
-    precond = _hessian_precond(cell, model)
+    precond = FApplier(cell, model).squared().apply
     stage = "minimum step" if symmetrize is None else "symmetric saddle step"
     u = _start_values(cell, initial_guess)
     if symmetrize is not None:
@@ -333,7 +334,7 @@ def _saddle_follow(model: PotentialModel, cell: Supercell, initial_guess,
     tol = tol_grad(cell)
     u = _start_values(cell, initial_guess)
     n, m = cell.n, cell.spec.m
-    precond = _hessian_precond(cell, model)
+    precond = FApplier(cell, model).squared().apply
     track = None
     V = None                        # the previous step's two softest modes warm-start the next
     gnorm_prev = np.inf
@@ -365,7 +366,7 @@ def _saddle_follow(model: PotentialModel, cell: Supercell, initial_guess,
         g1 = float(g @ v1)
         p1 = -(g1 / lam_eff) * v1
         nu = max(0.0, delta - lam2)
-        p_perp = _bordered_solve(H.mat, nu, -(g - g1 * v1), cell, precond, modes=[v1],
+        p_perp = _bordered_solve(H.mat, nu, -(g - g1 * v1), cell, precond, mode=v1,
                                  stage="saddle step")
         if p_perp is None:
             raise RuntimeError(f"saddle step at N={cell.N}: non-positive curvature "

@@ -158,13 +158,14 @@ class RateReport:
 
 
 def _resolve_state(model: PotentialModel, state):
-    """(field, kind, lam, H, carried F_N H F_N spectrum); only a bare field assembles."""
+    """(field, kind, index, lam, H, carried F_N H F_N spectrum); only a bare
+    field assembles. The index, the number of negative modes, is 1 at a
+    saddle and 0 otherwise; the spectrum is ``generalized_eigen``'s tuple."""
     if isinstance(state, StationaryPoint):
-        mus = [] if state.mu is None else [state.mu]
-        modes = [] if state.w is None else [state.w.reshape(-1)]
-        return state.u, state.kind, state.lam, state.H, (*state.sigma, mus, modes)
+        index = 1 if state.kind == "saddle" else 0
+        return state.u, state.kind, index, state.lam, state.H, (*state.sigma, state.mu, state.w)
     if isinstance(state, DisplacementField):
-        return state, "state", None, hessian(model, state), None
+        return state, "state", 0, None, hessian(model, state), None
     raise TypeError("state must be a StationaryPoint or DisplacementField")
 
 
@@ -190,13 +191,12 @@ def entropy_total(model: PotentialModel, state) -> float:
     translation zeros (det+ semantics). A bare field carries no certificate,
     so it is certified as a minimum first (exactly m zeros, no negative mode).
     """
-    u, kind, lam, H, _ = _resolve_state(model, state)
-    expected_neg = 1 if kind == "saddle" else 0
-    if expected_neg and lam is None:
+    u, kind, index, lam, H, _ = _resolve_state(model, state)
+    if index and lam is None:
         raise ValueError("saddle point must carry its unstable eigenvalue lam")
     if kind == "state":
         _certify_spectrum(model, H, "minimum")
-    ld_def = logdet_plus_factorized(H, negatives=[lam] * expected_neg)
+    ld_def = logdet_plus_factorized(H, negative=lam)
     ld_hom = _logdet_plus_homogeneous(model, u.cell)
     return -0.5 * ld_def + 0.5 * ld_hom
 
@@ -210,13 +210,12 @@ def site_entropies(model: PotentialModel, state,
     to S_N; at a saddle they sum to the log+ part of the splitting identity
     (see delta_S_saddle).
     """
-    u, kind, _, H, spectrum = _resolve_state(model, state)
+    u, kind, index, _, H, spectrum = _resolve_state(model, state)
     cell = u.cell
-    expected_neg = 1 if kind == "saddle" else 0
     if sites is None:
         sites = np.arange(cell.n)
     sites = np.asarray(sites, dtype=int)
-    traces, info = site_log_traces(H, model, sites, expected_negative=expected_neg,
+    traces, info = site_log_traces(H, model, sites, expected_negative=index,
                                    spectrum=spectrum)
     values = -0.5 * traces
     return EntropyProfile(N=cell.N, variant=kind, sites=sites, radii=cell.r[sites],
@@ -297,13 +296,13 @@ def _site_entropy_sum(model: PotentialModel, point: StationaryPoint) -> float:
     traces), built from ``FApplier`` block products. Above the limit the
     Chebyshev site traces of every site are summed.
     """
-    cell = point.u.cell
+    u, _, index, _, H, _ = _resolve_state(model, point)
+    cell = u.cell
     m = cell.spec.m
     if cell.n * m > DENSE_LIMIT:
         return site_entropies(model, point).total
-    A = _dense_symmetric(_fhf_matvec(FApplier(cell, model), point.H), cell.n * m)
-    ld, _ = logdet_plus(A, expected_zero=m,
-                        expected_negative=1 if point.kind == "saddle" else 0)
+    A = _dense_symmetric(_fhf_matvec(FApplier(cell, model), H), cell.n * m)
+    ld, _ = logdet_plus(A, expected_zero=m, expected_negative=index)
     return -0.5 * ld
 
 
@@ -339,9 +338,10 @@ def _product_form_dS(model: PotentialModel, min_point: StationaryPoint,
     classified again): up to DENSE_LIMIT a route independent of the
     bordered-LU det+ of dS.
     """
-    ld = [logdet_plus(p.H, expected_zero=p.u.cell.spec.m,
-                      expected_negative=1 if p.kind == "saddle" else 0)[0]
-          for p in (min_point, saddle_point)]
+    ld = []
+    for point in (min_point, saddle_point):
+        u, _, index, _, H, _ = _resolve_state(model, point)
+        ld.append(logdet_plus(H, expected_zero=u.cell.spec.m, expected_negative=index)[0])
     return 0.5 * (ld[0] - ld[1])
 
 

@@ -4,6 +4,7 @@ import json
 import re
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 from latthermo.cli import main as cli_main
 from latthermo.config import load_config
-from latthermo.fitting import fit_rate
+from latthermo.fitting import _t_quantile_95, fit_rate
 from latthermo.harness import (
     ConvergenceTable,
     RunConfig,
@@ -58,6 +59,21 @@ class TestFitRate:
         fit = fit_rate(N, np.full(4, 0.5))
         assert abs(fit.exponent) < 1e-10
         assert not fit.converging
+
+    @pytest.mark.parametrize("dof, t", [(10, 2.228), (11, 2.200985), (20, 2.085963),
+                                        (30, 2.042272), (60, 2.000298), (120, 1.979930)])
+    def test_ci95_quantile_is_student_t(self, dof, t):
+        # two-sided 95% quantiles of Student's t; above 10 degrees of freedom
+        # the Cornish-Fisher expansion, not a flat 2.0
+        assert abs(_t_quantile_95(dof) - t) < 1e-5
+        N = np.arange(4.0, dof + 6.0)
+        err = N**-2.0 * np.exp(0.01 * np.sin(N))
+        fit = fit_rate(N, err)
+        lx, ly = np.log(N), np.log(err)
+        slope, intercept = np.polyfit(lx, ly, 1)
+        s2 = np.sum((ly - slope * lx - intercept) ** 2) / dof
+        stderr = np.sqrt(s2 / np.sum((lx - lx.mean()) ** 2))
+        assert fit.ci95 == pytest.approx(_t_quantile_95(dof) * stderr, rel=1e-8)
 
     def test_zero_errors_filtered(self):
         N = np.array([4, 8, 16, 32, 64], float)
@@ -178,6 +194,30 @@ class TestConfigLoading:
         with pytest.raises(ConfigurationError) as err:
             load_config(p)
         assert f"unknown {key}" in str(err.value)
+
+    @pytest.mark.parametrize("value, shown", [("off", "False"), ("of", "'of'")])
+    def test_saddle_value_other_than_auto_on_off_is_refused(self, tmp_path, value, shown):
+        # YAML reads an unquoted off as False; taken as auto, it would run the
+        # saddles of a mirror model with a kick
+        p = tmp_path / "cfg.yaml"
+        p.write_text(f"model:\n  preset: square_double_well\nrun:\n  saddle: {value}\n")
+        with pytest.raises(ValueError, match=f"run.saddle .* not {shown}; quote the value"):
+            load_config(p)
+
+    @pytest.mark.parametrize("value, wants", [('"off"', False), ("'on'", True), ("auto", True)])
+    def test_quoted_saddle_value_loads(self, tmp_path, value, wants):
+        p = tmp_path / "cfg.yaml"
+        p.write_text(f"model:\n  preset: square_double_well\nrun:\n  saddle: {value}\n")
+        cfg = load_config(p)
+        assert cfg.wants_saddle is wants
+        with pytest.raises(ValueError, match="run.saddle"):     # the CLI's replace() path
+            replace(cfg, saddle=False)
+
+    def test_empty_beta_is_refused(self, tmp_path):
+        p = tmp_path / "cfg.yaml"
+        p.write_text("model:\n  preset: square_double_well\nrun:\n  beta: []\n")
+        with pytest.raises(ValueError, match="run.beta must list at least one"):
+            load_config(p)
 
     def test_empty_run_section_takes_the_defaults(self, tmp_path):
         p = tmp_path / "cfg.yaml"

@@ -211,7 +211,8 @@ class TestLogdet:
         neg = w2[w2 < -cls.tau_zero]
         import scipy.sparse as sp
         op_sparse = LinearLatticeOperator(cell, sp.csr_matrix(A))
-        fact_val = logdet_plus_factorized(op_sparse, negatives=list(neg))
+        assert len(neg) == 1
+        fact_val = logdet_plus_factorized(op_sparse, negative=neg[0])
         assert abs(dense_val - fact_val) < 1e-8 * max(1.0, abs(dense_val))
 
 
@@ -281,8 +282,8 @@ class TestEigenpairs:
     def test_generalized_identity_and_scaling(self):
         model, cell, _ = stable_state("square_anharmonic", N=3)
         Hh = hessian(model.homogenized(), cell.zero_field())
-        lo, hi, mus, _ = generalized_eigen(Hh, model)
-        assert abs(lo - 1.0) < 1e-8 and abs(hi - 1.0) < 1e-8 and mus == []
+        lo, hi, mu, w = generalized_eigen(Hh, model)
+        assert abs(lo - 1.0) < 1e-8 and abs(hi - 1.0) < 1e-8 and mu is None and w is None
         H2 = LinearLatticeOperator(cell, 2.0 * Hh.mat)
         lo2, hi2, _, _ = generalized_eigen(H2, model)
         assert abs(lo2 - 2.0) < 1e-8 and abs(hi2 - 2.0) < 1e-8
@@ -298,9 +299,9 @@ class TestEigenpairs:
         assert abs(lo - w_nonzero.min()) < 1e-8
         # a negative pair: the double-well saddle; psi = F_N w has <H_hom psi, psi> = 1
         model, cell, minimum, saddle = double_well_pair()
-        _, _, mus, modes = generalized_eigen(saddle.H, model, expected_negative=1)
-        assert len(mus) == 1 and mus[0] < 0
-        psi = FApplier(cell, model).apply(modes[0])
+        _, _, mu, w = generalized_eigen(saddle.H, model, expected_negative=1)
+        assert mu < 0 and w.shape == (cell.n * cell.spec.m,)
+        psi = FApplier(cell, model).apply(w)
         Hh = hessian(model.homogenized(), cell.zero_field())
         assert abs(Hh.quadratic(psi) - 1.0) < 1e-8
 
@@ -319,14 +320,14 @@ class TestEigenpairs:
             return eigh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counted)
-        lo, hi, mus, modes = generalized_eigen(saddle.H, model, expected_negative=1)
+        lo, hi, mu, w = generalized_eigen(saddle.H, model, expected_negative=1)
         assert calls == [(dim, dim)]
         monkeypatch.setattr(spectral, "DENSE_EIG_LIMIT", 0)
-        lo2, hi2, mus2, modes2 = generalized_eigen(saddle.H, model, expected_negative=1)
+        lo2, hi2, mu2, w2 = generalized_eigen(saddle.H, model, expected_negative=1)
         assert calls == [(dim, dim)]
         assert abs(lo - lo2) < 1e-9 and abs(hi - hi2) < 1e-9
-        assert len(mus) == len(mus2) == 1 and abs(mus[0] - mus2[0]) < 1e-9
-        assert abs(abs(modes[0] @ modes2[0]) - 1.0) < 1e-8
+        assert abs(mu - mu2) < 1e-9
+        assert abs(abs(w @ w2) - 1.0) < 1e-8
 
     @pytest.mark.parametrize("limit", [None, 0])
     def test_generalized_rejects_a_wrong_negative_count(self, monkeypatch, limit):
@@ -339,6 +340,11 @@ class TestEigenpairs:
             generalized_eigen(saddle.H, model, expected_negative=0)
         with pytest.raises(AmbiguousSpectrumError, match="expected 1 negative modes, found 0"):
             generalized_eigen(minimum.H, model, expected_negative=1)
+
+    def test_generalized_refuses_an_index_above_one(self):
+        model, cell, u = stable_state("square_anharmonic", N=3)
+        with pytest.raises(ValueError, match="expected_negative must be 0 or 1, not 2"):
+            generalized_eigen(hessian(model, u), model, expected_negative=2)
 
 
 def site_log_oracle(model, H, sites, expected_negative=0):
@@ -598,17 +604,17 @@ class TestSiteOrbits:
         act, u = cell.symmetry(model.mirror).act, minimum.u.values
         saddle = find_saddle(model, cell, initial_guess=0.5 * (u + act(u)))
         sites = np.arange(cell.n)
-        for point, order, negatives in ((minimum, 2, 0), (saddle, 4, 1)):
+        for point, order, index in ((minimum, 2, 0), (saddle, 4, 1)):
             H = hessian(model, point.u)
-            spectrum = generalized_eigen(H, model, negatives)
-            traces, info = site_log_traces(H, model, sites, negatives, spectrum)
+            spectrum = generalized_eigen(H, model, index)
+            traces, info = site_log_traces(H, model, sites, index, spectrum)
             assert info["symmetry_order"] == order
             assert info["symmetry_residual"] < 1e-13
-            oracle = site_log_oracle(model, H, sites, negatives)
+            oracle = site_log_oracle(model, H, sites, index)
             assert np.max(np.abs(traces - oracle)) < 1e-12 + 2 * info["cheb_error"]
             with monkeypatch.context() as mp:
                 mp.setattr(spectral, "SYMMETRY_TOL", 1e-3)
-                assert site_log_traces(H, model, sites, negatives,
+                assert site_log_traces(H, model, sites, index,
                                        spectrum)[1]["symmetry_order"] == order
 
     def test_perturbed_minimum_runs_every_site(self):
@@ -632,6 +638,15 @@ class TestClassification:
     def test_expected_zero_mismatch_raises(self):
         with pytest.raises(AmbiguousSpectrumError):
             classify_eigenvalues(np.array([0.0, 1.0, 2.0]), expected_zero=2)
+
+    def test_expected_negative_count(self):
+        eigs = np.array([-1.0, 0.0, 1.0, 2.0])
+        assert classify_eigenvalues(eigs, expected_zero=1).n_negative == 1
+        assert classify_eigenvalues(eigs, 1, expected_negative=1).n_negative == 1
+        for expected in (0, 2):
+            with pytest.raises(AmbiguousSpectrumError,
+                               match=f"expected {expected} negative modes, found 1"):
+                classify_eigenvalues(eigs, 1, expected_negative=expected)
 
 
 class TestLogPlusCommutation:

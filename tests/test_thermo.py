@@ -306,9 +306,9 @@ class TestDeltaSAndRate:
         model, cell, minimum, saddle = solved_double_well(4)
         lu = thermo.logdet_plus_factorized
 
-        def shifted(H, negatives=()):
-            val = lu(H, negatives)
-            return val + 1e-6 if negatives else val
+        def shifted(H, negative=None):
+            val = lu(H, negative)
+            return val if negative is None else val + 1e-6
 
         monkeypatch.setattr(thermo, "logdet_plus_factorized", shifted)
         rep = htst_rate(model, minimum, saddle, beta=1.0)
