@@ -41,11 +41,9 @@ from .spectral import (
     logdet_plus,
     matrix_log_plus,
     projector_constants,
-    symbol_F,
 )
 from .stationary import (
     StationaryPoint,
-    certify,
     continue_in_N,
     find_saddle,
     relax_minimum,

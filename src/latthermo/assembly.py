@@ -58,10 +58,6 @@ class LinearLatticeOperator:
             return self.mat.toarray()
         return np.asarray(self.mat)
 
-    def quadratic(self, v: np.ndarray) -> float:
-        v = v.reshape(-1)
-        return float(v @ (self.mat @ v))
-
     def symmetry_defect(self) -> float:
         if sp.issparse(self.mat):
             return float(abs(self.mat - self.mat.T).max())

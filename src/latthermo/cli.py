@@ -25,12 +25,10 @@ def _default_out() -> Path:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True, type=Path, help="YAML run configuration")
     p.add_argument("--out", type=Path, default=None, help="output directory")
-    p.add_argument("--seed", type=int, default=None, help="run label; no solver reads it")
-    p.add_argument("--format", choices=("csv", "json", "both"), default="both")
 
 
-def _load(args) -> RunConfig:
-    cfg = load_config(args.config, out_override=args.out, seed=args.seed)
+def _load(args, seed: int | None = None) -> RunConfig:
+    cfg = load_config(args.config, out_override=args.out, seed=seed)
     if cfg.out is None:
         cfg.out = _default_out() / cfg.model.name
     return cfg
@@ -108,7 +106,7 @@ def _cmd_rate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _load(args)
+    cfg = _load(args, seed=args.seed)
     table = sweep(cfg)
     files = emit(table, cfg.out, ("csv", "json") if args.format == "both" else (args.format,))
     for f in files:
@@ -166,6 +164,8 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("sweep", help="run the full N-sweep and emit tables")
     _add_common(p)
+    p.add_argument("--seed", type=int, default=None, help="run label; no solver reads it")
+    p.add_argument("--format", choices=("csv", "json", "both"), default="both")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("fit", help="refit exponents from an emitted table.json")

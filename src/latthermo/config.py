@@ -13,7 +13,9 @@ from .potentials import (
     HarmonicBondPotential,
     MorseBondPotential,
     PotentialModel,
+    bond_classes,
     preset_model,
+    spring_blocks,
 )
 
 __all__ = ["load_config", "model_from_config"]
@@ -22,10 +24,7 @@ RUN_KEYS = ("N_list", "beta", "seed", "out", "saddle", "kick", "N_ref", "R_sum",
 POTENTIAL_KEYS = {"harmonic": ("kind", "classes", "scale", "b_radial"),
                   "morse": ("kind", "classes", "scale", "shift")}
 CLASS_KEYS = {"harmonic": ("len", "k"), "morse": ("len", "D", "a")}
-PRESET_KICKS = {
-    "square_double_well": ((0, 0), (0.12, 0.0)),
-    "square_misfit": None,
-}
+PRESET_KICKS = {"square_double_well": {"site": (0, 0), "vector": (0.15, 0.0)}}
 
 
 def _check_keys(section: dict, known: tuple[str, ...], where: str) -> None:
@@ -46,19 +45,6 @@ def _lattice_from_config(cfg: dict) -> LatticeSpec:
     )
 
 
-def _classes_to_bonds(spec: LatticeSpec, classes: list[dict], key: str) -> np.ndarray:
-    lens = np.linalg.norm(spec.stencil, axis=1)
-    out = np.zeros(spec.nR)
-    assigned = np.zeros(spec.nR, dtype=bool)
-    for cls in classes:
-        sel = np.abs(lens - float(cls["len"])) < 1e-9
-        out[sel] = float(cls[key])
-        assigned |= sel
-    if not assigned.all():
-        raise ConfigurationError(f"bond classes leave stencil lengths {set(np.round(lens[~assigned], 6))} unassigned")
-    return out
-
-
 def _potential_from_config(spec: LatticeSpec, cfg: dict):
     kind = cfg.get("kind", "morse")
     if kind not in POTENTIAL_KEYS:
@@ -67,20 +53,17 @@ def _potential_from_config(spec: LatticeSpec, cfg: dict):
     for cls in cfg["classes"]:
         _check_keys(cls, CLASS_KEYS[kind], f"{kind} bond class")
     scale = float(cfg.get("scale", 1.0))
+    keys = CLASS_KEYS[kind][1:]
+    per_bond = bond_classes(spec.stencil, {float(c["len"]): [float(c[k]) for k in keys]
+                                           for c in cfg["classes"]}).T
     if kind == "harmonic":
-        lens = np.linalg.norm(spec.stencil, axis=1)
-        K = np.zeros((spec.nR, spec.m, spec.m))
-        k_per_bond = _classes_to_bonds(spec, cfg["classes"], "k")
-        for i in range(spec.nR):
-            nhat = spec.stencil[i] / lens[i]
-            K[i] = k_per_bond[i] * (np.outer(nhat, nhat) if spec.m == spec.d
-                                    else np.eye(spec.m))
+        K = spring_blocks(spec.stencil, spec.m, per_bond[0])
         b = None
         if cfg.get("b_radial"):
+            lens = np.linalg.norm(spec.stencil, axis=1)
             b = float(cfg["b_radial"]) * spec.stencil / lens[:, None]
         return HarmonicBondPotential(spec.stencil, spec.m, scale * K, b=b)
-    D = _classes_to_bonds(spec, cfg["classes"], "D")
-    a = _classes_to_bonds(spec, cfg["classes"], "a")
+    D, a = per_bond
     shift = float(cfg.get("shift", 0.0))
     return MorseBondPotential.from_morse(spec.stencil, spec.m, scale * D, a,
                                          shift=shift if shift else None)
@@ -115,9 +98,8 @@ def load_config(path: Path, out_override: Path | None = None,
     run = raw.get("run") or {}
     _check_keys(run, RUN_KEYS, "run")
     kick = run.get("kick")
-    if kick is None and raw["model"].get("preset") in PRESET_KICKS:
-        kick = PRESET_KICKS[raw["model"]["preset"]]
-        kick = None if kick is None else {"site": kick[0], "vector": kick[1]}
+    if kick is None:
+        kick = PRESET_KICKS.get(raw["model"].get("preset"))
     kick_site = tuple(kick["site"]) if kick else None
     kick_vector = np.asarray(kick["vector"], dtype=float) if kick else None
     out = out_override or run.get("out")

@@ -67,8 +67,8 @@ def fit_rate(x: np.ndarray, err: np.ndarray, log_power: float = 0.0) -> RateFit:
 
 
 def envelope_decay(radii: np.ndarray, values: np.ndarray,
-                   window: tuple[float, float], n_bins: int = 12) -> RateFit:
-    """Decay exponent of the radial envelope max|value| over log-spaced bins.
+                   window: tuple[float, float]) -> RateFit:
+    """Decay exponent of the radial envelope max|value| over 12 log-spaced bins.
 
     Using the per-shell maximum removes directional anisotropy from the fit,
     leaving the envelope exponent.
@@ -80,7 +80,7 @@ def envelope_decay(radii: np.ndarray, values: np.ndarray,
     if keep.sum() < 3:
         raise ValueError("not enough points in the fit window")
     r, v = radii[keep], values[keep]
-    edges = np.geomspace(lo, hi * (1 + 1e-12), n_bins + 1)
+    edges = np.geomspace(lo, hi * (1 + 1e-12), 13)
     rs, vs = [], []
     for a, b in zip(edges[:-1], edges[1:]):
         sel = (r >= a) & (r < b)

@@ -53,10 +53,18 @@ class RunConfig:
 
     def __post_init__(self):
         Ns = list(self.N_list)
+        if not Ns:
+            raise ValueError("run.N_list must list at least one cell size")
         if Ns != sorted(Ns) or len(set(Ns)) != len(Ns):
             raise ValueError("N list must be strictly ascending")
-        if self.N_ref is not None and Ns and self.N_ref < 2 * max(Ns):
+        if self.N_ref is not None and self.N_ref < 2 * max(Ns):
             raise ValueError("N_ref must be at least twice the largest sweep N")
+        if self.R_sum is not None and self.R_sum <= 0:
+            raise ValueError(f"run.R_sum must be positive, not {self.R_sum!r}")
+        if self.N_ref is not None and self.R_sum is not None and self.N_ref < 4 * self.R_sum:
+            # the renormalised entropy sums over |ell| <= R_sum on the N_ref cell
+            raise ValueError(f"run.N_ref ({self.N_ref}) must be at least 4 run.R_sum "
+                             f"({4 * self.R_sum:g})")
         if not self.beta:
             raise ValueError("run.beta must list at least one inverse temperature")
         if any(b <= 0 for b in self.beta):

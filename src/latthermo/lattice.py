@@ -35,9 +35,9 @@ class PreconditionError(ValueError):
     """Raised when an operation's precondition is violated."""
 
 
-def _integer_matrix(M: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def _integer_matrix(M: np.ndarray) -> np.ndarray:
     R = np.rint(M)
-    if not np.allclose(M, R, atol=tol):
+    if not np.allclose(M, R, atol=1e-9):
         raise ConfigurationError("matrix is not integer within tolerance")
     return R.astype(np.int64)
 
@@ -175,19 +175,11 @@ class LatticeSpec:
     def nR(self) -> int:
         return self.stencil_x.shape[0]
 
-    def stencil_slot(self, rho_x: Iterable[int]) -> int:
-        key = tuple(int(v) for v in rho_x)
-        for i, r in enumerate(self.stencil_x.tolist()):
-            if tuple(r) == key:
-                return i
-        raise KeyError(f"{key} not in stencil")
-
 
 @dataclass(frozen=True)
 class DualGrid:
     """Dual group of the supercell: k-points of the discrete Fourier basis."""
 
-    N: int
     y: np.ndarray        # (nk, d) integer labels, k = (pi/N) B^-T y
     k: np.ndarray        # (nk, d) real k-points
 
@@ -200,7 +192,7 @@ class PointSymmetry:
 
     Q: np.ndarray        # (d, d) integer
     R: np.ndarray        # (m, m) orthogonal
-    perm: np.ndarray     # perm[i] = ordinal of wrap(Q x_i)
+    perm: np.ndarray     # perm[i] = ordinal of the wrapped Q x_i
 
     def act(self, values: np.ndarray) -> np.ndarray:
         """T u of (n, m) or (n, m, batch) site values."""
@@ -318,10 +310,6 @@ class Supercell:
         r = np.mod(np.asarray(x, dtype=np.int64) @ T.T, self._fft_shape)
         return np.ravel_multi_index(tuple(np.moveaxis(r, -1, 0)), self._fft_shape)
 
-    def wrap(self, x: np.ndarray) -> np.ndarray:
-        """Canonical representatives (rows of ``self.x``) of points x modulo 2N C Z^d."""
-        return self.x[self.site_indices(x)]
-
     def site_indices(self, x: np.ndarray) -> np.ndarray:
         """Ordinals of (...,(d)) integer points after periodic wrapping."""
         return self._site_at_slot[self._slots(x, self._U)]
@@ -334,10 +322,9 @@ class Supercell:
         """(n, |R|) site ordinals of ell + rho for every site and stencil vector."""
         return self._neighbors
 
-    def offset_table(self, rows: np.ndarray | None = None) -> np.ndarray:
-        """(len(rows), n) ordinals of wrap(x_i - x_j); rows defaults to all sites."""
-        xi = self.x if rows is None else self.x[rows]
-        return self.site_indices(xi[:, None, :] - self.x[None, :, :])
+    def offset_table(self) -> np.ndarray:
+        """(n, n) ordinals of the wrapped offsets x_i - x_j."""
+        return self.site_indices(self.x[:, None, :] - self.x[None, :, :])
 
     @cached_property
     def point_group(self) -> tuple[PointSymmetry, ...]:
@@ -383,7 +370,7 @@ class Supercell:
         y = _enumerate_cell(Ct, self.N)
         # k = (pi/N) B^-T y
         k = (np.pi / self.N) * np.linalg.solve(self.spec.B.T, y.T).T
-        return DualGrid(N=self.N, y=y, k=k)
+        return DualGrid(y=y, k=k)
 
     def dft(self, f: np.ndarray) -> np.ndarray:
         """g_hat(k) = sum_ell e^{i k.ell} f(ell); f has shape (n, ...).
@@ -452,10 +439,6 @@ class DisplacementField:
             raise ValueError(f"values must have shape ({self.cell.n}, {self.cell.spec.m})")
         self.values = v
 
-    @property
-    def m(self) -> int:
-        return self.cell.spec.m
-
     def mean(self) -> np.ndarray:
         return self.values.mean(axis=0)
 
@@ -464,12 +447,6 @@ class DisplacementField:
 
     def gradients(self) -> np.ndarray:
         return self.cell.stencil_gradients(self.values)
-
-    def translated(self, shift_x: Iterable[int]) -> "DisplacementField":
-        """Field ell -> u(ell - a) for a lattice translation a."""
-        sx = np.asarray(list(shift_x), dtype=np.int64)
-        src = self.cell.site_indices(self.cell.x - sx[None, :])
-        return DisplacementField(self.cell, self.values[src])
 
 
 def _taper_profile(r: np.ndarray, r_inner: float, r_outer: float) -> np.ndarray:

@@ -223,10 +223,6 @@ class PotentialModel:
                     f"mirror {np.asarray(self.mirror).tolist()} is not an isometry of the lattice")
             self.mirror = np.asarray(self.mirror, dtype=np.int64)
 
-    @property
-    def has_defect(self) -> bool:
-        return bool(self.overrides)
-
     def homogenized(self) -> "PotentialModel":
         return PotentialModel(self.spec, self.homogeneous, {}, name=self.name + "_hom",
                               mirror=self.mirror)
@@ -285,15 +281,16 @@ class StabilityReport:
     grid_points: int
 
 
-def stability_scan(model: PotentialModel, resolution: int = 64) -> StabilityReport:
-    """Scan eigenvalues of h_hat(k)/|k|^2 over the Brillouin zone.
+def stability_scan(model: PotentialModel) -> StabilityReport:
+    """Scan eigenvalues of h_hat(k)/|k|^2 over the Brillouin zone, on a mesh
+    of 64 points per axis.
 
     Includes the |k| -> 0 acoustic limit along a fine set of directions.
     Failure (c0 <= 0) is reported as a value, not raised.
     """
     spec = model.spec
     d = spec.d
-    ticks = np.arange(1, resolution + 1) / resolution * 2.0 - 1.0    # (-1, 1], boundary included
+    ticks = np.arange(1, 65) / 64 * 2.0 - 1.0    # (-1, 1], boundary included
     mesh = np.stack(np.meshgrid(*([ticks] * d), indexing="ij"), axis=-1).reshape(-1, d)
     mesh = mesh[np.any(mesh != 0.0, axis=1)]
     ks = np.pi * np.linalg.solve(spec.A.T, mesh.T).T
@@ -323,37 +320,41 @@ def stability_scan(model: PotentialModel, resolution: int = 64) -> StabilityRepo
 # shipped model presets
 # ---------------------------------------------------------------------------
 
-def _central_stiffness(stencil: np.ndarray, k_by_len: Mapping[float, float]) -> np.ndarray:
-    nR, d = stencil.shape
-    K = np.zeros((nR, d, d))
-    for i, rho in enumerate(stencil):
-        ln = np.linalg.norm(rho)
-        key = min(k_by_len, key=lambda L: abs(L - ln))
-        nhat = rho / ln
-        K[i] = k_by_len[key] * np.outer(nhat, nhat)
-    return K
+def bond_classes(stencil: np.ndarray, by_len: Mapping[float, object]) -> np.ndarray:
+    """Per-bond values of length classes: bond rho takes the value (a number
+    or a sequence of k numbers) of the class length within 1e-9 of |rho|;
+    shape (|R|,) or (|R|, k). A bond length that no class lists raises
+    ConfigurationError."""
+    lens = np.linalg.norm(stencil, axis=1)
+    values = [[v for L, v in by_len.items() if abs(ln - L) < 1e-9] for ln in lens]
+    missing = sorted({round(float(ln), 6) for ln, v in zip(lens, values) if not v})
+    if missing:
+        raise ConfigurationError(f"bond classes leave stencil lengths {missing} unassigned")
+    return np.array([v[-1] for v in values], dtype=float)
 
 
-def _scalar_stiffness(stencil: np.ndarray, value: float) -> np.ndarray:
-    return np.full((stencil.shape[0], 1, 1), value)
+def spring_blocks(stencil: np.ndarray, m: int, k) -> np.ndarray:
+    """Central-spring stiffness blocks k_rho n n^T with n = rho / |rho|, or
+    k_rho I when m != d, for per-bond (or one) k; (|R|, m, m)."""
+    nhat = stencil / np.linalg.norm(stencil, axis=1)[:, None]
+    shape = (nhat[:, :, None] * nhat[:, None, :] if m == stencil.shape[1]
+             else np.broadcast_to(np.eye(m), (len(stencil), m, m)))
+    return np.asarray(k, dtype=float)[..., None, None] * shape
+
+
+# bond classes of the square presets, by nearest / next-nearest bond length:
+# spring constants k, and Morse (D, a)
+SQUARE_SPRINGS = {1.0: 0.5, np.sqrt(2.0): 0.25}
+SQUARE_MORSE = {1.0: (0.5, 1.5), np.sqrt(2.0): (0.25, 1.2)}
 
 
 def _square_spec() -> LatticeSpec:
     return LatticeSpec(A=np.eye(2), B=np.eye(2), m=2, r_cut=1.5)
 
 
-def _morse_classes(stencil: np.ndarray, nn: tuple, nnn: tuple):
-    """Per-bond (D, a) arrays for nearest / next-nearest neighbour classes."""
-    lens = np.linalg.norm(stencil, axis=1)
-    short = lens < lens.min() + 1e-9
-    D = np.where(short, nn[0], nnn[0])
-    a = np.where(short, nn[1], nnn[1])
-    return D, a
-
-
 def _preset_chain_harmonic() -> PotentialModel:
     spec = LatticeSpec(A=np.eye(1), B=np.eye(1), m=1, r_cut=1.5)
-    hom = HarmonicBondPotential(spec.stencil, 1, _scalar_stiffness(spec.stencil, 0.5))
+    hom = HarmonicBondPotential(spec.stencil, 1, spring_blocks(spec.stencil, 1, 0.5))
     return PotentialModel(spec, hom, name="chain_harmonic")
 
 
@@ -366,14 +367,14 @@ def _preset_chain_misfit() -> PotentialModel:
 
 def _preset_square_harmonic() -> PotentialModel:
     spec = _square_spec()
-    K = _central_stiffness(spec.stencil, {1.0: 0.5, np.sqrt(2.0): 0.25})
+    K = spring_blocks(spec.stencil, 2, bond_classes(spec.stencil, SQUARE_SPRINGS))
     hom = HarmonicBondPotential(spec.stencil, 2, K)
     return PotentialModel(spec, hom, name="square_harmonic")
 
 
 def _preset_square_harmonic_defect() -> PotentialModel:
     spec = _square_spec()
-    K = _central_stiffness(spec.stencil, {1.0: 0.5, np.sqrt(2.0): 0.25})
+    K = spring_blocks(spec.stencil, 2, bond_classes(spec.stencil, SQUARE_SPRINGS))
     hom = HarmonicBondPotential(spec.stencil, 2, K)
     lens = np.linalg.norm(spec.stencil, axis=1)
     b = 0.06 * spec.stencil / lens[:, None]
@@ -383,14 +384,14 @@ def _preset_square_harmonic_defect() -> PotentialModel:
 
 def _preset_square_anharmonic() -> PotentialModel:
     spec = _square_spec()
-    D, a = _morse_classes(spec.stencil, nn=(0.5, 1.5), nnn=(0.25, 1.2))
+    D, a = bond_classes(spec.stencil, SQUARE_MORSE).T
     hom = MorseBondPotential.from_morse(spec.stencil, 2, D, a)
     return PotentialModel(spec, hom, name="square_anharmonic")
 
 
 def _preset_square_misfit() -> PotentialModel:
     spec = _square_spec()
-    D, a = _morse_classes(spec.stencil, nn=(0.5, 1.5), nnn=(0.25, 1.2))
+    D, a = bond_classes(spec.stencil, SQUARE_MORSE).T
     hom = MorseBondPotential.from_morse(spec.stencil, 2, D, a)
     dv = MorseBondPotential.from_morse(spec.stencil, 2, 1.3 * D, a, shift=0.12)
     return PotentialModel(spec, hom, {(0, 0): dv}, name="square_misfit")
@@ -398,7 +399,7 @@ def _preset_square_misfit() -> PotentialModel:
 
 def _preset_square_double_well() -> PotentialModel:
     spec = _square_spec()
-    D, a = _morse_classes(spec.stencil, nn=(0.5, 1.5), nnn=(0.25, 1.2))
+    D, a = bond_classes(spec.stencil, SQUARE_MORSE).T
     hom = MorseBondPotential.from_morse(spec.stencil, 2, D, a)
     # defect bonds: soften the +-e1 pair into a double well, put a symmetric
     # misfit on the diagonal bonds so the saddle is a nontrivial relaxed state
@@ -421,14 +422,14 @@ def _preset_square_double_well() -> PotentialModel:
 
 def _preset_square_unstable() -> PotentialModel:
     spec = _square_spec()
-    K = _central_stiffness(spec.stencil, {1.0: 0.5, np.sqrt(2.0): -0.4})
+    K = spring_blocks(spec.stencil, 2, bond_classes(spec.stencil, {1.0: 0.5, np.sqrt(2.0): -0.4}))
     hom = HarmonicBondPotential(spec.stencil, 2, K)
     return PotentialModel(spec, hom, name="square_unstable")
 
 
 def _preset_cube_harmonic() -> PotentialModel:
     spec = LatticeSpec(A=np.eye(3), B=np.eye(3), m=1, r_cut=1.5)
-    hom = HarmonicBondPotential(spec.stencil, 1, _scalar_stiffness(spec.stencil, 0.5))
+    hom = HarmonicBondPotential(spec.stencil, 1, spring_blocks(spec.stencil, 1, 0.5))
     return PotentialModel(spec, hom, name="cube_harmonic")
 
 

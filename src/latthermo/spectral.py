@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import copy
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,7 +24,6 @@ __all__ = [
     "AmbiguousSpectrumError",
     "ModeClassification",
     "KernelTable",
-    "symbol_F",
     "kernel_FN",
     "kernel_F",
     "projector_constants",
@@ -45,6 +44,7 @@ LOBPCG_TOL = 1e-10           # LOBPCG residual bound, relative to the operator n
 LOBPCG_MAXITER = 400
 LOBPCG_GUARD = 2
 LOBPCG_RESTARTS = 2           # restarts of a block that misses the residual check
+LOBPCG_SEED = 7               # the random start block of a solve without a warm start
 ZERO_TOL_FACTOR = 1e-8
 GAP_FACTOR = 10.0
 CHEB_DEGREES = (*range(8, 65, 4), 128, 256, 512, 1024, 2048)   # log expansion, lowest first
@@ -141,45 +141,16 @@ def _inverse_sqrt_batch(hs: np.ndarray) -> np.ndarray:
     return np.einsum("kij,kj,klj->kil", U, 1.0 / np.sqrt(w), U.conj(), optimize=True)
 
 
-def symbol_F(model: PotentialModel, k: np.ndarray) -> np.ndarray:
-    """Inverse square root of the homogeneous symbol at one k != 0."""
-    k = np.asarray(k, dtype=float)
-    out = _inverse_sqrt_batch(symbol_h_batch(model, k[None]))[0]
-    return out.real if np.max(np.abs(out.imag)) < 1e-13 else out
-
-
 @dataclass
 class KernelTable:
-    """Translation-invariant m x m kernel tabulated on a supercell.
-
-    ``source`` is 'periodic' (the level-N kernel itself) or 'infinite' (a
-    Brillouin-zone quadrature stand-in for the infinite-lattice kernel at
-    level M_quad, valid for offsets up to about a quarter of the cell).
-    """
+    """Translation-invariant m x m kernel tabulated on a supercell."""
 
     cell: Supercell
     values: np.ndarray          # (n, m, m), indexed like cell sites
-    source: str
-    level: int
-    _dtable: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def m(self) -> int:
-        return self.cell.spec.m
-
-    @property
-    def validity_radius(self) -> float:
-        if self.source == "periodic":
-            return np.inf
-        rB = np.linalg.svd(self.cell.spec.B, compute_uv=False)[-1]
-        return self.level * rB / 4.0
 
     def dtable(self) -> np.ndarray:
         """D_rho F(ell) = F(ell + rho) - F(ell) for all sites; (n, nR, m, m)."""
-        if self._dtable is None:
-            nb = self.cell.neighbors
-            self._dtable = self.values[nb] - self.values[:, None]
-        return self._dtable
+        return self.values[self.cell.neighbors] - self.values[:, None]
 
     def d2_at(self, rows: np.ndarray) -> np.ndarray:
         """Second differences D_rho1 D_rho2 F at given site ordinals; (k, nR, nR, m, m)."""
@@ -195,7 +166,7 @@ class KernelTable:
     def dense_operator(self) -> LinearLatticeOperator:
         """Full block-Toeplitz matrix (F)_{ell n} = F(ell - n)."""
         cell = self.cell
-        dim = cell.n * self.m
+        dim = cell.n * cell.spec.m
         if dim > DENSE_LIMIT:
             raise MemoryError(f"dense kernel operator of dimension {dim} exceeds limit")
         off = cell.offset_table()
@@ -218,23 +189,20 @@ def kernel_FN(model: PotentialModel, cell: Supercell) -> KernelTable:
     imag = float(np.max(np.abs(vals.imag)))
     if imag > 1e-10 * (1 + np.max(np.abs(vals.real))):
         raise FloatingPointError(f"periodic kernel has imaginary residue {imag:g}")
-    return KernelTable(cell=cell, values=vals.real, source="periodic", level=cell.N)
+    return KernelTable(cell=cell, values=vals.real)
 
 
 def kernel_F(model: PotentialModel, M_quad: int, max_offset: float | None = None) -> KernelTable:
     """Infinite-lattice kernel via Brillouin-zone quadrature at level M_quad.
 
-    Identical to the periodic projection at level M_quad; offsets should stay
-    below a quarter of the quadrature cell (checked against ``max_offset``).
+    Identical to the periodic projection at level M_quad; offsets must stay
+    within a quarter of the quadrature cell, M_quad s_min(B) / 4 (checked
+    against ``max_offset`` before the table is built).
     """
-    big = Supercell(model.spec, M_quad)
-    table = kernel_FN(model, big)
-    table = KernelTable(cell=big, values=table.values, source="infinite", level=M_quad)
-    if max_offset is not None and max_offset > table.validity_radius + 1e-9:
-        raise ValueError(
-            f"M_quad={M_quad} too small for offsets up to {max_offset}"
-        )
-    return table
+    radius = M_quad * np.linalg.svd(model.spec.B, compute_uv=False)[-1] / 4.0
+    if max_offset is not None and max_offset > radius + 1e-9:
+        raise ValueError(f"M_quad={M_quad} too small for offsets up to {max_offset}")
+    return kernel_FN(model, Supercell(model.spec, M_quad))
 
 
 def projector_constants(cell: Supercell) -> LinearLatticeOperator:
@@ -352,37 +320,33 @@ def _rectangle_nodes(sig_lo: float, sig_hi: float, n_per_edge: int):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def log_plus_contour(op, sigma_bounds: tuple[float, float] | None = None,
-                     tol: float = 1e-6, start_nodes: int = 16,
-                     max_nodes: int = 2048) -> np.ndarray:
+def log_plus_contour(op, start_nodes: int = 16) -> np.ndarray:
     """log+ A by trapezoidal resolvent quadrature around the positive spectrum.
 
-    Node count per edge doubles until stable to ``tol``. The rectangle's
-    corners limit the plain trapezoid sums to O(h^2), so one Richardson level
-    is applied across the doubling sequence (Romberg acceleration on the same
-    samples). Independent of the eigenvector path; used as a
-    functional-calculus cross-check.
+    The rectangle encloses the positive eigenvalues of A. Its node count per
+    edge doubles from ``start_nodes`` until two levels agree to 1e-6
+    relative, and gives up past 2048. The rectangle's corners limit the
+    plain trapezoid sums to O(h^2), so one Richardson level is applied across
+    the doubling sequence (Romberg acceleration on the same samples).
+    Independent of the eigenvector path; used as a functional-calculus
+    cross-check.
     """
     A = _dense(op)
-    if sigma_bounds is None:
-        w = np.linalg.eigvalsh(A)
-        pos = w[w > ZERO_TOL_FACTOR * np.max(np.abs(w))]
-        sigma_bounds = (float(pos.min()), float(pos.max()))
-    sig_lo, sig_hi = sigma_bounds
-    if sig_lo <= 0:
-        raise ValueError("contour requires a strictly positive lower spectral bound")
+    w = np.linalg.eigvalsh(A)
+    pos = w[w > ZERO_TOL_FACTOR * np.max(np.abs(w))]
+    sig_lo, sig_hi = float(pos.min()), float(pos.max())
     eye = np.eye(A.shape[0])
     prev_T = None
     prev_R = None
     n_edge = start_nodes
-    while n_edge <= max_nodes:
+    while n_edge <= 2048:
         nodes, weights = _rectangle_nodes(sig_lo, sig_hi, n_edge)
         acc = np.zeros_like(A, dtype=complex)
         for z, w_z in zip(nodes, weights):
             acc += w_z * np.log(z) * np.linalg.solve(z * eye - A, eye)
         T = acc / (2j * np.pi)
         R = (4.0 * T - prev_T) / 3.0 if prev_T is not None else T
-        if prev_R is not None and np.max(np.abs(R - prev_R)) < tol * (1 + np.max(np.abs(R))):
+        if prev_R is not None and np.max(np.abs(R - prev_R)) < 1e-6 * (1 + np.max(np.abs(R))):
             return R.real
         prev_T, prev_R = T, R
         n_edge *= 2
@@ -406,7 +370,7 @@ def _translation_modes(n: int, m: int) -> np.ndarray:
     return np.kron(np.full((n, 1), 1.0 / np.sqrt(n)), np.eye(m))
 
 
-def _lobpcg_eig(matvec, cell: Supercell, norm_scale: float, k: int, mode: str, seed: int,
+def _lobpcg_eig(matvec, cell: Supercell, norm_scale: float, k: int, mode: str,
                 precond, X0, stage: str):
     """LOBPCG on the complement of the translations, preconditioned by ``precond``."""
     n, m = cell.n, cell.spec.m
@@ -414,7 +378,7 @@ def _lobpcg_eig(matvec, cell: Supercell, norm_scale: float, k: int, mode: str, s
     # guard columns: a wanted eigenvalue inside a near-degenerate cluster (the
     # acoustic band edge of a Hessian) stalls a block that ends at it
     guard = LOBPCG_GUARD if precond is not None else 0
-    X = np.random.default_rng(seed).standard_normal((dim, k + guard))
+    X = np.random.default_rng(LOBPCG_SEED).standard_normal((dim, k + guard))
     if X0 is not None:
         X0 = np.asarray(X0, dtype=float).reshape(dim, -1)[:, :X.shape[1]]
         X[:, :X0.shape[1]] = X0
@@ -448,9 +412,9 @@ def _dense_symmetric(matvec, dim: int) -> np.ndarray:
     return 0.5 * (A + A.T)
 
 
-def _extremal_eig(matvec, cell: Supercell, norm_scale: float, k: int = 1, seed: int = 7,
-                  precond=None, X0: np.ndarray | None = None,
-                  stage: str = "extremal eigenpairs", top: bool = False):
+def _extremal_eig(matvec, cell: Supercell, norm_scale: float, k: int = 1, precond=None,
+                  X0: np.ndarray | None = None, stage: str = "extremal eigenpairs",
+                  top: bool = False):
     """The k lowest eigenpairs (w, V) of a symmetric operator on the
     complement of the translations and, with ``top``, its top eigenvalue
     there: (w, V, w_top). ``matvec`` takes (dim,) vectors and (dim, batch)
@@ -464,10 +428,10 @@ def _extremal_eig(matvec, cell: Supercell, norm_scale: float, k: int = 1, seed: 
     both ends. Above it LOBPCG runs with the translations as constraints,
     preconditioned by ``precond`` (a symmetric positive map of blocks, such
     as F_N^2 = (H^hom)^+ for a lattice Hessian) when given: first the top
-    (LA, named ``stage`` + ' top'), then the k lowest (SA, from a seeded
-    random block or ``X0``, named ``stage`` + ' bottom' when the top was
-    solved). Residuals are checked, and a miss raises RuntimeError naming the
-    solve, the cell size N and the residual.
+    (LA, named ``stage`` + ' top'), then the k lowest (SA, from the
+    ``LOBPCG_SEED`` random block or ``X0``, named ``stage`` + ' bottom' when
+    the top was solved). Residuals are checked, and a miss raises
+    RuntimeError naming the solve, the cell size N and the residual.
     """
     n, m = cell.n, cell.spec.m
     if n * m <= DENSE_EIG_LIMIT:
@@ -478,10 +442,10 @@ def _extremal_eig(matvec, cell: Supercell, norm_scale: float, k: int = 1, seed: 
         k = min(k, n * m - m)
         return (w[:k], V[:, :k], float(w[-m - 1])) if top else (w[:k], V[:, :k])
     if not top:
-        return _lobpcg_eig(matvec, cell, norm_scale, k, "SA", seed, precond, X0, stage)
-    w_top = float(_lobpcg_eig(matvec, cell, norm_scale, 1, "LA", seed, precond, None,
+        return _lobpcg_eig(matvec, cell, norm_scale, k, "SA", precond, X0, stage)
+    w_top = float(_lobpcg_eig(matvec, cell, norm_scale, 1, "LA", precond, None,
                               f"{stage} top")[0][0])
-    w, V = _lobpcg_eig(matvec, cell, max(norm_scale, w_top), k, "SA", seed, precond, X0,
+    w, V = _lobpcg_eig(matvec, cell, max(norm_scale, w_top), k, "SA", precond, X0,
                        f"{stage} bottom")
     return w, V, w_top
 
@@ -577,7 +541,7 @@ def _fhf_matvec(F: FApplier, H: LinearLatticeOperator):
 
 
 def generalized_eigen(H: LinearLatticeOperator, model: PotentialModel,
-                      expected_negative: int = 0, tol: float = 1e-8):
+                      expected_negative: int = 0):
     """The one F_N H F_N solve of a point: positive bounds and negative pair.
 
     The nonzero spectrum of F_N H F_N is the generalized spectrum of
@@ -589,9 +553,10 @@ def generalized_eigen(H: LinearLatticeOperator, model: PotentialModel,
     1 at an index-1 saddle (any other index is refused), so an unexpected
     negative mode and a missing one both raise AmbiguousSpectrumError. The
     negative pair is checked as a generalized eigenpair against the
-    assembled H_hom. Returns (sigma_lo, sigma_hi, mu, w): the bounds of the
-    positive spectrum, the negative eigenvalue and its unit zero-mean mode
-    w, flattened to (n m,); mu and w are None at a minimum.
+    assembled H_hom, to a residual of 1e-8 |H psi|. Returns (sigma_lo,
+    sigma_hi, mu, w): the bounds of the positive spectrum, the negative
+    eigenvalue and its unit zero-mean mode w, flattened to (n m,); mu and w
+    are None at a minimum.
     """
     if expected_negative not in (0, 1):
         raise ValueError(f"expected_negative must be 0 or 1, not {expected_negative!r}")
@@ -610,7 +575,7 @@ def generalized_eigen(H: LinearLatticeOperator, model: PotentialModel,
     lhs = np.asarray(H.mat @ psi)
     H_hom = hessian(model.homogenized(), cell.zero_field())
     res = np.linalg.norm(lhs - w[0] * np.asarray(H_hom.mat @ psi))
-    if res > tol * max(np.linalg.norm(lhs), 1e-12):
+    if res > 1e-8 * max(np.linalg.norm(lhs), 1e-12):
         raise RuntimeError(f"generalized eigenpair residual {res:g} above tolerance")
     return cls.sigma_min, cls.sigma_max, float(w[0]), vec
 
@@ -676,15 +641,13 @@ def _site_orbits(F: FApplier, H: LinearLatticeOperator, sites: np.ndarray):
 
 
 def site_log_traces(H: LinearLatticeOperator, model: PotentialModel,
-                    sites: np.ndarray, expected_negative: int = 0,
-                    spectrum: tuple | None = None) -> tuple[np.ndarray, dict]:
+                    sites: np.ndarray, spectrum: tuple) -> tuple[np.ndarray, dict]:
     """tr [log+ (F_N H F_N)]_{ell ell} for the requested site ordinals.
 
     A Chebyshev expansion of log on the measured positive spectral interval,
-    applied to deflated site basis columns, at every size. ``spectrum`` is a
-    point's carried ``generalized_eigen`` result (sigma_lo, sigma_hi, mu, w),
-    solved with ``expected_negative`` (0 or 1) when not given; at a saddle
-    the one mode w is deflated. The degree is the lowest that meets the
+    applied to deflated site basis columns, at every size. ``spectrum`` is
+    the ``generalized_eigen`` result (sigma_lo, sigma_hi, mu, w) of H; at a
+    saddle the one mode w is deflated. The degree is the lowest that meets the
     ``_cheb_log_poly`` check, and the moments up to it come from
     ceil(degree / 2) block products with F_N H F_N per chunk of sites. The
     recurrence runs on the Hermitian half-grid spectra of ``FApplier``, so a
@@ -702,8 +665,6 @@ def site_log_traces(H: LinearLatticeOperator, model: PotentialModel,
     cell = H.cell
     sites = np.asarray(sites, dtype=int)
     F = FApplier(cell, model)
-    if spectrum is None:
-        spectrum = generalized_eigen(H, model, expected_negative)
     sig_lo, sig_hi, negative, mode = spectrum
     if sig_lo <= 0:
         raise AmbiguousSpectrumError(f"positive spectrum lower bound {sig_lo:g} <= 0")

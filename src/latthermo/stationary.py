@@ -36,7 +36,6 @@ __all__ = [
     "relax_minimum",
     "find_saddle",
     "continue_in_N",
-    "certify",
     "finish_point",
 ]
 
@@ -176,11 +175,6 @@ def _certify_spectrum(model: PotentialModel, H: LinearLatticeOperator, kind: str
     return cls, lam, phi.reshape(n, m)
 
 
-def certify(model: PotentialModel, point: "StationaryPoint") -> ModeClassification:
-    """Re-run the spectral certificate of a converged point on a fresh Hessian."""
-    return _certify_spectrum(model, hessian(model, point.u), point.kind)[0]
-
-
 def finish_point(model: PotentialModel, u: DisplacementField, kind: str, energy: float,
                  gradient_norm: float, n_iter: int, H: LinearLatticeOperator | None = None,
                  route: str | None = None, history: list | None = None) -> StationaryPoint:
@@ -219,30 +213,30 @@ def _start_values(cell: Supercell, initial_guess) -> np.ndarray:
     return vals - vals.mean(axis=0)
 
 
+def _unconstrained(values: np.ndarray) -> np.ndarray:
+    return values
+
+
 def _newton_relax(model: PotentialModel, cell: Supercell, initial_guess, max_iter: int,
-                  symmetrize=None):
+                  symmetrize=_unconstrained):
     """Damped Newton to |g| <= tol_grad; returns (field, E, |g|, iterations, |g| history).
 
-    ``symmetrize`` is an optional field projector applied to iterates and
-    gradients (used by the symmetric saddle search). A step whose solve meets
-    non-positive curvature, or that is no descent direction, moves to the
-    next shift of the ``nu`` ladder.
+    ``symmetrize`` is the field projector applied to iterates, gradients and
+    steps: the identity for a minimum, the mirror average for the symmetric
+    saddle search. A step whose solve meets non-positive curvature, or that
+    is no descent direction, moves to the next shift of the ``nu`` ladder.
     """
     tol = tol_grad(cell)
     precond = FApplier(cell, model).squared().apply
-    stage = "minimum step" if symmetrize is None else "symmetric saddle step"
-    u = _start_values(cell, initial_guess)
-    if symmetrize is not None:
-        u = symmetrize(u)
+    stage = "minimum step" if symmetrize is _unconstrained else "symmetric saddle step"
+    u = symmetrize(_start_values(cell, initial_guess))
     nu = nu_last = 0.0             # the ladder resumes a decade below the last accepted shift
     energy = energy_periodic(model, DisplacementField(cell, u))
     n_iter = 0
     history: list[float] = []
     for n_iter in range(1, max_iter + 1):
         fld = DisplacementField(cell, u)
-        g = gradient_periodic(model, fld)
-        if symmetrize is not None:
-            g = symmetrize(g)
+        g = symmetrize(gradient_periodic(model, fld))
         gnorm = float(np.linalg.norm(g))
         history.append(gnorm)
         if gnorm <= tol:
@@ -252,9 +246,7 @@ def _newton_relax(model: PotentialModel, cell: Supercell, initial_guess, max_ite
         for _ in range(12):
             p = _bordered_solve(H, nu, -g.reshape(-1), cell, precond, stage=stage)
             if p is not None:
-                p = p.reshape(u.shape)
-                if symmetrize is not None:
-                    p = symmetrize(p)
+                p = symmetrize(p.reshape(u.shape))
             slope = np.inf if p is None else float(np.sum(p * g))
             if slope >= 0:              # non-positive curvature or no descent: shift more
                 nu = 10.0 * nu if nu else max(0.1 * nu_last, 1e-6)
@@ -268,9 +260,7 @@ def _newton_relax(model: PotentialModel, cell: Supercell, initial_guess, max_ite
                 trial -= trial.mean(axis=0)
                 e_t = energy_periodic(model, DisplacementField(cell, trial))
                 if flat:
-                    g_t = gradient_periodic(model, DisplacementField(cell, trial))
-                    if symmetrize is not None:
-                        g_t = symmetrize(g_t)
+                    g_t = symmetrize(gradient_periodic(model, DisplacementField(cell, trial)))
                     decreased = float(np.linalg.norm(g_t)) < gnorm
                 else:
                     decreased = e_t <= energy + 1e-4 * t * slope

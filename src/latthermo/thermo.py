@@ -23,6 +23,7 @@ from .spectral import (
     _dense_symmetric,
     _fhf_matvec,
     _site_columns,
+    generalized_eigen,
     logdet_plus,
     logdet_plus_factorized,
     site_log_traces,
@@ -206,17 +207,19 @@ def site_entropies(model: PotentialModel, state,
     """Per-site entropies -1/2 tr [log+ (F_N H_N F_N)]_{ell ell}.
 
     The traces come from ``site_log_traces``, one Chebyshev route at every
-    size, with the point's carried spectrum. For minima these sum exactly
-    to S_N; at a saddle they sum to the log+ part of the splitting identity
-    (see delta_S_saddle).
+    size, with the point's carried spectrum; a bare field's spectrum is
+    solved here, as a minimum's. For minima these sum exactly to S_N; at a
+    saddle they sum to the log+ part of the splitting identity (see
+    delta_S_saddle).
     """
-    u, kind, index, _, H, spectrum = _resolve_state(model, state)
+    u, kind, _, _, H, spectrum = _resolve_state(model, state)
     cell = u.cell
     if sites is None:
         sites = np.arange(cell.n)
     sites = np.asarray(sites, dtype=int)
-    traces, info = site_log_traces(H, model, sites, expected_negative=index,
-                                   spectrum=spectrum)
+    if spectrum is None:
+        spectrum = generalized_eigen(H, model)
+    traces, info = site_log_traces(H, model, sites, spectrum)
     values = -0.5 * traces
     return EntropyProfile(N=cell.N, variant=kind, sites=sites, radii=cell.r[sites],
                           values=values, total=float(values.sum()), info=info)

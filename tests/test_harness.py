@@ -115,6 +115,17 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(model=model, N_list=[4, 6], beta=[0.0])
 
+    @pytest.mark.parametrize("N_ref, R_sum, match", [
+        (8, 4, r"run.N_ref \(8\) must be at least 4 run.R_sum \(16\)"),
+        (12, 0, "run.R_sum must be positive, not 0"),
+        (None, -1.0, "run.R_sum must be positive, not -1.0"),
+    ])
+    def test_N_ref_R_sum_checked_at_construction(self, N_ref, R_sum, match):
+        model = preset_model("square_misfit")
+        with pytest.raises(ValueError, match=match):
+            RunConfig(model=model, N_list=[4], N_ref=N_ref, R_sum=R_sum)
+        RunConfig(model=model, N_list=[4], N_ref=12, R_sum=3)     # N_ref = 4 R_sum
+
 
 class TestConfigLoading:
     def test_preset_config(self):
@@ -125,7 +136,7 @@ class TestConfigLoading:
 
     def test_explicit_model_config(self):
         cfg = load_config(CONFIGS / "explicit_example.yaml", out_override="/tmp/x")
-        assert cfg.model.has_defect
+        assert cfg.model.overrides
         assert cfg.model.spec.m == 2
         # explicit harmonic defect relaxes to a nonzero minimum
         from latthermo import Supercell, relax_minimum
@@ -195,6 +206,14 @@ class TestConfigLoading:
             load_config(p)
         assert f"unknown {key}" in str(err.value)
 
+    def test_bond_length_without_a_class_is_refused(self, tmp_path):
+        p = tmp_path / "cfg.yaml"
+        p.write_text("model:\n  lattice: {A: [[1.0, 0.0], [0.0, 1.0]], B: [[1.0, 0.0], "
+                     "[0.0, 1.0]], m: 2, r_cut: 1.5}\n  potential:\n    kind: harmonic\n"
+                     "    classes: [{len: 1.0, k: 0.5}]\nrun:\n  N_list: [4]\n")
+        with pytest.raises(ConfigurationError, match=r"stencil lengths \[1.414214\] unassigned"):
+            load_config(p)
+
     @pytest.mark.parametrize("value, shown", [("off", "False"), ("of", "'of'")])
     def test_saddle_value_other_than_auto_on_off_is_refused(self, tmp_path, value, shown):
         # YAML reads an unquoted off as False; taken as auto, it would run the
@@ -218,6 +237,30 @@ class TestConfigLoading:
         p.write_text("model:\n  preset: square_double_well\nrun:\n  beta: []\n")
         with pytest.raises(ValueError, match="run.beta must list at least one"):
             load_config(p)
+
+    @pytest.mark.parametrize("command", ["relax", "sweep"])
+    def test_empty_N_list_is_refused(self, tmp_path, capsys, command):
+        # relax failed in max() of the empty list; sweep wrote an empty table
+        p = tmp_path / "cfg.yaml"
+        p.write_text("model:\n  preset: square_misfit\nrun:\n  N_list: []\n")
+        with pytest.raises(ValueError, match="run.N_list must list at least one cell size"):
+            load_config(p)
+        rc = cli_main([command, "--config", str(p), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert ("error: ValueError: run.N_list must list at least one cell size"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    def test_default_kick_is_the_shipped_one(self, tmp_path):
+        # a double-well config without a kick starts from the shipped config's
+        # kick, so its rows are that config's rows
+        p = tmp_path / "cfg.yaml"
+        p.write_text("model:\n  preset: square_double_well\nrun:\n  beta: [1.0, 2.0]\n")
+        cfg = load_config(p)
+        assert cfg.kick_site == (0, 0)
+        assert cfg.kick_vector.tolist() == [0.15, 0.0]
+        shipped = replace(load_config(CONFIGS / "square_double_well.yaml"), out=None)
+        assert solve_row(cfg, 4) == solve_row(shipped, 4)
 
     def test_empty_run_section_takes_the_defaults(self, tmp_path):
         p = tmp_path / "cfg.yaml"
@@ -443,13 +486,26 @@ class TestCLI:
         assert "exponent" in capsys.readouterr().out
 
     def test_sweep_command_exit_code(self, tmp_path, capsys):
+        # the benchmark's argv: the seed labels the table, both formats are written
         cfg_text = (CONFIGS / "square_misfit.yaml").read_text().replace(
             "[6, 8, 10, 12, 16]", "[4, 5, 6]")
         p = tmp_path / "cfg.yaml"
         p.write_text(cfg_text)
-        rc = cli_main(["sweep", "--config", str(p), "--out", str(tmp_path / "out")])
+        out = tmp_path / "out"
+        rc = cli_main(["sweep", "--config", str(p), "--out", str(out),
+                       "--seed", "1", "--format", "both"])
         assert rc == 0
-        assert (tmp_path / "out" / "table.csv").exists()
+        assert all((out / nm).exists() for nm in ("table.csv", "plotdata.csv", "table.json"))
+        assert json.loads((out / "table.json").read_text())["meta"]["seed"] == 1
+
+    @pytest.mark.parametrize("argv", [["relax", "--seed", "1"], ["entropy", "--format", "json"],
+                                      ["check", "--seed", "1"]])
+    def test_seed_and_format_are_sweep_flags(self, capsys, argv):
+        # only sweep writes tables; the other commands refuse both flags
+        with pytest.raises(SystemExit) as exc:
+            cli_main([argv[0], "--config", str(CONFIGS / "square_misfit.yaml"), *argv[1:]])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
 
 
 def test_cli_renormalised_entropy(tmp_path, capsys):
@@ -471,6 +527,26 @@ run:
     assert "renormalised S" in out
     assert "tail_estimate=" in out
     assert "tail<=" not in out
+
+
+def test_cli_renormalised_entropy_refuses_a_small_N_ref_before_solving(tmp_path, capsys,
+                                                                        monkeypatch):
+    # N_ref < 4 R_sum failed in renormalised_entropy, after the --N point and the
+    # N_ref point were solved
+    p = tmp_path / "cfg.yaml"
+    p.write_text("model:\n  preset: square_misfit\nrun:\n  N_list: [4]\n"
+                 "  saddle: \"off\"\n  N_ref: 8\n  R_sum: 4\n")
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a point was solved")
+
+    monkeypatch.setattr(harness, "relax_minimum", refused)
+    rc = cli_main(["entropy", "--config", str(p), "--out", str(tmp_path / "out"),
+                   "--N", "4", "--renormalised"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "run.N_ref (8) must be at least 4 run.R_sum (16)" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_renormalised_entropy_defect_free(tmp_path, capsys):

@@ -66,9 +66,9 @@ class TestSupercell:
         xs = rng.integers(-20, 20, size=(50, 2))
         zs = rng.integers(-3, 3, size=(50, 2))
         shifted = xs + 2 * cell.N * (zs @ spec.C.T)
-        assert np.array_equal(cell.wrap(xs), cell.wrap(shifted))
+        assert np.array_equal(cell.site_indices(xs), cell.site_indices(shifted))
         for x in xs[:10]:
-            assert tuple(cell.wrap(x[None])[0]) == naive_wrap(x, spec.C, cell.N)
+            assert tuple(cell.x[cell.site_indices(x[None])][0]) == naive_wrap(x, spec.C, cell.N)
 
     def test_inverse_map_bijective(self):
         cell = Supercell(spec_square(), 3)
@@ -98,8 +98,8 @@ class TestIndexPath:
         xs = rng.integers(-50, 51, size=(40 if d == 2 else 15, d))
         expect = [ordinal[naive_wrap(x, spec.C, N)] for x in xs]
         assert np.array_equal(cell.site_indices(xs), expect)
-        w = cell.wrap(xs)
-        assert np.array_equal(cell.wrap(w), w)
+        w = cell.x[cell.site_indices(xs)]
+        assert np.array_equal(cell.x[cell.site_indices(w)], w)
 
     @pytest.mark.parametrize("name,B,N", INDEX_CASES, ids=[c[0] for c in INDEX_CASES])
     def test_dft_matches_naive_phases(self, name, B, N):
@@ -332,7 +332,7 @@ class TestPointGroup:
             assert np.allclose(g.R @ g.R.T, np.eye(d), atol=1e-12)
             assert np.allclose(g.R @ A, A @ g.Q, atol=1e-12)
             assert np.array_equal(np.sort(g.perm), np.arange(cell.n))
-            assert np.array_equal(cell.x[g.perm], cell.wrap(cell.x @ g.Q.T))
+            assert np.array_equal(cell.x[g.perm], cell.x[cell.site_indices(cell.x @ g.Q.T)])
             assert all((g.Q @ h.Q).tobytes() in Qs for h in group)       # closed
 
     def test_scalar_field_components_stay(self):

@@ -17,7 +17,6 @@ from latthermo import (
     matrix_log_plus,
     preset_model,
     projector_constants,
-    symbol_F,
 )
 from latthermo import entropy_total, site_entropies, spectral, thermo
 from latthermo.assembly import LinearLatticeOperator
@@ -26,6 +25,7 @@ from latthermo.potentials import PRESETS, symbol_h_batch
 from latthermo.spectral import (
     FApplier,
     _extremal_eig,
+    _inverse_sqrt_batch,
     classify_eigenvalues,
     log_plus_contour,
     logdet_plus_factorized,
@@ -54,6 +54,11 @@ def stable_state(name="square_misfit", N=4, scale=0.03, seed=0):
     rng = np.random.default_rng(seed)
     u = DisplacementField(cell, scale * rng.standard_normal((cell.n, model.spec.m)))
     return model, cell, u
+
+
+def symbol_F(model, k):
+    """F_hat(k) = h_hat(k)^-1/2 at one k != 0."""
+    return _inverse_sqrt_batch(symbol_h_batch(model, np.asarray(k, dtype=float)[None]))[0]
 
 
 class TestSymbolF:
@@ -303,7 +308,7 @@ class TestEigenpairs:
         assert mu < 0 and w.shape == (cell.n * cell.spec.m,)
         psi = FApplier(cell, model).apply(w)
         Hh = hessian(model.homogenized(), cell.zero_field())
-        assert abs(Hh.quadratic(psi) - 1.0) < 1e-8
+        assert abs(float(psi @ Hh.apply(psi)) - 1.0) < 1e-8
 
 
     def test_dense_route_takes_one_eigh(self, monkeypatch):
@@ -380,11 +385,16 @@ def cube_stiff_origin():
     })
 
 
+def traces_of(H, model, sites, index=0):
+    """Site traces with the F_N H F_N spectrum of H, solved for ``index`` negatives."""
+    return site_log_traces(H, model, sites, generalized_eigen(H, model, index))
+
+
 class TestSiteTraces:
     def test_site_traces_sum_to_logdet(self):
         model, cell, u = stable_state("square_misfit", N=4, scale=0.03)
         H = hessian(model, u)
-        traces, info = site_log_traces(H, model, np.arange(cell.n))
+        traces, info = traces_of(H, model, np.arange(cell.n))
         FN = kernel_FN(model, cell)
         A = conjugate_operator(FN, H, include_pi=False)
         v, _ = logdet_plus(A, expected_zero=2)
@@ -403,7 +413,7 @@ class TestSiteTraces:
             u = relax_minimum(model, cell).u
         H = hessian(model, u)
         sites = np.arange(0, cell.n, 7)
-        cheb, info = site_log_traces(H, model, sites)
+        cheb, info = traces_of(H, model, sites)
         assert info["method"] == "chebyshev"
         assert np.max(np.abs(site_log_oracle(model, H, sites) - cheb)) < 1e-8
 
@@ -468,7 +478,7 @@ class TestSiteTraces:
         u = DisplacementField(cell, 0.03 * rng.standard_normal((cell.n, model.spec.m)))
         H = hessian(model, u)
         sites = np.arange(cell.n)
-        traces, _ = site_log_traces(H, model, sites)
+        traces, _ = traces_of(H, model, sites)
         oracle = site_log_oracle(model, H, sites)
         assert np.max(np.abs(oracle)) > 1e-3
         assert np.max(np.abs(traces - oracle)) < 1e-10
@@ -574,7 +584,7 @@ class TestSiteOrbits:
         cell = Supercell(model.spec, N)
         H = hessian(model, relax_minimum(model, cell).u)
         sites = np.arange(cell.n)
-        traces, info = site_log_traces(H, model, sites)
+        traces, info = traces_of(H, model, sites)
         oracle = site_log_oracle(model, H, sites)
         assert np.max(np.abs(oracle)) > 1e-3
         tol = 1e-12 + model.spec.m * info["cheb_error"]
@@ -587,7 +597,7 @@ class TestSiteOrbits:
         assert np.array_equal(traces, traces[orbit])
         # the same recurrence on every site differs by rounding only
         cell.__dict__["point_group"] = cell.point_group[:1]
-        every, every_info = site_log_traces(H, model, sites)
+        every, every_info = traces_of(H, model, sites)
         assert every_info["orbit_sites"] == cell.n
         assert np.max(np.abs(traces - every)) < 1e-13
 
@@ -607,15 +617,14 @@ class TestSiteOrbits:
         for point, order, index in ((minimum, 2, 0), (saddle, 4, 1)):
             H = hessian(model, point.u)
             spectrum = generalized_eigen(H, model, index)
-            traces, info = site_log_traces(H, model, sites, index, spectrum)
+            traces, info = site_log_traces(H, model, sites, spectrum)
             assert info["symmetry_order"] == order
             assert info["symmetry_residual"] < 1e-13
             oracle = site_log_oracle(model, H, sites, index)
             assert np.max(np.abs(traces - oracle)) < 1e-12 + 2 * info["cheb_error"]
             with monkeypatch.context() as mp:
                 mp.setattr(spectral, "SYMMETRY_TOL", 1e-3)
-                assert site_log_traces(H, model, sites, index,
-                                       spectrum)[1]["symmetry_order"] == order
+                assert site_log_traces(H, model, sites, spectrum)[1]["symmetry_order"] == order
 
     def test_perturbed_minimum_runs_every_site(self):
         # a 1e-3 random perturbation breaks every element but the identity
@@ -627,7 +636,7 @@ class TestSiteOrbits:
         u = DisplacementField(cell, u.values + 1e-3 * rng.standard_normal(u.values.shape))
         H = hessian(model, u)
         sites = np.arange(cell.n)
-        traces, info = site_log_traces(H, model, sites)
+        traces, info = traces_of(H, model, sites)
         assert (info["symmetry_order"], info["orbit_sites"]) == (1, cell.n)
         assert info["symmetry_residual"] == 0.0
         oracle = site_log_oracle(model, H, sites)
@@ -668,7 +677,7 @@ class TestChebyshevAtSaddle:
         H = hessian(model, saddle.u)
         sites = np.arange(0, cell.n, 5)
         dense = site_log_oracle(model, H, sites, expected_negative=1)
-        cheb, info = site_log_traces(H, model, sites, expected_negative=1)
+        cheb, info = traces_of(H, model, sites, 1)
         assert len(info["negatives"]) == 1 and info["negatives"][0] < 0
         assert np.max(np.abs(dense - cheb)) < 1e-8
 
