@@ -44,7 +44,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_relax(args) -> int:
     cfg = _load(args)
-    N = args.N or max(cfg.N_list)
+    N = max(cfg.N_list) if args.N is None else args.N
     point, _ = solve_points(replace(cfg, saddle="off"), N)
     print(f"minimum at N={N}: E={point.energy!r} |g|={point.gradient_norm:.3e} "
           f"iters={point.n_iter}")
@@ -53,7 +53,7 @@ def _cmd_relax(args) -> int:
 
 def _cmd_saddle(args) -> int:
     cfg = _load(args)
-    N = args.N or max(cfg.N_list)
+    N = max(cfg.N_list) if args.N is None else args.N
     _, saddle = solve_points(replace(cfg, saddle="on"), N)
     print(f"saddle at N={N}: E={saddle.energy!r} lambda={saddle.lam!r} "
           f"|g|={saddle.gradient_norm:.3e}")
@@ -62,7 +62,7 @@ def _cmd_saddle(args) -> int:
 
 def _cmd_entropy(args) -> int:
     cfg = replace(_load(args), saddle="off")
-    N = args.N or max(cfg.N_list)
+    N = max(cfg.N_list) if args.N is None else args.N
     point, _ = solve_points(cfg, N)
     S = entropy_total(cfg.model, point)
     print(f"S_N at minimum, N={N}: {S!r}")
@@ -91,7 +91,7 @@ def _cmd_entropy(args) -> int:
 
 def _cmd_rate(args) -> int:
     cfg = _load(args)
-    N = args.N or max(cfg.N_list)
+    N = max(cfg.N_list) if args.N is None else args.N
     minimum, saddle = solve_points(replace(cfg, saddle="on"), N)
     rate = htst_rate(cfg.model, minimum, saddle, beta=cfg.beta[0])
     reports = []
@@ -175,6 +175,8 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_fit)
 
     args = parser.parse_args(argv)
+    if getattr(args, "N", None) is not None and args.N < 1:
+        parser.error(f"argument --N: a cell size is at least 1, not {args.N}")
     try:
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - CLI boundary: report and exit nonzero

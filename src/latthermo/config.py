@@ -100,6 +100,10 @@ def load_config(path: Path, out_override: Path | None = None,
     kick = run.get("kick")
     if kick is None:
         kick = PRESET_KICKS.get(raw["model"].get("preset"))
+    else:
+        _check_keys(kick, ("site", "vector"), "run.kick")
+        if set(kick) != {"site", "vector"}:
+            raise ConfigurationError(f"run.kick needs both keys site and vector, not {kick}")
     kick_site = tuple(kick["site"]) if kick else None
     kick_vector = np.asarray(kick["vector"], dtype=float) if kick else None
     out = out_override or run.get("out")

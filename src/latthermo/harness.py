@@ -65,6 +65,12 @@ class RunConfig:
             # the renormalised entropy sums over |ell| <= R_sum on the N_ref cell
             raise ValueError(f"run.N_ref ({self.N_ref}) must be at least 4 run.R_sum "
                              f"({4 * self.R_sum:g})")
+        if self.max_iter < 1:
+            raise ValueError(f"run.max_iter must be at least 1, not {self.max_iter!r}")
+        for key, value, size in (("site", self.kick_site, self.model.spec.d),
+                                 ("vector", self.kick_vector, self.model.spec.m)):
+            if value is not None and np.shape(value) != (size,):
+                raise ValueError(f"run.kick {key} must have {size} entries, not {np.size(value)}")
         if not self.beta:
             raise ValueError("run.beta must list at least one inverse temperature")
         if any(b <= 0 for b in self.beta):

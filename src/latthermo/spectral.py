@@ -11,6 +11,7 @@ from __future__ import annotations
 import copy
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -66,7 +67,6 @@ class ModeClassification:
     """
 
     eigenvalues: np.ndarray
-    labels: list[str]
     tau_zero: float
     n_zero: int
     n_negative: int
@@ -115,11 +115,9 @@ def classify_eigenvalues(eigs: np.ndarray, expected_zero: int,
     if expected_negative is not None and int(neg.sum()) != expected_negative:
         raise AmbiguousSpectrumError(
             f"expected {expected_negative} negative modes, found {int(neg.sum())}")
-    labels = np.where(zero, "translation_zero",
-                      np.where(neg, "unstable_negative", "positive")).tolist()
     pos_vals = eigs[pos]
     return ModeClassification(
-        eigenvalues=eigs, labels=labels, tau_zero=tau,
+        eigenvalues=eigs, tau_zero=tau,
         n_zero=int(zero.sum()), n_negative=int(neg.sum()), n_positive=int(pos.sum()),
         sigma_min=float(pos_vals.min()) if pos_vals.size else np.nan,
         sigma_max=float(pos_vals.max()) if pos_vals.size else np.nan,
@@ -456,20 +454,26 @@ class FApplier:
     On the cell's diagonal-form grid of shape s, F_N v = irfftn(F_g rfftn(v)):
     v is laid out at the site slots and F_hat(y) at the slot of -y, where
     rfftn holds e^{i k.ell}. F_N is real, so F_g(-q) = conj F_g(q) (checked
-    once on the full grid), and F_g (or F_g^2 after ``squared``) is kept on
+    once on the full grid), and F_g (or F_g^2 in ``precond``) is kept on
     the Hermitian half-grid [..., :s_last // 2 + 1] only. ``forward`` and
     ``inverse`` are the two half-grid transforms and ``dot`` the real inner
-    product of fields held there (Parseval).
+    product of fields held there (Parseval). Built once per stationary point
+    and carried on it; ``logdet_hom`` = log det+ H_N^hom is the sum over
+    k != 0 of log det h_hat(k) = -2 log |det F_hat(k)|.
     """
 
     def __init__(self, cell: Supercell, model: PotentialModel):
         self.cell = cell
+        self.model = model
         self.m = model.spec.m
         s = cell.grid_shape
         if s[-1] % 2:
             raise FloatingPointError(f"odd last axis of the N={cell.N} cell's grid {s}")
         axes = tuple(range(len(s)))
-        fg = cell.to_grid(_fhat_dual(model, cell), dual=True)
+        fh = _fhat_dual(model, cell)
+        zero = np.all(cell.dual.y == 0, axis=1)
+        self.logdet_hom = -2.0 * float(np.sum(np.linalg.slogdet(fh[~zero])[1]))
+        fg = cell.to_grid(fh, dual=True)
         mirrored = np.roll(np.flip(fg, axes), 1, axes)          # fg(-q) at slot q
         asym = float(np.max(np.abs(mirrored - fg.conj())))
         if asym > 1e-10 * (1 + float(np.max(np.abs(fg)))):
@@ -514,11 +518,12 @@ class FApplier:
         """``dot`` summed over each site's m consecutive columns; (batch // m,)."""
         return self.dot(X, Y).reshape(-1, self.m).sum(axis=1)
 
-    def squared(self) -> "FApplier":
-        """F_N^2 = (H^hom)^+, applied the same way; a preconditioner for Hessians."""
+    @cached_property
+    def precond(self):
+        """F_N^2 = (H^hom)^+ applied the same way: every Hessian solve's preconditioner."""
         sq = copy.copy(self)
         sq.fhat = self.fhat @ self.fhat
-        return sq
+        return sq.apply
 
 
 def _site_columns(F: FApplier, sites: np.ndarray):
@@ -540,29 +545,28 @@ def _fhf_matvec(F: FApplier, H: LinearLatticeOperator):
     return mv
 
 
-def generalized_eigen(H: LinearLatticeOperator, model: PotentialModel,
-                      expected_negative: int = 0):
+def generalized_eigen(H: LinearLatticeOperator, F: FApplier, expected_negative: int = 0):
     """The one F_N H F_N solve of a point: positive bounds and negative pair.
 
-    The nonzero spectrum of F_N H F_N is the generalized spectrum of
-    H psi = mu H_hom psi on the zero-mean subspace, with psi = F_N w. One
-    unpreconditioned ``_extremal_eig`` call gives the ``expected_negative``
-    + 1 lowest eigenpairs and the top eigenvalue off the translations, on
-    either route. ``classify_eigenvalues`` checks those ends: nothing in the
-    dead zone and exactly ``expected_negative`` negatives, 0 at a minimum and
-    1 at an index-1 saddle (any other index is refused), so an unexpected
-    negative mode and a missing one both raise AmbiguousSpectrumError. The
-    negative pair is checked as a generalized eigenpair against the
-    assembled H_hom, to a residual of 1e-8 |H psi|. Returns (sigma_lo,
-    sigma_hi, mu, w): the bounds of the positive spectrum, the negative
-    eigenvalue and its unit zero-mean mode w, flattened to (n m,); mu and w
-    are None at a minimum.
+    F_N is the point's applier ``F``. The nonzero spectrum of F_N H F_N is
+    the generalized spectrum of H psi = mu H_hom psi on the zero-mean
+    subspace, with psi = F_N w. One unpreconditioned ``_extremal_eig`` call
+    gives the ``expected_negative`` + 1 lowest eigenpairs and the top
+    eigenvalue off the translations, on either route. ``classify_eigenvalues``
+    checks those ends: nothing in the dead zone and exactly
+    ``expected_negative`` negatives, 0 at a minimum and 1 at an index-1
+    saddle (any other index is refused), so an unexpected negative mode and a
+    missing one both raise AmbiguousSpectrumError. The negative pair is
+    checked as a generalized eigenpair against the H_hom assembled from
+    ``F.model``, to a residual of 1e-8 |H psi|. Returns (sigma_lo, sigma_hi,
+    mu, w): the bounds of the positive spectrum, the negative eigenvalue and
+    its unit zero-mean mode w, flattened to (n m,); mu and w are None at a
+    minimum.
     """
     if expected_negative not in (0, 1):
         raise ValueError(f"expected_negative must be 0 or 1, not {expected_negative!r}")
     cell = H.cell
     n, m = cell.n, cell.spec.m
-    F = FApplier(cell, model)
     w, V, w_top = _extremal_eig(_fhf_matvec(F, H), cell, 0.0, k=expected_negative + 1,
                                 stage="F_N H F_N", top=True)
     cls = classify_eigenvalues(np.append(w, w_top), expected_zero=0,
@@ -573,7 +577,7 @@ def generalized_eigen(H: LinearLatticeOperator, model: PotentialModel,
     vec /= np.linalg.norm(vec)
     psi = F.apply(vec)
     lhs = np.asarray(H.mat @ psi)
-    H_hom = hessian(model.homogenized(), cell.zero_field())
+    H_hom = hessian(F.model.homogenized(), cell.zero_field())
     res = np.linalg.norm(lhs - w[0] * np.asarray(H_hom.mat @ psi))
     if res > 1e-8 * max(np.linalg.norm(lhs), 1e-12):
         raise RuntimeError(f"generalized eigenpair residual {res:g} above tolerance")
@@ -640,12 +644,13 @@ def _site_orbits(F: FApplier, H: LinearLatticeOperator, sites: np.ndarray):
     return reps, inverse, info
 
 
-def site_log_traces(H: LinearLatticeOperator, model: PotentialModel,
+def site_log_traces(H: LinearLatticeOperator, F: FApplier,
                     sites: np.ndarray, spectrum: tuple) -> tuple[np.ndarray, dict]:
     """tr [log+ (F_N H F_N)]_{ell ell} for the requested site ordinals.
 
     A Chebyshev expansion of log on the measured positive spectral interval,
-    applied to deflated site basis columns, at every size. ``spectrum`` is
+    applied to deflated site basis columns, at every size, with F_N the
+    point's applier ``F``. ``spectrum`` is
     the ``generalized_eigen`` result (sigma_lo, sigma_hi, mu, w) of H; at a
     saddle the one mode w is deflated. The degree is the lowest that meets the
     ``_cheb_log_poly`` check, and the moments up to it come from
@@ -664,7 +669,6 @@ def site_log_traces(H: LinearLatticeOperator, model: PotentialModel,
     """
     cell = H.cell
     sites = np.asarray(sites, dtype=int)
-    F = FApplier(cell, model)
     sig_lo, sig_hi, negative, mode = spectrum
     if sig_lo <= 0:
         raise AmbiguousSpectrumError(f"positive spectrum lower bound {sig_lo:g} <= 0")

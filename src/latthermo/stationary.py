@@ -70,12 +70,11 @@ class StationaryPoint:
     model_hash: str
     n_iter: int
     lam: float | None = None        # unstable eigenvalue at a saddle
-    phi: np.ndarray | None = None   # unstable mode at a saddle
-    gradient_history: list = field(default_factory=list)
     route: str | None = None        # saddle route: follow or symmetric_fallback
     mu: float | None = None         # negative eigenvalue of F_N H F_N at a saddle
     w: np.ndarray | None = None     # its unit mode, flattened (n m,); psi = F_N w
     H: LinearLatticeOperator | None = field(default=None, repr=False, compare=False)
+    F: FApplier | None = field(default=None, repr=False, compare=False)   # the cell's F_N
 
     @property
     def N(self) -> int:
@@ -88,7 +87,7 @@ def _bordered_solve(H: sp.spmatrix, nu: float, rhs: np.ndarray, cell: Supercell,
     """Solve (H + nu I) p = rhs on the complement of the constants and ``mode``.
 
     CG preconditioned by P F_N^2 P, with P the orthogonal projector on that
-    complement and F_N^2 the block map ``precond`` (``FApplier.squared``), to
+    complement and F_N^2 the block map ``precond`` (``FApplier.precond``), to
     relative residual ``CG_RTOL``. ``mode``, the followed mode of a saddle
     step, is a unit vector orthogonal to the constants. Returns None when a
     search direction has non-positive curvature, so H + nu I is not positive
@@ -130,18 +129,18 @@ def _bordered_solve(H: sp.spmatrix, nu: float, rhs: np.ndarray, cell: Supercell,
                        f"{r_tol:g} after {CG_MAXITER} iterations")
 
 
-def _certify_spectrum(model: PotentialModel, H: LinearLatticeOperator, kind: str):
+def _certify_spectrum(H: LinearLatticeOperator, F: FApplier, kind: str):
     """Partial spectral classification from the extremal spectrum of the Hessian.
 
     Built the same way at every size from three parts: the m zeros are the
     Rayleigh quotients of the unit translation fields t, each with |H t|
-    checked against the zero tolerance; one F_N^2-preconditioned
-    ``_extremal_eig`` call gives the 2 (3 at a saddle) lowest eigenpairs on
-    their complement; and the top entry, ``sigma_max``, is the Gershgorin
-    row-sum bound on |H|, which keeps ``tau_zero`` conservative.
+    checked against the zero tolerance; one ``_extremal_eig`` call,
+    preconditioned by the point's F_N^2, gives the 2 (3 at a saddle) lowest
+    eigenpairs on their complement; and the top entry, ``sigma_max``, is the
+    Gershgorin row-sum bound on |H|, which keeps ``tau_zero`` conservative.
 
-    Returns (classification, lam, phi). At a saddle (lam, phi) is the unstable
-    pair of the certificate's own solve, with a checked residual.
+    Returns (classification, lam). At a saddle lam is the unstable eigenvalue
+    of the certificate's own solve, whose eigenpair residual is checked.
     """
     cell = H.cell
     n, m = cell.n, cell.spec.m
@@ -155,8 +154,7 @@ def _certify_spectrum(model: PotentialModel, H: LinearLatticeOperator, kind: str
     if drift > ZERO_TOL_FACTOR * top:
         raise AmbiguousSpectrumError(
             f"{stage} at N={cell.N}: |H t| = {drift:g} on a unit translation field")
-    w, V = _extremal_eig(matvec, cell, top, k=expected_neg + 2,
-                         precond=FApplier(cell, model).squared().apply, stage=stage)
+    w, V = _extremal_eig(matvec, cell, top, k=expected_neg + 2, precond=F.precond, stage=stage)
     eigs = np.concatenate([np.einsum("ij,ij->j", T, HT), w, [top]])
     cls = classify_eigenvalues(eigs, expected_zero=m, complete=False)
     cls.n_positive = n * m - cls.n_zero - cls.n_negative
@@ -165,31 +163,31 @@ def _certify_spectrum(model: PotentialModel, H: LinearLatticeOperator, kind: str
             f"{kind} certificate: expected {expected_neg} negative modes, "
             f"found {cls.n_negative}", cls)
     if not expected_neg:
-        return cls, None, None
+        return cls, None
     lam = float(w[0])
     phi = V[:, 0] - _mean_project(V[:, 0], n, m)
     phi /= np.linalg.norm(phi)
     res = float(np.linalg.norm(H.mat @ phi - lam * phi))
     if res > 1e-9 * max(float(np.max(np.abs(eigs))), 1.0):
         raise CertificationError(f"unstable eigenpair residual {res:g} above tolerance", cls)
-    return cls, lam, phi.reshape(n, m)
+    return cls, lam
 
 
 def finish_point(model: PotentialModel, u: DisplacementField, kind: str, energy: float,
                  gradient_norm: float, n_iter: int, H: LinearLatticeOperator | None = None,
-                 route: str | None = None, history: list | None = None) -> StationaryPoint:
+                 route: str | None = None, F: FApplier | None = None) -> StationaryPoint:
     """Certify a converged field and build its spectral record.
 
-    ``H`` is the Hessian the solver already assembled at ``u``, if any; it is
-    assembled here otherwise. One certificate and one F_N H F_N solve give
-    every spectral fact of the point, and the point keeps H for thermo.
+    ``H`` and ``F`` are the Hessian and the F_N applier the solver built, if
+    any, and are built here otherwise (a resumed point). One certificate and
+    one F_N H F_N solve give every spectral fact; the point keeps H and F.
     """
     H = hessian(model, u) if H is None else H
-    cls, lam, phi = _certify_spectrum(model, H, kind)
-    lo, hi, mu, w = generalized_eigen(H, model, expected_negative=cls.n_negative)
+    F = FApplier(u.cell, model) if F is None else F
+    cls, lam = _certify_spectrum(H, F, kind)
+    lo, hi, mu, w = generalized_eigen(H, F, expected_negative=cls.n_negative)
     return StationaryPoint(kind, u, energy, gradient_norm, cls, (lo, hi), model.model_hash(),
-                           n_iter, lam=lam, phi=phi, gradient_history=history or [],
-                           route=route, mu=mu, w=w, H=H)
+                           n_iter, lam=lam, route=route, mu=mu, w=w, H=H, F=F)
 
 
 def relax_minimum(model: PotentialModel, cell: Supercell,
@@ -199,8 +197,8 @@ def relax_minimum(model: PotentialModel, cell: Supercell,
 
     Returns a certified minimum with zero-mean gauge.
     """
-    fld, energy, gnorm, n_iter, history = _newton_relax(model, cell, initial_guess, max_iter)
-    return finish_point(model, fld, "minimum", energy, gnorm, n_iter, history=history)
+    fld, energy, gnorm, n_iter, F = _newton_relax(model, cell, initial_guess, max_iter)
+    return finish_point(model, fld, "minimum", energy, gnorm, n_iter, F=F)
 
 
 def _start_values(cell: Supercell, initial_guess) -> np.ndarray:
@@ -219,7 +217,7 @@ def _unconstrained(values: np.ndarray) -> np.ndarray:
 
 def _newton_relax(model: PotentialModel, cell: Supercell, initial_guess, max_iter: int,
                   symmetrize=_unconstrained):
-    """Damped Newton to |g| <= tol_grad; returns (field, E, |g|, iterations, |g| history).
+    """Damped Newton to |g| <= tol_grad; returns (field, E, |g|, iterations, F_N applier).
 
     ``symmetrize`` is the field projector applied to iterates, gradients and
     steps: the identity for a minimum, the mirror average for the symmetric
@@ -227,24 +225,22 @@ def _newton_relax(model: PotentialModel, cell: Supercell, initial_guess, max_ite
     is no descent direction, moves to the next shift of the ``nu`` ladder.
     """
     tol = tol_grad(cell)
-    precond = FApplier(cell, model).squared().apply
+    F = FApplier(cell, model)
     stage = "minimum step" if symmetrize is _unconstrained else "symmetric saddle step"
     u = symmetrize(_start_values(cell, initial_guess))
     nu = nu_last = 0.0             # the ladder resumes a decade below the last accepted shift
     energy = energy_periodic(model, DisplacementField(cell, u))
     n_iter = 0
-    history: list[float] = []
     for n_iter in range(1, max_iter + 1):
         fld = DisplacementField(cell, u)
         g = symmetrize(gradient_periodic(model, fld))
         gnorm = float(np.linalg.norm(g))
-        history.append(gnorm)
         if gnorm <= tol:
             break
         H = hessian(model, fld).mat
         accepted = False
         for _ in range(12):
-            p = _bordered_solve(H, nu, -g.reshape(-1), cell, precond, stage=stage)
+            p = _bordered_solve(H, nu, -g.reshape(-1), cell, F.precond, stage=stage)
             if p is not None:
                 p = symmetrize(p.reshape(u.shape))
             slope = np.inf if p is None else float(np.sum(p * g))
@@ -280,11 +276,10 @@ def _newton_relax(model: PotentialModel, cell: Supercell, initial_guess, max_ite
         raise RuntimeError(f"minimisation did not converge in {max_iter} iterations")
 
     fld = DisplacementField(cell, u - u.mean(axis=0))
-    g = gradient_periodic(model, fld)
-    gnorm = float(np.linalg.norm(g))
+    gnorm = float(np.linalg.norm(gradient_periodic(model, fld)))
     if gnorm > tol:
         raise RuntimeError(f"converged point has residual {gnorm:g} > {tol:g}")
-    return fld, energy, gnorm, n_iter, history
+    return fld, energy, gnorm, n_iter, F
 
 
 def _mirror_symmetrizer(cell: Supercell, Q: np.ndarray):
@@ -324,7 +319,7 @@ def _saddle_follow(model: PotentialModel, cell: Supercell, initial_guess,
     tol = tol_grad(cell)
     u = _start_values(cell, initial_guess)
     n, m = cell.n, cell.spec.m
-    precond = FApplier(cell, model).squared().apply
+    F = FApplier(cell, model)
     track = None
     V = None                        # the previous step's two softest modes warm-start the next
     gnorm_prev = np.inf
@@ -338,7 +333,7 @@ def _saddle_follow(model: PotentialModel, cell: Supercell, initial_guess,
         matvec = lambda v: np.asarray(H.mat @ v)
         scale = float(abs(H.mat).sum(axis=1).max())     # Gershgorin bound on ||H||
         # constants shifted out of view: the two softest non-translation modes
-        w, V = _extremal_eig(matvec, cell, scale, k=2, precond=precond, X0=V,
+        w, V = _extremal_eig(matvec, cell, scale, k=2, precond=F.precond, X0=V,
                              stage="saddle step")
         cand = [(float(w[j]), V[:, j]) for j in range(len(w))]
         if track is not None:
@@ -356,7 +351,7 @@ def _saddle_follow(model: PotentialModel, cell: Supercell, initial_guess,
         g1 = float(g @ v1)
         p1 = -(g1 / lam_eff) * v1
         nu = max(0.0, delta - lam2)
-        p_perp = _bordered_solve(H.mat, nu, -(g - g1 * v1), cell, precond, mode=v1,
+        p_perp = _bordered_solve(H.mat, nu, -(g - g1 * v1), cell, F.precond, mode=v1,
                                  stage="saddle step")
         if p_perp is None:
             raise RuntimeError(f"saddle step at N={cell.N}: non-positive curvature "
@@ -373,13 +368,14 @@ def _saddle_follow(model: PotentialModel, cell: Supercell, initial_guess,
                            f"(|g|={gnorm_prev:g})")
 
     return finish_point(model, fld, "saddle", energy_periodic(model, fld), gnorm,
-                        n_iter, H=H, route="follow")
+                        n_iter, H=H, route="follow", F=F)
 
 
 def _saddle_symmetric(model: PotentialModel, cell: Supercell, max_iter: int) -> StationaryPoint:
     symmetrize = _mirror_symmetrizer(cell, model.mirror)
-    fld, energy, gnorm, n_iter, _ = _newton_relax(model, cell, None, max_iter, symmetrize)
-    return finish_point(model, fld, "saddle", energy, gnorm, n_iter, route="symmetric_fallback")
+    fld, energy, gnorm, n_iter, F = _newton_relax(model, cell, None, max_iter, symmetrize)
+    return finish_point(model, fld, "saddle", energy, gnorm, n_iter, route="symmetric_fallback",
+                        F=F)
 
 
 def continue_in_N(model: PotentialModel, point: StationaryPoint,

@@ -14,11 +14,10 @@ import numpy as np
 
 from .assembly import hessian, variation_contractions
 from .fitting import RateFit, envelope_decay
-from .lattice import DisplacementField, Supercell
-from .potentials import PotentialModel, symbol_h_batch
+from .lattice import DisplacementField
+from .potentials import PotentialModel
 from .spectral import (
     DENSE_LIMIT,
-    AmbiguousSpectrumError,
     FApplier,
     _dense_symmetric,
     _fhf_matvec,
@@ -158,48 +157,39 @@ class RateReport:
         return out
 
 
+def _applier(model: PotentialModel, state) -> FApplier:
+    """A point's carried F_N applier, or a bare field's, built here: thermo's one build."""
+    return state.F if isinstance(state, StationaryPoint) else FApplier(state.cell, model)
+
+
 def _resolve_state(model: PotentialModel, state):
-    """(field, kind, index, lam, H, carried F_N H F_N spectrum); only a bare
-    field assembles. The index, the number of negative modes, is 1 at a
-    saddle and 0 otherwise; the spectrum is ``generalized_eigen``'s tuple."""
+    """(field, kind, index, lam, H, carried F_N H F_N spectrum, F_N applier);
+    only a bare field assembles. The index (negative modes) is 1 at a saddle,
+    0 otherwise; the spectrum is ``generalized_eigen``'s tuple."""
     if isinstance(state, StationaryPoint):
         index = 1 if state.kind == "saddle" else 0
-        return state.u, state.kind, index, state.lam, state.H, (*state.sigma, state.mu, state.w)
+        return (state.u, state.kind, index, state.lam, state.H,
+                (*state.sigma, state.mu, state.w), state.F)
     if isinstance(state, DisplacementField):
-        return state, "state", 0, None, hessian(model, state), None
+        return state, "state", 0, None, hessian(model, state), None, _applier(model, state)
     raise TypeError("state must be a StationaryPoint or DisplacementField")
-
-
-def _logdet_plus_homogeneous(model: PotentialModel, cell: Supercell) -> float:
-    """log det+ H_N^hom in closed form: sum over k != 0 of log det h_hat(k).
-
-    H_N^hom is block-diagonal on the dual grid; its k = 0 block holds the m
-    translation zeros that det+ leaves out.
-    """
-    zero = np.all(cell.dual.y == 0, axis=1)
-    w = np.linalg.eigvalsh(symbol_h_batch(model, cell.dual.k[~zero]))
-    if np.any(w <= 0):
-        raise AmbiguousSpectrumError(
-            f"thermo: homogeneous symbol has eigenvalue {w.min():g} <= 0 at k != 0 (N={cell.N})")
-    return float(np.sum(np.log(w)))
 
 
 def entropy_total(model: PotentialModel, state) -> float:
     """S_N(u): entropy difference against the homogeneous supercell.
 
-    log det+ H_N comes from the bordered sparse LU at every size. At a saddle
-    the carried negative eigenvalue is divided out along with the
+    log det+ H_N comes from the bordered sparse LU at every size, log det+
+    H_N^hom from the symbols of the state's F_N (``FApplier.logdet_hom``). At
+    a saddle the carried negative eigenvalue is divided out along with the
     translation zeros (det+ semantics). A bare field carries no certificate,
     so it is certified as a minimum first (exactly m zeros, no negative mode).
     """
-    u, kind, index, lam, H, _ = _resolve_state(model, state)
+    _, kind, index, lam, H, _, F = _resolve_state(model, state)
     if index and lam is None:
         raise ValueError("saddle point must carry its unstable eigenvalue lam")
     if kind == "state":
-        _certify_spectrum(model, H, "minimum")
-    ld_def = logdet_plus_factorized(H, negative=lam)
-    ld_hom = _logdet_plus_homogeneous(model, u.cell)
-    return -0.5 * ld_def + 0.5 * ld_hom
+        _certify_spectrum(H, F, "minimum")
+    return -0.5 * logdet_plus_factorized(H, negative=lam) + 0.5 * F.logdet_hom
 
 
 def site_entropies(model: PotentialModel, state,
@@ -212,24 +202,24 @@ def site_entropies(model: PotentialModel, state,
     saddle they sum to the log+ part of the splitting identity (see
     delta_S_saddle).
     """
-    u, kind, _, _, H, spectrum = _resolve_state(model, state)
+    u, kind, _, _, H, spectrum, F = _resolve_state(model, state)
     cell = u.cell
     if sites is None:
         sites = np.arange(cell.n)
     sites = np.asarray(sites, dtype=int)
     if spectrum is None:
-        spectrum = generalized_eigen(H, model)
-    traces, info = site_log_traces(H, model, sites, spectrum)
+        spectrum = generalized_eigen(H, F)
+    traces, info = site_log_traces(H, F, sites, spectrum)
     values = -0.5 * traces
     return EntropyProfile(N=cell.N, variant=kind, sites=sites, radii=cell.r[sites],
                           values=values, total=float(values.sum()), info=info)
 
 
-def site_entropy_first_variation(model: PotentialModel, sites,
-                                 u: DisplacementField) -> np.ndarray:
+def site_entropy_first_variation(model: PotentialModel, sites, state) -> np.ndarray:
     """<delta S^hom_ell(0), u> = -1/2 tr (F_N B F_N)_{ell ell}, B = <delta H^hom(0), u>.
 
-    F_N is the periodic kernel of u's cell, which realizes the
+    ``state`` is a stationary point or a bare field u. F_N is the periodic
+    kernel of u's cell (the point's carried applier), which realizes the
     infinite-lattice kernel at quadrature level N (consistent with the
     renormalised entropy evaluated at a finite reference level); the sum
     runs over the whole cell, so the only truncation is the level N itself.
@@ -237,10 +227,9 @@ def site_entropy_first_variation(model: PotentialModel, sites,
     half-grid: X = F_hat forward(E), Y = forward(B inverse(X)), and the site
     term is -1/2 the Parseval sum of <X, Y> over the site's m columns.
     """
-    cell = u.cell
+    u, F = getattr(state, "u", state), _applier(model, state)
     sites = np.atleast_1d(np.asarray(sites, dtype=int))
-    B = variation_contractions(model.homogenized(), cell.zero_field(), u).mat
-    F = FApplier(cell, model)
+    B = variation_contractions(model.homogenized(), u.cell.zero_field(), u).mat
     out = np.empty(len(sites))
     for chunk, E_hat in _site_columns(F, sites):
         X = F.fhat @ E_hat
@@ -257,8 +246,7 @@ def renormalised_entropy(model: PotentialModel, u_ref, R_sum: float,
     |ell| <= R_sum, fits their decay and reports a geometric tail estimate.
     Refuses to extrapolate when the fitted decay is slower than -(d + 1/2).
     """
-    u = u_ref.u if isinstance(u_ref, StationaryPoint) else u_ref
-    cell = u.cell
+    cell = getattr(u_ref, "u", u_ref).cell
     d = cell.spec.d
     if cell.N < 4 * R_sum:
         raise ValueError("reference level must satisfy N_ref >= 4 R_sum")
@@ -267,7 +255,7 @@ def renormalised_entropy(model: PotentialModel, u_ref, R_sum: float,
     sites = sites[order]
     radii = cell.r[sites]
     prof = site_entropies(model, u_ref, sites=sites)
-    fv = site_entropy_first_variation(model, sites, u)
+    fv = site_entropy_first_variation(model, sites, u_ref)
     ren = prof.values - fv
     csum = np.cumsum(ren)
     tail, fit = 0.0, None
@@ -296,15 +284,14 @@ def _site_entropy_sum(model: PotentialModel, point: StationaryPoint) -> float:
 
     Up to DENSE_LIMIT the eigenvalues of the dense F_N H F_N give it with no
     eigenvectors (same classification and negative-mode count as the site
-    traces), built from ``FApplier`` block products. Above the limit the
-    Chebyshev site traces of every site are summed.
+    traces), built from block products with the point's ``FApplier``. Above
+    the limit the Chebyshev site traces of every site are summed.
     """
-    u, _, index, _, H, _ = _resolve_state(model, point)
-    cell = u.cell
-    m = cell.spec.m
+    u, _, index, _, H, _, F = _resolve_state(model, point)
+    cell, m = u.cell, u.cell.spec.m
     if cell.n * m > DENSE_LIMIT:
         return site_entropies(model, point).total
-    A = _dense_symmetric(_fhf_matvec(FApplier(cell, model), H), cell.n * m)
+    A = _dense_symmetric(_fhf_matvec(F, H), cell.n * m)
     ld, _ = logdet_plus(A, expected_zero=m, expected_negative=index)
     return -0.5 * ld
 
@@ -343,7 +330,7 @@ def _product_form_dS(model: PotentialModel, min_point: StationaryPoint,
     """
     ld = []
     for point in (min_point, saddle_point):
-        u, _, index, _, H, _ = _resolve_state(model, point)
+        u, _, index, _, H, _, _ = _resolve_state(model, point)
         ld.append(logdet_plus(H, expected_zero=u.cell.spec.m, expected_negative=index)[0])
     return 0.5 * (ld[0] - ld[1])
 

@@ -41,7 +41,7 @@ def test_tracer_installs_counts_and_restores_every_wrapped_name(monkeypatch):
         assert np.isfinite(point.energy)
         assert tracer.counts["spectral.fapply_columns"] > 0
         assert np.isfinite(site_entropies(model, point).total)
-        assert np.all(np.isfinite(site_entropy_first_variation(model, [0], point.u)))
+        assert np.all(np.isfinite(site_entropy_first_variation(model, [0], point)))
         assert tracer.counts["lattice.dft_calls"] == 0
         assert np.all(np.isfinite(kernel_FN(model, point.u.cell).values))
         assert tracer.counts["lattice.dft_calls"] > 0

@@ -251,6 +251,52 @@ class TestConfigLoading:
                 in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("kick, match", [
+        ("{site: [0, 0]}", r"run.kick needs both keys site and vector"),
+        ("{site: [0, 0], vector: [0.15, 0.0], scale: 2}", r"unknown run.kick key\(s\) scale"),
+        ("{site: [0, 0], vector: [0.15, 0.0, 0.0]}",
+         "run.kick vector must have 2 entries, not 3"),
+        ("{site: [0, 0, 0], vector: [0.15, 0.0]}", "run.kick site must have 2 entries, not 3"),
+    ], ids=["missing_vector", "extra_key", "vector_of_3", "site_of_3"])
+    def test_kick_is_checked_at_load(self, tmp_path, capsys, kick, match):
+        # a missing key failed as KeyError: 'vector', an extra key was ignored,
+        # and a 3-vector on an m=2 model failed every row at relax
+        p = tmp_path / "cfg.yaml"
+        p.write_text(f"model:\n  preset: square_double_well\nrun:\n  N_list: [4]\n"
+                     f"  kick: {kick}\n")
+        with pytest.raises(ValueError, match=match):
+            load_config(p)
+        rc = cli_main(["sweep", "--config", str(p), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert re.search(match, capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    def test_max_iter_below_one_is_refused(self, tmp_path, capsys):
+        # max_iter: 0 wrote a table whose every row failed to converge in 0 iterations
+        p = tmp_path / "cfg.yaml"
+        p.write_text("model:\n  preset: square_misfit\nrun:\n  N_list: [4]\n  max_iter: 0\n")
+        with pytest.raises(ValueError, match="run.max_iter must be at least 1, not 0"):
+            load_config(p)
+        rc = cli_main(["sweep", "--config", str(p), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "run.max_iter must be at least 1, not 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["relax", "saddle", "entropy", "rate"])
+    @pytest.mark.parametrize("N", ["0", "-4"])
+    def test_cell_size_below_one_is_refused(self, tmp_path, capsys, monkeypatch, command, N):
+        # --N 0 read as "not given" and solved the config's largest cell
+        def refused(*args, **kwargs):
+            raise AssertionError("a point was solved")
+
+        monkeypatch.setattr(harness, "relax_minimum", refused)
+        with pytest.raises(SystemExit) as exc:
+            cli_main([command, "--config", str(CONFIGS / "square_misfit.yaml"),
+                      "--out", str(tmp_path / "out"), "--N", N])
+        assert exc.value.code == 2
+        assert f"argument --N: a cell size is at least 1, not {N}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_default_kick_is_the_shipped_one(self, tmp_path):
         # a double-well config without a kick starts from the shipped config's
         # kick, so its rows are that config's rows
@@ -340,13 +386,22 @@ class TestSweep:
                     for attr, val in list(vars(mod).items()):
                         if val is fn:
                             monkeypatch.setattr(mod, attr, wrapper)
+        init = spectral.FApplier.__init__
+
+        def counted_init(self, *args, **kwargs):
+            calls["FApplier"] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(spectral.FApplier, "__init__", counted_init)
         cfg = RunConfig(model=preset_model("square_double_well"), N_list=[4], beta=[1.0, 2.0],
                         kick_site=(0, 0), kick_vector=np.array([0.15, 0.0]))
         row = solve_row(cfg, 4)
         assert row["status"] == "ok" and row["K_beta_2"] > 0
-        # one F_N H F_N solve per point, no Hessian input assembled twice, and
-        # no site profile: the splitting needs only the saddle's site sum
-        assert calls == {"entropy_total": 2, "delta_S_saddle": 1, "generalized_eigen": 2}
+        # one F_N applier and one F_N H F_N solve per point, no Hessian input
+        # assembled twice, and no site profile: the splitting needs only the
+        # saddle's site sum
+        assert calls == {"entropy_total": 2, "delta_S_saddle": 1, "generalized_eigen": 2,
+                         "FApplier": 2}
         assert assembled and max(assembled.values()) == 1
 
     def test_unstable_model_refused(self):

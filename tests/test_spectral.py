@@ -18,7 +18,7 @@ from latthermo import (
     preset_model,
     projector_constants,
 )
-from latthermo import entropy_total, site_entropies, spectral, thermo
+from latthermo import entropy_total, site_entropies, spectral
 from latthermo.assembly import LinearLatticeOperator
 from latthermo.config import load_config, model_from_config
 from latthermo.potentials import PRESETS, symbol_h_batch
@@ -196,11 +196,12 @@ class TestLogdet:
     @pytest.mark.parametrize("name, N", [("square_misfit", 12), ("sheared_misfit", 6)])
     def test_factorized_matches_symbol_on_homogeneous_hessian(self, name, N):
         # two independent routes to log det+ H_N^hom: the bordered sparse LU of
-        # the assembled Hessian, and the sum of log det h_hat(k) over k != 0
+        # the assembled Hessian, and the applier's sum of log det h_hat(k) =
+        # -2 log |det F_hat(k)| over k != 0
         model = sheared_misfit() if name == "sheared_misfit" else PRESETS[name]()
         cell = Supercell(model.spec, N)
         fact_val = logdet_plus_factorized(hessian(model.homogenized(), cell.zero_field()))
-        closed = thermo._logdet_plus_homogeneous(model, cell)
+        closed = FApplier(cell, model).logdet_hom
         assert abs(fact_val - closed) < 1e-10 * abs(closed)
 
     def test_factorized_matches_dense_indefinite(self):
@@ -287,16 +288,17 @@ class TestEigenpairs:
     def test_generalized_identity_and_scaling(self):
         model, cell, _ = stable_state("square_anharmonic", N=3)
         Hh = hessian(model.homogenized(), cell.zero_field())
-        lo, hi, mu, w = generalized_eigen(Hh, model)
+        F = FApplier(cell, model)
+        lo, hi, mu, w = generalized_eigen(Hh, F)
         assert abs(lo - 1.0) < 1e-8 and abs(hi - 1.0) < 1e-8 and mu is None and w is None
         H2 = LinearLatticeOperator(cell, 2.0 * Hh.mat)
-        lo2, hi2, _, _ = generalized_eigen(H2, model)
+        lo2, hi2, _, _ = generalized_eigen(H2, F)
         assert abs(lo2 - 2.0) < 1e-8 and abs(hi2 - 2.0) < 1e-8
 
     def test_generalized_matches_dense_oracle(self):
         model, cell, u = stable_state("square_misfit", N=3, scale=0.05, seed=7)
         H = hessian(model, u)
-        lo, _, _, _ = generalized_eigen(H, model)
+        lo, _, _, _ = generalized_eigen(H, FApplier(cell, model))
         FN = kernel_FN(model, cell)
         A = conjugate_operator(FN, H, include_pi=False).dense()
         w = np.sort(np.linalg.eigvalsh(A))
@@ -304,9 +306,9 @@ class TestEigenpairs:
         assert abs(lo - w_nonzero.min()) < 1e-8
         # a negative pair: the double-well saddle; psi = F_N w has <H_hom psi, psi> = 1
         model, cell, minimum, saddle = double_well_pair()
-        _, _, mu, w = generalized_eigen(saddle.H, model, expected_negative=1)
+        _, _, mu, w = generalized_eigen(saddle.H, saddle.F, expected_negative=1)
         assert mu < 0 and w.shape == (cell.n * cell.spec.m,)
-        psi = FApplier(cell, model).apply(w)
+        psi = saddle.F.apply(w)
         Hh = hessian(model.homogenized(), cell.zero_field())
         assert abs(float(psi @ Hh.apply(psi)) - 1.0) < 1e-8
 
@@ -325,10 +327,10 @@ class TestEigenpairs:
             return eigh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counted)
-        lo, hi, mu, w = generalized_eigen(saddle.H, model, expected_negative=1)
+        lo, hi, mu, w = generalized_eigen(saddle.H, saddle.F, expected_negative=1)
         assert calls == [(dim, dim)]
         monkeypatch.setattr(spectral, "DENSE_EIG_LIMIT", 0)
-        lo2, hi2, mu2, w2 = generalized_eigen(saddle.H, model, expected_negative=1)
+        lo2, hi2, mu2, w2 = generalized_eigen(saddle.H, saddle.F, expected_negative=1)
         assert calls == [(dim, dim)]
         assert abs(lo - lo2) < 1e-9 and abs(hi - hi2) < 1e-9
         assert abs(mu - mu2) < 1e-9
@@ -342,14 +344,14 @@ class TestEigenpairs:
         if limit is not None:
             monkeypatch.setattr(spectral, "DENSE_EIG_LIMIT", limit)
         with pytest.raises(AmbiguousSpectrumError, match="expected 0 negative modes, found 1"):
-            generalized_eigen(saddle.H, model, expected_negative=0)
+            generalized_eigen(saddle.H, saddle.F, expected_negative=0)
         with pytest.raises(AmbiguousSpectrumError, match="expected 1 negative modes, found 0"):
-            generalized_eigen(minimum.H, model, expected_negative=1)
+            generalized_eigen(minimum.H, minimum.F, expected_negative=1)
 
     def test_generalized_refuses_an_index_above_one(self):
         model, cell, u = stable_state("square_anharmonic", N=3)
         with pytest.raises(ValueError, match="expected_negative must be 0 or 1, not 2"):
-            generalized_eigen(hessian(model, u), model, expected_negative=2)
+            generalized_eigen(hessian(model, u), FApplier(cell, model), expected_negative=2)
 
 
 def site_log_oracle(model, H, sites, expected_negative=0):
@@ -387,7 +389,8 @@ def cube_stiff_origin():
 
 def traces_of(H, model, sites, index=0):
     """Site traces with the F_N H F_N spectrum of H, solved for ``index`` negatives."""
-    return site_log_traces(H, model, sites, generalized_eigen(H, model, index))
+    F = FApplier(H.cell, model)
+    return site_log_traces(H, F, sites, generalized_eigen(H, F, index))
 
 
 class TestSiteTraces:
@@ -428,7 +431,8 @@ class TestSiteTraces:
         model = preset_model("square_misfit")
         cell = Supercell(model.spec, 12)
         H = hessian(model, relax_minimum(model, cell).u)
-        spectrum = generalized_eigen(H, model)
+        F = FApplier(cell, model)
+        spectrum = generalized_eigen(H, F)
         sites = np.arange(cell.n)
         dense = site_log_oracle(model, H, sites)
         calls = {"rfftn": 0, "irfftn": 0}
@@ -444,19 +448,13 @@ class TestSiteTraces:
         def refused(*args, **kwargs):
             raise AssertionError("site traces took a dense route")
 
-        eigh = np.linalg.eigh
-
-        def symbol_eigh_only(a, *args, **kwargs):
-            # FApplier diagonalises the stacked m x m symbols, never a full matrix
-            assert np.ndim(a) == 3, "site traces took a dense eigh"
-            return eigh(a, *args, **kwargs)
-
         for name in calls:
             monkeypatch.setattr(np.fft, name, counted(name))
         monkeypatch.setattr(spectral, "conjugate_operator", refused)
         monkeypatch.setattr(spectral, "kernel_FN", refused)
-        monkeypatch.setattr(np.linalg, "eigh", symbol_eigh_only)
-        cheb, info = site_log_traces(H, model, sites, spectrum=spectrum)
+        # the traces take the given applier: no symbol or matrix is diagonalised
+        monkeypatch.setattr(np.linalg, "eigh", refused)
+        cheb, info = site_log_traces(H, F, sites, spectrum=spectrum)
         half = -(-info["cheb_degree"] // 2)
         chunks = -(-info["orbit_sites"] // 128)
         assert (info["orbit_sites"], chunks) == (91, 1)
@@ -539,7 +537,7 @@ class TestSiteTraces:
             dim = cell.n * model.spec.m
             v, V = rng.standard_normal(dim), rng.standard_normal((dim, 7))
             for got, want in [(F.apply(v), Fmat @ v), (F.apply(V), Fmat @ V),
-                              (F.squared().apply(V), Fmat @ (Fmat @ V))]:
+                              (F.precond(V), Fmat @ (Fmat @ V))]:
                 assert got.shape == want.shape
                 assert np.max(np.abs(got - want)) < 1e-12, (model.name, N)
 
@@ -616,15 +614,15 @@ class TestSiteOrbits:
         sites = np.arange(cell.n)
         for point, order, index in ((minimum, 2, 0), (saddle, 4, 1)):
             H = hessian(model, point.u)
-            spectrum = generalized_eigen(H, model, index)
-            traces, info = site_log_traces(H, model, sites, spectrum)
+            spectrum = generalized_eigen(H, point.F, index)
+            traces, info = site_log_traces(H, point.F, sites, spectrum)
             assert info["symmetry_order"] == order
             assert info["symmetry_residual"] < 1e-13
             oracle = site_log_oracle(model, H, sites, index)
             assert np.max(np.abs(traces - oracle)) < 1e-12 + 2 * info["cheb_error"]
             with monkeypatch.context() as mp:
                 mp.setattr(spectral, "SYMMETRY_TOL", 1e-3)
-                assert site_log_traces(H, model, sites, spectrum)[1]["symmetry_order"] == order
+                assert site_log_traces(H, point.F, sites, spectrum)[1]["symmetry_order"] == order
 
     def test_perturbed_minimum_runs_every_site(self):
         # a 1e-3 random perturbation breaks every element but the identity

@@ -156,9 +156,9 @@ class TestFindSaddle:
         assert sd.lam < 0
         assert sd.energy > self.minimum.energy
         assert sd.certificate.n_negative == 1
-        # unstable mode odd under the mirror
-        phi_ref = mirror_image(self.model, self.cell, sd.phi)
-        assert np.linalg.norm(phi_ref + sd.phi) < 1e-8
+        # the unstable mode w of F_N H F_N is odd under the mirror
+        w = sd.w.reshape(self.cell.n, self.cell.spec.m)
+        assert np.linalg.norm(mirror_image(self.model, self.cell, w) + w) < 1e-8
 
     @pytest.mark.parametrize("N", [4, 8])         # N=8 (512 dofs) leaves the dense route
     def test_lambda_matches_dense_oracle(self, N):
@@ -227,11 +227,23 @@ class TestContinuation:
 
 
 class TestSolverDiagnostics:
-    def test_gradient_decreases_monotonically_after_first_step(self):
+    def test_gradient_decreases_monotonically_after_first_step(self, monkeypatch):
+        # every Newton step solves against -g of its iterate: the right-hand
+        # sides of the step solves give |g| per iteration, then the converged |g|
+        from latthermo import stationary
+        solve = stationary._bordered_solve
         for name in ("square_misfit", "square_harmonic_defect"):
+            hist = []
+
+            def recorded(H, nu, rhs, *args, **kwargs):
+                if not hist or hist[-1] != np.linalg.norm(rhs):   # a shift retries one rhs
+                    hist.append(np.linalg.norm(rhs))
+                return solve(H, nu, rhs, *args, **kwargs)
+
+            monkeypatch.setattr(stationary, "_bordered_solve", recorded)
             model = preset_model(name)
             pt = relax_minimum(model, Supercell(model.spec, 4))
-            hist = pt.gradient_history
+            hist.append(pt.gradient_norm)
             assert len(hist) >= 2
             assert all(b < a for a, b in zip(hist[1:], hist[2:])) or len(hist) <= 2
             # and in fact on this corpus it is monotone from the first step
@@ -242,7 +254,7 @@ def test_certify_reruns_classification():
     from latthermo.stationary import _certify_spectrum
     model = preset_model("square_misfit")
     pt = relax_minimum(model, Supercell(model.spec, 4))
-    cls = _certify_spectrum(model, hessian(model, pt.u), pt.kind)[0]
+    cls = _certify_spectrum(hessian(model, pt.u), pt.F, pt.kind)[0]
     assert cls.n_zero == 2 and cls.n_negative == 0
     assert cls.n_positive == pt.certificate.n_positive
 
@@ -262,12 +274,11 @@ def test_dense_certificate_takes_one_eigh(monkeypatch):
     eigh = np.linalg.eigh
 
     def counted(a, *args, **kwargs):
-        if np.ndim(a) == 2:         # not the stacked m x m symbols of the preconditioner
-            calls.append(np.shape(a))
+        calls.append(np.shape(a))   # every eigh: the point carries its F_N applier
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    cls = _certify_spectrum(model, H, "minimum")[0]
+    cls = _certify_spectrum(H, minimum.F, "minimum")[0]
     assert calls == [(cell.n * m, cell.n * m)]
     gershgorin = float(abs(H.mat).sum(axis=1).max())
     assert len(cls.eigenvalues) == m + k + 1
@@ -281,22 +292,25 @@ def test_iterative_certificate_matches_dense(monkeypatch, case):
     # cube_harmonic N=6 (1728 dofs) has a degenerate acoustic band edge at
     # 1.3397; the double-well N=8 saddle (512 dofs) a negative mode
     from latthermo import spectral
-    from latthermo.spectral import generalized_eigen
+    from latthermo.spectral import FApplier, generalized_eigen
     from latthermo.stationary import _certify_spectrum
     if case == "cube_harmonic_minimum":
         model = preset_model("cube_harmonic")
         cell = Supercell(model.spec, 6)
-        kind, H = "minimum", hessian(model, cell.zero_field())
+        kind, H, F = "minimum", hessian(model, cell.zero_field()), FApplier(cell, model)
     else:
         model, cell, minimum = double_well_minimum(8)
         mid = 0.5 * (minimum.u.values + mirror_image(model, cell, minimum.u.values))
-        kind, H = "saddle", find_saddle(model, cell, initial_guess=mid).H
+        saddle = find_saddle(model, cell, initial_guess=mid)
+        kind, H, F = "saddle", saddle.H, saddle.F
     neg = 1 if kind == "saddle" else 0
+    m = cell.spec.m
 
     def spectrum():
-        cls, lam, _ = _certify_spectrum(model, H, kind)
-        lo, hi, mu, _ = generalized_eigen(H, model, expected_negative=neg)
-        low = cls.eigenvalues[:-1][np.array(cls.labels[:-1]) != "translation_zero"]
+        cls, lam = _certify_spectrum(H, F, kind)
+        lo, hi, mu, _ = generalized_eigen(H, F, expected_negative=neg)
+        # sorted: the negatives, the m translation zeros, the positives, the top
+        low = np.delete(cls.eigenvalues[:-1], np.s_[neg:neg + m])
         return cls, low, [lam or 0.0, mu or 0.0, lo, hi]
 
     monkeypatch.setattr(spectral, "DENSE_EIG_LIMIT", cell.n * cell.spec.m)
@@ -311,13 +325,13 @@ def test_iterative_certificate_matches_dense(monkeypatch, case):
     np.testing.assert_allclose(it_facts, dense_facts, rtol=1e-9)
     # one layout on both routes (sorted): the expected negatives + 2 lowest,
     # m translation zeros between them, and the Gershgorin bound as the top
-    m = cell.spec.m
     gershgorin = float(abs(H.mat).sum(axis=1).max())
     for cls in (dense, it):
-        assert len(cls.eigenvalues) == m + neg + 2 + 1
-        assert cls.labels == (["unstable_negative"] * neg + ["translation_zero"] * m
-                              + ["positive"] * 3)
-        assert cls.eigenvalues[-1] == cls.sigma_max == gershgorin
+        eigs, tau = cls.eigenvalues, cls.tau_zero
+        assert len(eigs) == m + neg + 2 + 1
+        assert np.all(eigs[:neg] < -tau) and np.all(np.abs(eigs[neg:neg + m]) <= tau)
+        assert np.all(eigs[neg + m:] > tau)
+        assert eigs[-1] == cls.sigma_max == gershgorin
     # the zeros are the same translation Rayleigh quotients
     np.testing.assert_array_equal(it.eigenvalues[neg:neg + m], dense.eigenvalues[neg:neg + m])
     assert it.tau_zero == dense.tau_zero
@@ -353,7 +367,8 @@ def test_finish_point_solve_counts(monkeypatch, N):
     for pt in (minimum, saddle):
         eighs.clear()
         lobpcgs.clear()
-        finish_point(model, pt.u, pt.kind, pt.energy, pt.gradient_norm, pt.n_iter, H=pt.H)
+        finish_point(model, pt.u, pt.kind, pt.energy, pt.gradient_norm, pt.n_iter, H=pt.H,
+                     F=pt.F)
         if N == 4:
             assert eighs == [(dim, dim)] * 2 and lobpcgs == []
         else:
@@ -400,24 +415,24 @@ def test_lobpcg_miss_names_its_stage(monkeypatch, stage):
         monkeypatch.setattr(spectral, "LOBPCG_MAXITER", 1)
     with pytest.raises(RuntimeError, match=rf"^{stage} at N=8: LOBPCG eigenpair residual \S+ above"):
         if stage == "minimum certificate":
-            _certify_spectrum(model, minimum.H, "minimum")
+            _certify_spectrum(minimum.H, minimum.F, "minimum")
         elif stage == "saddle step":
             mid = 0.5 * (minimum.u.values + mirror_image(model, cell, minimum.u.values))
             _saddle_follow(model, cell, mid, max_iter=120)
         else:
-            generalized_eigen(minimum.H, model)
+            generalized_eigen(minimum.H, minimum.F)
 
 
 def test_preconditioned_lobpcg_converges_from_every_seed(monkeypatch):
     # the first saddle step starts LOBPCG from a random block; at N=16 seed 1
     # stalls near the acoustic band edge and converges only after a restart
     from latthermo import spectral
-    from latthermo.spectral import FApplier, _extremal_eig
+    from latthermo.spectral import _extremal_eig
     model, cell, minimum = double_well_minimum(16)
     u = 0.5 * (minimum.u.values + mirror_image(model, cell, minimum.u.values))
     H = hessian(model, DisplacementField(cell, u - u.mean(axis=0)))
     matvec = lambda v: np.asarray(H.mat @ v)
-    precond = FApplier(cell, model).squared().apply
+    precond = minimum.F.precond
     scale = float(abs(H.mat).sum(axis=1).max())
     lows = []
     for seed in range(4):
@@ -453,27 +468,27 @@ def test_stationary_points_take_no_lu(monkeypatch, N):
 
 @pytest.mark.parametrize("N", [4, 8])
 def test_newton_step_solve_matches_dense_solve(N):
-    # on the complement of the constants and phi the saddle Hessian is positive
+    # on the complement of the constants and the unstable mode phi (from a
+    # dense eigh of its own) the saddle Hessian is positive
     from scipy.linalg import null_space
-    from latthermo.spectral import FApplier, _translation_modes
+    from latthermo.spectral import _mean_project, _translation_modes
     from latthermo.stationary import _bordered_solve
     model, cell, _, saddle = double_well_pair(N)
-    phi = saddle.phi.reshape(-1)
-    Q = null_space(np.column_stack([_translation_modes(cell.n, cell.spec.m), phi]).T)
     A = saddle.H.dense()
+    phi = np.linalg.eigh(0.5 * (A + A.T))[1][:, 0]
+    phi -= _mean_project(phi, cell.n, cell.spec.m)
+    phi /= np.linalg.norm(phi)
+    Q = null_space(np.column_stack([_translation_modes(cell.n, cell.spec.m), phi]).T)
     rhs = np.random.default_rng(5).standard_normal(A.shape[0])
     dense = Q @ np.linalg.solve(Q.T @ A @ Q, Q.T @ rhs)
-    p = _bordered_solve(saddle.H.mat, 0.0, rhs, cell, FApplier(cell, model).squared().apply,
-                        mode=phi)
+    p = _bordered_solve(saddle.H.mat, 0.0, rhs, cell, saddle.F.precond, mode=phi)
     assert np.linalg.norm(p - dense) <= 1e-9 * np.linalg.norm(dense)
 
 
 def test_newton_step_solve_reports_negative_curvature():
     # without the unstable mode projected out, the unshifted saddle Hessian
     # is indefinite: CG meets a direction of negative curvature
-    from latthermo.spectral import FApplier
     from latthermo.stationary import _bordered_solve
     model, cell, _, saddle = double_well_pair(4)
     rhs = np.random.default_rng(5).standard_normal(cell.n * cell.spec.m)
-    precond = FApplier(cell, model).squared().apply
-    assert _bordered_solve(saddle.H.mat, 0.0, rhs, cell, precond) is None
+    assert _bordered_solve(saddle.H.mat, 0.0, rhs, cell, saddle.F.precond) is None

@@ -22,7 +22,7 @@ from latthermo import (
 from latthermo.assembly import variation_contractions
 from latthermo.config import model_from_config
 from latthermo.spectral import (
-    AmbiguousSpectrumError,
+    FApplier,
     KernelTable,
     generalized_eigen,
     logdet_plus,
@@ -32,7 +32,6 @@ from latthermo.spectral import (
 )
 from latthermo import spectral, thermo
 from latthermo.stationary import CertificationError
-from latthermo.thermo import _logdet_plus_homogeneous
 
 
 def solved_double_well(N=4):
@@ -160,10 +159,11 @@ class TestFirstVariation:
         fv = site_entropy_first_variation(model, sites, u)
         h = 1e-4
         vals = []
+        F = FApplier(cell, model)
         for s in (h, -h):
             us = DisplacementField(cell, s * u.values)
             H = hessian(model.homogenized(), us)
-            tr, _ = site_log_traces(H, model, sites, generalized_eigen(H, model))
+            tr, _ = site_log_traces(H, F, sites, generalized_eigen(H, F))
             vals.append(-0.5 * tr)
         fd = (vals[0] - vals[1]) / (2 * h)
         scale = max(np.max(np.abs(fd)), 1e-10)
@@ -465,7 +465,8 @@ def test_sheared_supercell_pipeline():
 
 @pytest.mark.parametrize("case", ["sheared_dense", "diagonal_factorized"])
 def test_homogeneous_logdet_closed_form(case):
-    # sum over k != 0 of log det h_hat(k) against two routes through the assembled H^hom
+    # the applier's sum over k != 0 of log det h_hat(k) = -2 log |det F_hat(k)|
+    # against two routes through the assembled H^hom
     if case == "sheared_dense":
         model = sheared_misfit_model()
         cell = Supercell(model.spec, 6)
@@ -477,11 +478,16 @@ def test_homogeneous_logdet_closed_form(case):
         oracle, _ = logdet_plus(H_hom, expected_zero=model.spec.m)
     else:
         oracle = logdet_plus_factorized(H_hom)
-    closed = _logdet_plus_homogeneous(model, cell)
+    closed = FApplier(cell, model).logdet_hom
     assert closed == pytest.approx(oracle, rel=1e-10)
 
 
 def test_homogeneous_logdet_rejects_unstable_symbol():
+    # the applier that carries log det+ H^hom refuses a symbol that is not
+    # positive definite at some k != 0, so S_N of a bare field does too
     model = preset_model("square_unstable")
-    with pytest.raises(AmbiguousSpectrumError, match="thermo: homogeneous symbol"):
-        _logdet_plus_homogeneous(model, Supercell(model.spec, 4))
+    cell = Supercell(model.spec, 4)
+    with pytest.raises(FloatingPointError, match="symbol not positive definite"):
+        FApplier(cell, model)
+    with pytest.raises(FloatingPointError, match="symbol not positive definite"):
+        entropy_total(model, cell.zero_field())
