@@ -88,12 +88,14 @@ def energy_periodic(model: PotentialModel, u: DisplacementField) -> float:
 def gradient_periodic(model: PotentialModel, u: DisplacementField) -> np.ndarray:
     """Defect supercell forces: the gradient of ``energy_periodic`` at u."""
     cell = u.cell
+    n, m = cell.n, cell.spec.m
     G = u.gradients()
-    out = np.zeros((cell.n, cell.spec.m))
+    out = np.zeros((n, m))
     for pot, idx in _site_potential_groups(model, cell):
         gv = pot.grad_batch(G[idx])                      # (ns, nR, m)
-        np.add.at(out, cell.neighbors[idx], gv)
-        np.add.at(out, idx, -gv.sum(axis=1))
+        slots = cell.neighbors[idx][..., None] * m + np.arange(m)
+        out += np.bincount(slots.ravel(), weights=gv.ravel(), minlength=n * m).reshape(n, m)
+        out[idx] -= gv.sum(axis=1)                       # a group's sites are unique
     return out
 
 

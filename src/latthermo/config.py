@@ -27,9 +27,17 @@ CLASS_KEYS = {"harmonic": ("len", "k"), "morse": ("len", "D", "a")}
 PRESET_KICKS = {"square_double_well": {"site": (0, 0), "vector": (0.15, 0.0)}}
 
 
+def _mapping(section, where: str) -> dict:
+    """``section``, refused by name unless it is a mapping."""
+    if not isinstance(section, dict):
+        raise ConfigurationError(f"config section {where} must be a mapping, not {section!r}")
+    return section
+
+
 def _check_keys(section: dict, known: tuple[str, ...], where: str) -> None:
-    """Refuse the keys of a config section that the loader does not read."""
-    unknown = sorted(map(str, set(section) - set(known)))
+    """Refuse a config section that is not a mapping, and the keys of one
+    that the loader does not read."""
+    unknown = sorted(map(str, set(_mapping(section, where)) - set(known)))
     if unknown:
         raise ConfigurationError(f"unknown {where} key(s) {', '.join(unknown)}; "
                                  f"known keys: {', '.join(known)}")
@@ -45,8 +53,8 @@ def _lattice_from_config(cfg: dict) -> LatticeSpec:
     )
 
 
-def _potential_from_config(spec: LatticeSpec, cfg: dict):
-    kind = cfg.get("kind", "morse")
+def _potential_from_config(spec: LatticeSpec, cfg: dict, where: str):
+    kind = _mapping(cfg, where).get("kind", "morse")
     if kind not in POTENTIAL_KEYS:
         raise ConfigurationError(f"unknown potential kind '{kind}'")
     _check_keys(cfg, POTENTIAL_KEYS[kind], f"{kind} potential")
@@ -74,16 +82,16 @@ def model_from_config(cfg: dict) -> PotentialModel:
 
     A key that the loader does not read raises ConfigurationError naming it.
     """
-    if "preset" in cfg:
+    if "preset" in _mapping(cfg, "model"):
         _check_keys(cfg, ("preset",), "preset model")
         return preset_model(cfg["preset"])
     _check_keys(cfg, ("name", "lattice", "potential", "overrides", "mirror"), "model")
     spec = _lattice_from_config(cfg["lattice"])
-    hom = _potential_from_config(spec, cfg["potential"])
+    hom = _potential_from_config(spec, cfg["potential"], "potential")
     overrides = {}
-    for key, ocfg in (cfg.get("overrides") or {}).items():
+    for key, ocfg in _mapping(cfg.get("overrides") or {}, "overrides").items():
         site = tuple(int(v) for v in str(key).split(","))
-        overrides[site] = _potential_from_config(spec, ocfg)
+        overrides[site] = _potential_from_config(spec, ocfg, f"override {key}")
     mirror = None if cfg.get("mirror") is None else np.asarray(cfg["mirror"])
     return PotentialModel(spec, hom, overrides, name=cfg.get("name", "config"),
                           mirror=mirror)

@@ -140,11 +140,11 @@ class MorseBondPotential(SitePotential):
     def _phi(self, t: np.ndarray, order: int) -> np.ndarray:
         c2, c3, c4 = self.c2, self.c3, self.c4
         if order == 0:
-            return c2 * t**2 / 2 + c3 * t**3 / 6 + c4 * t**4 / 24
+            return t * t * (c2 / 2 + t * (c3 / 6 + t * (c4 / 24)))
         if order == 1:
-            return c2 * t + c3 * t**2 / 2 + c4 * t**3 / 6
+            return t * (c2 + t * (c3 / 2 + t * (c4 / 6)))
         if order == 2:
-            return c2 + c3 * t + c4 * t**2 / 2
+            return c2 + t * (c3 + t * (c4 / 2))
         return c3 + c4 * t
 
     def _bonds(self, G: np.ndarray):

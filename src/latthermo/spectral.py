@@ -16,6 +16,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import eigh_tridiagonal
 
 from .assembly import LinearLatticeOperator, hessian
 from .lattice import Supercell
@@ -41,11 +42,12 @@ __all__ = [
 
 DENSE_LIMIT = 6000
 DENSE_EIG_LIMIT = 400        # extremal eigenpairs: dense eigh up to this dimension
-LOBPCG_TOL = 1e-10           # LOBPCG residual bound, relative to the operator norm
-LOBPCG_MAXITER = 400
+LOBPCG_TOL = 1e-10           # eigenpair residual bound: LOBPCG's times the operator norm,
+                             # Lanczos's (on F_N H F_N) unscaled
+LOBPCG_MAXITER = 400         # LOBPCG iterations, and Lanczos steps
 LOBPCG_GUARD = 2
 LOBPCG_RESTARTS = 2           # restarts of a block that misses the residual check
-LOBPCG_SEED = 7               # the random start block of a solve without a warm start
+LOBPCG_SEED = 7               # the random start of a solve without a warm start
 ZERO_TOL_FACTOR = 1e-8
 GAP_FACTOR = 10.0
 CHEB_DEGREES = (*range(8, 65, 4), 128, 256, 512, 1024, 2048)   # log expansion, lowest first
@@ -368,15 +370,15 @@ def _translation_modes(n: int, m: int) -> np.ndarray:
     return np.kron(np.full((n, 1), 1.0 / np.sqrt(n)), np.eye(m))
 
 
-def _lobpcg_eig(matvec, cell: Supercell, norm_scale: float, k: int, mode: str,
-                precond, X0, stage: str):
-    """LOBPCG on the complement of the translations, preconditioned by ``precond``."""
+def _lobpcg_eig(matvec, cell: Supercell, norm_scale: float, k: int, precond, X0, stage: str):
+    """The k lowest eigenpairs by LOBPCG on the complement of the
+    translations, preconditioned by ``precond``, from the ``LOBPCG_SEED``
+    random block or ``X0``."""
     n, m = cell.n, cell.spec.m
     dim = n * m
     # guard columns: a wanted eigenvalue inside a near-degenerate cluster (the
     # acoustic band edge of a Hessian) stalls a block that ends at it
-    guard = LOBPCG_GUARD if precond is not None else 0
-    X = np.random.default_rng(LOBPCG_SEED).standard_normal((dim, k + guard))
+    X = np.random.default_rng(LOBPCG_SEED).standard_normal((dim, k + LOBPCG_GUARD))
     if X0 is not None:
         X0 = np.asarray(X0, dtype=float).reshape(dim, -1)[:, :X.shape[1]]
         X[:, :X0.shape[1]] = X0
@@ -386,8 +388,8 @@ def _lobpcg_eig(matvec, cell: Supercell, norm_scale: float, k: int, mode: str,
             # non-convergence is judged below from the explicit residuals
             warnings.simplefilter("ignore", UserWarning)
             w, X = spla.lobpcg(matvec, X, M=precond, Y=_translation_modes(n, m), tol=res_tol,
-                               maxiter=LOBPCG_MAXITER, largest=(mode == "LA"))
-        order = (np.argsort(w) if mode == "SA" else np.argsort(-w))[:k]
+                               maxiter=LOBPCG_MAXITER, largest=False)
+        order = np.argsort(w)[:k]
         V = X[:, order]
         # scipy locks converged columns and mixes them once more at the end, so a
         # column may finish a little above the tolerance it met: check at 10x
@@ -411,41 +413,80 @@ def _dense_symmetric(matvec, dim: int) -> np.ndarray:
 
 
 def _extremal_eig(matvec, cell: Supercell, norm_scale: float, k: int = 1, precond=None,
-                  X0: np.ndarray | None = None, stage: str = "extremal eigenpairs",
-                  top: bool = False):
-    """The k lowest eigenpairs (w, V) of a symmetric operator on the
-    complement of the translations and, with ``top``, its top eigenvalue
-    there: (w, V, w_top). ``matvec`` takes (dim,) vectors and (dim, batch)
-    blocks; ``norm_scale`` bounds the operator norm, or is 0 when no bound
-    is known.
+                  X0: np.ndarray | None = None, stage: str = "extremal eigenpairs"):
+    """The k lowest eigenpairs (w, V) of a lattice Hessian on the complement
+    of the translations. ``matvec`` takes (dim,) vectors and (dim, batch)
+    blocks; ``norm_scale`` bounds the operator norm.
 
-    The one size switch of every extremal solve. Up to ``DENSE_EIG_LIMIT``
+    The one size switch of the Hessian solves. Up to ``DENSE_EIG_LIMIT``
     degrees of freedom the operator is built in block matvecs, its constants
-    are shifted above the spectrum by 10 ``norm_scale`` (10 times the built
-    matrix's Gershgorin bound when that is 0), and one dense ``eigh`` gives
-    both ends. Above it LOBPCG runs with the translations as constraints,
-    preconditioned by ``precond`` (a symmetric positive map of blocks, such
-    as F_N^2 = (H^hom)^+ for a lattice Hessian) when given: first the top
-    (LA, named ``stage`` + ' top'), then the k lowest (SA, from the
-    ``LOBPCG_SEED`` random block or ``X0``, named ``stage`` + ' bottom' when
-    the top was solved). Residuals are checked, and a miss raises
-    RuntimeError naming the solve, the cell size N and the residual.
+    are shifted above the spectrum by 10 ``norm_scale``, and one dense
+    ``eigh`` gives the k lowest. Above it LOBPCG runs with the translations
+    as constraints, preconditioned by ``precond`` (F_N^2 = (H^hom)^+), from
+    the ``LOBPCG_SEED`` random block or ``X0``. Residuals are checked, and a
+    miss raises RuntimeError naming ``stage``, the cell size N and the
+    residual.
     """
     n, m = cell.n, cell.spec.m
     if n * m <= DENSE_EIG_LIMIT:
         A = _dense_symmetric(matvec, n * m)
-        shift = 10.0 * (norm_scale or float(np.abs(A).sum(axis=1).max()))
-        A += shift * _mean_project(np.eye(n * m), n, m)
+        A += 10.0 * norm_scale * _mean_project(np.eye(n * m), n, m)
         w, V = np.linalg.eigh(A)
         k = min(k, n * m - m)
-        return (w[:k], V[:, :k], float(w[-m - 1])) if top else (w[:k], V[:, :k])
-    if not top:
-        return _lobpcg_eig(matvec, cell, norm_scale, k, "SA", precond, X0, stage)
-    w_top = float(_lobpcg_eig(matvec, cell, norm_scale, 1, "LA", precond, None,
-                              f"{stage} top")[0][0])
-    w, V = _lobpcg_eig(matvec, cell, max(norm_scale, w_top), k, "SA", precond, X0,
-                       f"{stage} bottom")
-    return w, V, w_top
+        return w[:k], V[:, :k]
+    return _lobpcg_eig(matvec, cell, norm_scale, k, precond, X0, stage)
+
+
+def _lanczos_ends(matvec, cell: Supercell, k: int, stage: str):
+    """The k lowest eigenpairs (w, V) and the top eigenvalue w_top of a
+    symmetric operator on the complement of the translations, from one
+    Lanczos run: (w, V, w_top).
+
+    The run starts from the ``LOBPCG_SEED`` random vector and works on real
+    (n m,) vectors. Each new vector is projected off the translations and
+    reorthogonalised twice against the whole basis, which is kept row by row
+    and grows as needed. After every step ``eigh_tridiagonal`` gives the
+    Ritz pairs, and the run stops once the residual estimates |beta y_last|
+    of the k lowest and the top one are all within ``LOBPCG_TOL``, on an
+    invariant subspace, or after min(n m - m, ``LOBPCG_MAXITER``) steps. The
+    explicit residuals of the returned pairs are then checked against
+    10 ``LOBPCG_TOL``; a miss raises RuntimeError naming ``stage``, the end
+    that missed (bottom, checked first, or top), the cell size N, the
+    residual and the step count.
+    """
+    n, m = cell.n, cell.spec.m
+    dim = n * m
+    steps = min(dim - m, LOBPCG_MAXITER)
+    Q = np.empty((min(steps, 32), dim))
+    alpha, beta = np.empty(steps), np.empty(steps)
+    q = np.random.default_rng(LOBPCG_SEED).standard_normal(dim)
+    q -= _mean_project(q, n, m)
+    q /= np.linalg.norm(q)
+    for j in range(steps):
+        if j == len(Q):
+            Q = np.concatenate([Q, np.empty((min(len(Q), steps - j), dim))])
+        Q[j] = q
+        r = np.ascontiguousarray(matvec(q))
+        alpha[j] = q @ r
+        for _ in range(2):
+            r -= (Q[:j + 1] @ r) @ Q[:j + 1]
+            # after the basis: a translation part left in r grows by alpha / beta
+            fld = r.reshape(n, m)
+            fld -= fld.mean(axis=0)
+        beta[j] = np.linalg.norm(r)
+        theta, Y = eigh_tridiagonal(alpha[:j + 1], beta[:j])
+        ends = np.r_[:min(k, j + 1), j]
+        if (beta[j] * np.abs(Y[-1, ends]).max() <= LOBPCG_TOL
+                or beta[j] <= np.sqrt(dim) * np.finfo(float).eps * np.abs(theta).max()):
+            break
+        q = r / beta[j]
+    V = Q[:j + 1].T @ Y[:, ends]
+    res = np.linalg.norm(np.asarray(matvec(V)) - V * theta[ends], axis=0)
+    for end, r in (("bottom", res[:-1].max()), ("top", res[-1])):
+        if r > 10.0 * LOBPCG_TOL:
+            raise RuntimeError(f"{stage} {end} at N={cell.N}: Lanczos eigenpair residual {r:g} "
+                               f"above {10 * LOBPCG_TOL:g} after {j + 1} steps")
+    return theta[ends[:-1]], V[:, :-1], float(theta[j])
 
 
 class FApplier:
@@ -550,9 +591,9 @@ def generalized_eigen(H: LinearLatticeOperator, F: FApplier, expected_negative: 
 
     F_N is the point's applier ``F``. The nonzero spectrum of F_N H F_N is
     the generalized spectrum of H psi = mu H_hom psi on the zero-mean
-    subspace, with psi = F_N w. One unpreconditioned ``_extremal_eig`` call
-    gives the ``expected_negative`` + 1 lowest eigenpairs and the top
-    eigenvalue off the translations, on either route. ``classify_eigenvalues``
+    subspace, with psi = F_N w. One ``_lanczos_ends`` run on the real-space
+    F_N H F_N gives the ``expected_negative`` + 1 lowest eigenpairs and the
+    top eigenvalue off the translations, at every size. ``classify_eigenvalues``
     checks those ends: nothing in the dead zone and exactly
     ``expected_negative`` negatives, 0 at a minimum and 1 at an index-1
     saddle (any other index is refused), so an unexpected negative mode and a
@@ -567,8 +608,7 @@ def generalized_eigen(H: LinearLatticeOperator, F: FApplier, expected_negative: 
         raise ValueError(f"expected_negative must be 0 or 1, not {expected_negative!r}")
     cell = H.cell
     n, m = cell.n, cell.spec.m
-    w, V, w_top = _extremal_eig(_fhf_matvec(F, H), cell, 0.0, k=expected_negative + 1,
-                                stage="F_N H F_N", top=True)
+    w, V, w_top = _lanczos_ends(_fhf_matvec(F, H), cell, expected_negative + 1, "F_N H F_N")
     cls = classify_eigenvalues(np.append(w, w_top), expected_zero=0,
                                expected_negative=expected_negative)
     if not expected_negative:

@@ -179,8 +179,10 @@ def finish_point(model: PotentialModel, u: DisplacementField, kind: str, energy:
     """Certify a converged field and build its spectral record.
 
     ``H`` and ``F`` are the Hessian and the F_N applier the solver built, if
-    any, and are built here otherwise (a resumed point). One certificate and
-    one F_N H F_N solve give every spectral fact; the point keeps H and F.
+    any, and are built here otherwise (a resumed point). One certificate (a
+    dense ``eigh`` up to ``DENSE_EIG_LIMIT`` dofs, one LOBPCG solve above)
+    and one Lanczos run on F_N H F_N give every spectral fact; the point
+    keeps H and F.
     """
     H = hessian(model, u) if H is None else H
     F = FApplier(u.cell, model) if F is None else F

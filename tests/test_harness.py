@@ -206,6 +206,35 @@ class TestConfigLoading:
             load_config(p)
         assert f"unknown {key}" in str(err.value)
 
+    @pytest.mark.parametrize("model, run, where", [
+        ("5", "{N_list: [4]}", "model"),
+        ("{preset: square_double_well}", "5", "run"),
+        ("{preset: square_double_well}", "{kick: 5}", "run.kick"),
+        ("{lattice: 5, potential: {kind: harmonic}}", "{N_list: [4]}", "lattice"),
+        ("{lattice: LAT, potential: 5}", "{N_list: [4]}", "potential"),
+        ("{lattice: LAT, potential: {kind: harmonic, classes: [5]}}", "{N_list: [4]}",
+         "harmonic bond class"),
+        ("{lattice: LAT, potential: POT, overrides: 5}", "{N_list: [4]}", "overrides"),
+        ("{lattice: LAT, potential: POT, overrides: {'0,0': 5}}", "{N_list: [4]}",
+         "override 0,0"),
+    ], ids=["model", "run", "kick", "lattice", "potential", "bond_class", "overrides",
+            "override"])
+    def test_scalar_section_is_refused_by_name(self, tmp_path, capsys, model, run, where):
+        # a scalar section failed as TypeError: 'int' object is not iterable
+        model = model.replace("LAT", "{A: [[1.0, 0.0], [0.0, 1.0]], B: [[1.0, 0.0], "
+                                     "[0.0, 1.0]], m: 2, r_cut: 1.5}")
+        model = model.replace("POT", "{kind: harmonic, classes: [{len: 1.0, k: 0.5}, "
+                                     "{len: 1.4142135623730951, k: 0.25}]}")
+        p = tmp_path / "cfg.yaml"
+        p.write_text(f"model: {model}\nrun: {run}\n")
+        message = f"config section {where} must be a mapping, not 5"
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            load_config(p)
+        rc = cli_main(["relax", "--config", str(p), "--N", "4", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"error: ConfigurationError: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_bond_length_without_a_class_is_refused(self, tmp_path):
         p = tmp_path / "cfg.yaml"
         p.write_text("model:\n  lattice: {A: [[1.0, 0.0], [0.0, 1.0]], B: [[1.0, 0.0], "

@@ -35,12 +35,12 @@ from latthermo.spectral import (
 BENCH_CONFIGS = Path(__file__).resolve().parent.parent / "bench" / "configs"
 
 
-def double_well_pair():
-    """The N=4 square double-well minimum, relaxed from the kick, and the
+def double_well_pair(N=4):
+    """The N-cell square double-well minimum, relaxed from the kick, and the
     saddle found from the midpoint of it and its mirror image."""
     from latthermo import find_saddle, relax_minimum
     model = preset_model("square_double_well")
-    cell = Supercell(model.spec, 4)
+    cell = Supercell(model.spec, N)
     kick = np.zeros((cell.n, 2))
     kick[cell.index((0, 0))] = [0.15, 0.0]
     minimum = relax_minimum(model, cell, initial_guess=kick)
@@ -314,32 +314,65 @@ class TestEigenpairs:
 
 
     def test_dense_route_takes_one_eigh(self, monkeypatch):
-        # the double-well saddle at N=4: one diagonalisation gives the bounds
-        # and the negative pair that the iterative solves give separately
-        model, cell, minimum, saddle = double_well_pair()
-        dim = cell.n * cell.spec.m
+        # the double-well saddles at N=4 (128 dofs) and N=8 (512 dofs): one
+        # Lanczos run gives the bounds and the negative pair with no dense eigh
+        # and no LOBPCG; only the dense oracle, F_N H F_N from the kernel
+        # table, takes its one eigh
+        import scipy.sparse.linalg as spla
         calls = []
-        eigh = np.linalg.eigh
+        eigh, lobpcg = np.linalg.eigh, spla.lobpcg
 
-        def counted(a, *args, **kwargs):
-            if np.ndim(a) == 2:
-                calls.append(np.shape(a))
-            return eigh(a, *args, **kwargs)
+        def counted(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapped
 
-        monkeypatch.setattr(np.linalg, "eigh", counted)
-        lo, hi, mu, w = generalized_eigen(saddle.H, saddle.F, expected_negative=1)
-        assert calls == [(dim, dim)]
-        monkeypatch.setattr(spectral, "DENSE_EIG_LIMIT", 0)
-        lo2, hi2, mu2, w2 = generalized_eigen(saddle.H, saddle.F, expected_negative=1)
-        assert calls == [(dim, dim)]
-        assert abs(lo - lo2) < 1e-9 and abs(hi - hi2) < 1e-9
-        assert abs(mu - mu2) < 1e-9
-        assert abs(abs(w @ w2) - 1.0) < 1e-8
+        monkeypatch.setattr(np.linalg, "eigh", counted("eigh", eigh))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+        monkeypatch.setattr(spla, "lobpcg", counted("lobpcg", lobpcg))
+        for N in (4, 8):
+            model, cell, minimum, saddle = double_well_pair(N)
+            A = conjugate_operator(kernel_FN(model, cell), saddle.H, include_pi=False).dense()
+            calls.clear()
+            lo, hi, mu, w = generalized_eigen(saddle.H, saddle.F, expected_negative=1)
+            assert calls == []
+            ev, V = np.linalg.eigh(A)
+            assert calls == ["eigh"]
+            nonzero = np.flatnonzero(np.abs(ev) > 1e-8 * np.max(np.abs(ev)))
+            assert len(nonzero) == len(ev) - cell.spec.m
+            mu_d, lo_d, hi_d = ev[nonzero[0]], ev[nonzero[1]], ev[nonzero[-1]]
+            assert mu_d < 0 < lo_d
+            np.testing.assert_allclose([lo, hi, mu], [lo_d, hi_d, mu_d], rtol=1e-9)
+            assert abs(abs(w @ V[:, nonzero[0]]) - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("cell_kind", ["chain_d1", "sheared_d2", "cube_d3"])
+    def test_generalized_matches_dense_oracle_on_every_shape(self, cell_kind):
+        # the Lanczos ends of F_N H F_N against the dense eigenvalues of
+        # F_N H F_N from the kernel table, on a d=1 chain, the sheared d=2
+        # cell and a d=3 cube, each at a random field
+        model, N = {"chain_d1": (PRESETS["chain_misfit"](), 24),
+                    "sheared_d2": (sheared_misfit(), 8),
+                    "cube_d3": (cube_stiff_origin(), 5)}[cell_kind]
+        cell = Supercell(model.spec, N)
+        rng = np.random.default_rng(3)
+        u = DisplacementField(cell, 0.03 * rng.standard_normal((cell.n, model.spec.m)))
+        H = hessian(model, u)
+        lo, hi, mu, w = generalized_eigen(H, FApplier(cell, model))
+        ev = np.linalg.eigvalsh(conjugate_operator(kernel_FN(model, cell), H,
+                                                   include_pi=False).dense())
+        pos = ev[np.abs(ev) > 1e-8 * np.max(np.abs(ev))]
+        assert len(pos) == cell.n * model.spec.m - model.spec.m and pos[0] > 0
+        assert pos[-1] - pos[0] > 1e-3                    # a nontrivial interval
+        np.testing.assert_allclose([lo, hi], [pos[0], pos[-1]], rtol=1e-9)
+        assert mu is None and w is None
 
     @pytest.mark.parametrize("limit", [None, 0])
     def test_generalized_rejects_a_wrong_negative_count(self, monkeypatch, limit):
-        # the N=4 double-well pair on the dense route and, with the limit at
-        # 0, on LOBPCG: an unexpected negative mode and a missing one raise
+        # the N=4 double-well pair: an unexpected negative mode and a missing
+        # one raise. F_N H F_N takes the one Lanczos route at every size, so
+        # the dense-eigh limit (which still picks the certificate's route)
+        # does not change the solve
         model, cell, minimum, saddle = double_well_pair()
         if limit is not None:
             monkeypatch.setattr(spectral, "DENSE_EIG_LIMIT", limit)

@@ -292,7 +292,7 @@ def test_iterative_certificate_matches_dense(monkeypatch, case):
     # cube_harmonic N=6 (1728 dofs) has a degenerate acoustic band edge at
     # 1.3397; the double-well N=8 saddle (512 dofs) a negative mode
     from latthermo import spectral
-    from latthermo.spectral import FApplier, generalized_eigen
+    from latthermo.spectral import FApplier
     from latthermo.stationary import _certify_spectrum
     if case == "cube_harmonic_minimum":
         model = preset_model("cube_harmonic")
@@ -307,11 +307,12 @@ def test_iterative_certificate_matches_dense(monkeypatch, case):
     m = cell.spec.m
 
     def spectrum():
+        # F_N H F_N takes one Lanczos route at every size, checked against the
+        # dense oracle in test_spectral; here only the certificate switches
         cls, lam = _certify_spectrum(H, F, kind)
-        lo, hi, mu, _ = generalized_eigen(H, F, expected_negative=neg)
         # sorted: the negatives, the m translation zeros, the positives, the top
         low = np.delete(cls.eigenvalues[:-1], np.s_[neg:neg + m])
-        return cls, low, [lam or 0.0, mu or 0.0, lo, hi]
+        return cls, low, lam or 0.0
 
     monkeypatch.setattr(spectral, "DENSE_EIG_LIMIT", cell.n * cell.spec.m)
     dense, dense_low, dense_facts = spectrum()
@@ -341,17 +342,17 @@ def test_iterative_certificate_matches_dense(monkeypatch, case):
 
 @pytest.mark.parametrize("N", [4, 8])
 def test_finish_point_solve_counts(monkeypatch, N):
-    # at N=4 (128 dofs) one dense eigh per operator, H then F_N H F_N; at N=8
-    # (512 dofs) one LOBPCG solve for the certificate and two (top, bottom)
-    # for F_N H F_N. A restart inside _lobpcg_eig does not count.
+    # the certificate takes one dense eigh at N=4 (128 dofs) and one LOBPCG
+    # solve at N=8 (512 dofs); F_N H F_N takes one Lanczos run at both. A
+    # restart inside _lobpcg_eig does not count.
     from latthermo import spectral
     from latthermo.stationary import finish_point
     model, cell, minimum = double_well_minimum(N)
     mid = 0.5 * (minimum.u.values + mirror_image(model, cell, minimum.u.values))
     saddle = find_saddle(model, cell, initial_guess=mid)
     dim = cell.n * cell.spec.m
-    eighs, lobpcgs = [], []
-    eigh, lobpcg_eig = np.linalg.eigh, spectral._lobpcg_eig
+    eighs, lobpcgs, lanczos = [], [], []
+    eigh, lobpcg_eig, lanczos_ends = np.linalg.eigh, spectral._lobpcg_eig, spectral._lanczos_ends
 
     def counted_eigh(a, *args, **kwargs):
         if np.ndim(a) == 2:
@@ -359,21 +360,27 @@ def test_finish_point_solve_counts(monkeypatch, N):
         return eigh(a, *args, **kwargs)
 
     def counted_lobpcg(*args, **kwargs):
-        lobpcgs.append(args[7] if len(args) > 7 else kwargs["stage"])
+        lobpcgs.append(args[6] if len(args) > 6 else kwargs["stage"])
         return lobpcg_eig(*args, **kwargs)
+
+    def counted_lanczos(*args, **kwargs):
+        lanczos.append(args[3] if len(args) > 3 else kwargs["stage"])
+        return lanczos_ends(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     monkeypatch.setattr(spectral, "_lobpcg_eig", counted_lobpcg)
+    monkeypatch.setattr(spectral, "_lanczos_ends", counted_lanczos)
     for pt in (minimum, saddle):
         eighs.clear()
         lobpcgs.clear()
+        lanczos.clear()
         finish_point(model, pt.u, pt.kind, pt.energy, pt.gradient_norm, pt.n_iter, H=pt.H,
                      F=pt.F)
+        assert lanczos == ["F_N H F_N"]
         if N == 4:
-            assert eighs == [(dim, dim)] * 2 and lobpcgs == []
+            assert eighs == [(dim, dim)] and lobpcgs == []
         else:
-            assert eighs == []
-            assert lobpcgs == [f"{pt.kind} certificate", "F_N H F_N top", "F_N H F_N bottom"]
+            assert eighs == [] and lobpcgs == [f"{pt.kind} certificate"]
 
 
 def test_no_arpack_on_any_route(monkeypatch):
@@ -394,26 +401,36 @@ def test_no_arpack_on_any_route(monkeypatch):
     assert pt.certificate.n_zero == 2 and pt.certificate.n_negative == 0
 
 
-@pytest.mark.parametrize("stage", ["minimum certificate", "F_N H F_N top",
-                                   "F_N H F_N bottom", "saddle step"])
+@pytest.mark.parametrize("stage", ["minimum certificate", "F_N H F_N bottom", "F_N H F_N top",
+                                   "saddle step"])
 def test_lobpcg_miss_names_its_stage(monkeypatch, stage):
-    import scipy.sparse.linalg as spla
+    # the N=8 double-well solves with their LOBPCG iteration count capped at 1.
+    # F_N H F_N runs on a diagonal stand-in, spread evenly over [1, 2] but for
+    # one isolated end: 40 Lanczos steps converge that end, not the other one
     from latthermo import spectral
     from latthermo.spectral import generalized_eigen
     from latthermo.stationary import _certify_spectrum
     model, cell, minimum = double_well_minimum(8)
-    if stage == "F_N H F_N bottom":
-        lobpcg = spla.lobpcg
+    monkeypatch.setattr(spectral, "LOBPCG_MAXITER", 1)
+    solver = "LOBPCG"
+    if stage.startswith("F_N H F_N"):
+        n, m = cell.n, cell.spec.m
+        d = np.linspace(1.0, 2.0, n * m).reshape(n, m, 1)
+        if stage.endswith("top"):
+            d[0, 0] = -8.0
+        else:
+            d[-1, -1] = 11.0
 
-        def stalled_below(*args, largest=False, **kwargs):
-            if not largest:
-                kwargs["maxiter"] = 1
-            return lobpcg(*args, largest=largest, **kwargs)
+        def matvec(v):
+            x = v.reshape(n, m, -1)
+            y = d * (x - x.mean(axis=0))
+            return (y - y.mean(axis=0)).reshape(v.shape)
 
-        monkeypatch.setattr(spla, "lobpcg", stalled_below)
-    else:
-        monkeypatch.setattr(spectral, "LOBPCG_MAXITER", 1)
-    with pytest.raises(RuntimeError, match=rf"^{stage} at N=8: LOBPCG eigenpair residual \S+ above"):
+        monkeypatch.setattr(spectral, "_fhf_matvec", lambda F, H: matvec)
+        monkeypatch.setattr(spectral, "LOBPCG_MAXITER", 40)
+        solver = "Lanczos"
+    with pytest.raises(RuntimeError,
+                       match=rf"^{stage} at N=8: {solver} eigenpair residual \S+ above"):
         if stage == "minimum certificate":
             _certify_spectrum(minimum.H, minimum.F, "minimum")
         elif stage == "saddle step":
