@@ -34,17 +34,23 @@ def _mapping(section, where: str) -> dict:
     return section
 
 
-def _check_keys(section: dict, known: tuple[str, ...], where: str) -> None:
-    """Refuse a config section that is not a mapping, and the keys of one
-    that the loader does not read."""
+def _check_keys(section: dict, known: tuple[str, ...], where: str,
+                required: tuple[str, ...] = ()) -> None:
+    """Refuse a config section that is not a mapping, the keys of one that
+    the loader does not read, and one that lacks a ``required`` key."""
     unknown = sorted(map(str, set(_mapping(section, where)) - set(known)))
     if unknown:
         raise ConfigurationError(f"unknown {where} key(s) {', '.join(unknown)}; "
                                  f"known keys: {', '.join(known)}")
+    missing = [key for key in required if key not in section]
+    if missing:
+        raise ConfigurationError(f"config section {where} is missing key(s) "
+                                 f"{', '.join(missing)}")
 
 
 def _lattice_from_config(cfg: dict) -> LatticeSpec:
-    _check_keys(cfg, ("A", "B", "m", "r_cut"), "lattice")
+    keys = ("A", "B", "m", "r_cut")
+    _check_keys(cfg, keys, "lattice", required=keys)
     return LatticeSpec(
         A=np.asarray(cfg["A"], dtype=float),
         B=np.asarray(cfg["B"], dtype=float),
@@ -57,9 +63,12 @@ def _potential_from_config(spec: LatticeSpec, cfg: dict, where: str):
     kind = _mapping(cfg, where).get("kind", "morse")
     if kind not in POTENTIAL_KEYS:
         raise ConfigurationError(f"unknown potential kind '{kind}'")
-    _check_keys(cfg, POTENTIAL_KEYS[kind], f"{kind} potential")
+    _check_keys(cfg, POTENTIAL_KEYS[kind], f"{kind} potential", required=("classes",))
+    if not isinstance(cfg["classes"], list):
+        raise ConfigurationError(f"config section {kind} potential key classes must be a "
+                                 f"list of bond classes, not {cfg['classes']!r}")
     for cls in cfg["classes"]:
-        _check_keys(cls, CLASS_KEYS[kind], f"{kind} bond class")
+        _check_keys(cls, CLASS_KEYS[kind], f"{kind} bond class", required=CLASS_KEYS[kind])
     scale = float(cfg.get("scale", 1.0))
     keys = CLASS_KEYS[kind][1:]
     per_bond = bond_classes(spec.stencil, {float(c["len"]): [float(c[k]) for k in keys]
@@ -85,7 +94,8 @@ def model_from_config(cfg: dict) -> PotentialModel:
     if "preset" in _mapping(cfg, "model"):
         _check_keys(cfg, ("preset",), "preset model")
         return preset_model(cfg["preset"])
-    _check_keys(cfg, ("name", "lattice", "potential", "overrides", "mirror"), "model")
+    _check_keys(cfg, ("name", "lattice", "potential", "overrides", "mirror"), "model",
+                required=("lattice", "potential"))
     spec = _lattice_from_config(cfg["lattice"])
     hom = _potential_from_config(spec, cfg["potential"], "potential")
     overrides = {}

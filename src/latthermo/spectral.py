@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import eigh_tridiagonal
 
 from .assembly import LinearLatticeOperator, hessian
 from .lattice import Supercell
@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 DENSE_LIMIT = 6000
-DENSE_EIG_LIMIT = 400        # extremal eigenpairs: dense eigh up to this dimension
+DENSE_EIG_LIMIT = 400        # extremal eigenpairs: dense subset eigh up to this dimension
 LOBPCG_TOL = 1e-10           # eigenpair residual bound: LOBPCG's times the operator norm,
                              # Lanczos's (on F_N H F_N) unscaled
 LOBPCG_MAXITER = 400         # LOBPCG iterations, and Lanczos steps
@@ -247,19 +247,18 @@ def logdet_plus(op, expected_zero: int,
 
 
 def _perm_parity(perm: np.ndarray) -> int:
-    seen = np.zeros(len(perm), dtype=bool)
-    parity = 1
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            parity = -parity
-    return parity
+    """(-1)^(n - cycles) of a permutation of 0..n-1. The cycles are counted by
+    pointer doubling: after t rounds each entry holds the least index among
+    the 2^t entries that follow it on its cycle, so after ceil(log2 n) rounds
+    a cycle's least index is the one entry that holds itself."""
+    perm = np.asarray(perm, dtype=np.intp)
+    least = np.arange(len(perm))
+    jump, reach = perm, 1
+    while reach < len(perm):
+        least = np.minimum(least, least[jump])
+        jump, reach = jump[jump], 2 * reach
+    cycles = int(np.count_nonzero(least == np.arange(len(perm))))
+    return -1 if (len(perm) - cycles) % 2 else 1
 
 
 def logdet_plus_factorized(H: LinearLatticeOperator, negative: float | None = None) -> float:
@@ -371,9 +370,12 @@ def _translation_modes(n: int, m: int) -> np.ndarray:
 
 
 def _lobpcg_eig(matvec, cell: Supercell, norm_scale: float, k: int, precond, X0, stage: str):
-    """The k lowest eigenpairs by LOBPCG on the complement of the
-    translations, preconditioned by ``precond``, from the ``LOBPCG_SEED``
-    random block or ``X0``."""
+    """The k lowest eigenvalues w and the whole converged block V by LOBPCG
+    on the complement of the translations, preconditioned by ``precond``,
+    from ``X0`` (its columns fill the block from the left) or the
+    ``LOBPCG_SEED`` random block. V is sorted by Ritz value: the k wanted
+    eigenvectors, whose residuals are checked, then the ``LOBPCG_GUARD``
+    columns, kept for the warm start of a later solve."""
     n, m = cell.n, cell.spec.m
     dim = n * m
     # guard columns: a wanted eigenvalue inside a near-degenerate cluster (the
@@ -389,13 +391,13 @@ def _lobpcg_eig(matvec, cell: Supercell, norm_scale: float, k: int, precond, X0,
             warnings.simplefilter("ignore", UserWarning)
             w, X = spla.lobpcg(matvec, X, M=precond, Y=_translation_modes(n, m), tol=res_tol,
                                maxiter=LOBPCG_MAXITER, largest=False)
-        order = np.argsort(w)[:k]
-        V = X[:, order]
+        order = np.argsort(w)
+        w, X = w[order], X[:, order]
         # scipy locks converged columns and mixes them once more at the end, so a
         # column may finish a little above the tolerance it met: check at 10x
-        res = np.linalg.norm(np.asarray(matvec(V)) - V * w[order], axis=0)
+        res = np.linalg.norm(np.asarray(matvec(X[:, :k])) - X[:, :k] * w[:k], axis=0)
         if np.all(res <= 10.0 * res_tol):
-            return w[order], V
+            return w[:k], X
         # a stalled block falls back to its best iterate, which may predate the
         # wanted columns' convergence: restart from the whole block
     raise RuntimeError(f"{stage} at N={cell.N}: LOBPCG eigenpair residual {np.max(res):g} "
@@ -412,29 +414,35 @@ def _dense_symmetric(matvec, dim: int) -> np.ndarray:
     return 0.5 * (A + A.T)
 
 
-def _extremal_eig(matvec, cell: Supercell, norm_scale: float, k: int = 1, precond=None,
-                  X0: np.ndarray | None = None, stage: str = "extremal eigenpairs"):
-    """The k lowest eigenpairs (w, V) of a lattice Hessian on the complement
-    of the translations. ``matvec`` takes (dim,) vectors and (dim, batch)
-    blocks; ``norm_scale`` bounds the operator norm.
+def _extremal_eig(mat: sp.spmatrix, cell: Supercell, norm_scale: float, k: int = 1,
+                  precond=None, X0: np.ndarray | None = None,
+                  stage: str = "extremal eigenpairs"):
+    """The k lowest eigenpairs of a lattice Hessian's sparse matrix ``mat`` on
+    the complement of the translations; ``norm_scale`` bounds the operator
+    norm. Returns (w, V): the k eigenvalues, and a block V whose first k
+    columns are their eigenvectors.
 
     The one size switch of the Hessian solves. Up to ``DENSE_EIG_LIMIT``
-    degrees of freedom the operator is built in block matvecs, its constants
-    are shifted above the spectrum by 10 ``norm_scale``, and one dense
-    ``eigh`` gives the k lowest. Above it LOBPCG runs with the translations
-    as constraints, preconditioned by ``precond`` (F_N^2 = (H^hom)^+), from
-    the ``LOBPCG_SEED`` random block or ``X0``. Residuals are checked, and a
-    miss raises RuntimeError naming ``stage``, the cell size N and the
-    residual.
+    degrees of freedom the matrix is densified and symmetrised, its
+    constants are shifted above the spectrum by 10 ``norm_scale``, and one
+    LAPACK subset solve (``scipy.linalg.eigh`` with ``subset_by_index``)
+    gives the k lowest pairs and nothing else; V has k columns. Above it
+    LOBPCG runs with the translations as constraints, preconditioned by
+    ``precond`` (F_N^2 = (H^hom)^+), from ``X0`` or the ``LOBPCG_SEED``
+    random block, and V is the whole converged block: the k pairs, then the
+    guard columns, ready to warm-start the next solve. Residuals are
+    checked, and a miss raises RuntimeError naming ``stage``, the cell size
+    N and the residual.
     """
     n, m = cell.n, cell.spec.m
-    if n * m <= DENSE_EIG_LIMIT:
-        A = _dense_symmetric(matvec, n * m)
-        A += 10.0 * norm_scale * _mean_project(np.eye(n * m), n, m)
-        w, V = np.linalg.eigh(A)
-        k = min(k, n * m - m)
-        return w[:k], V[:, :k]
-    return _lobpcg_eig(matvec, cell, norm_scale, k, precond, X0, stage)
+    dim = n * m
+    if dim <= DENSE_EIG_LIMIT:
+        A = mat.toarray()
+        A = 0.5 * (A + A.T)
+        A += 10.0 * norm_scale * _mean_project(np.eye(dim), n, m)
+        k = min(k, dim - m)
+        return sla.eigh(A, subset_by_index=[0, k - 1])
+    return _lobpcg_eig(lambda v: np.asarray(mat @ v), cell, norm_scale, k, precond, X0, stage)
 
 
 def _lanczos_ends(matvec, cell: Supercell, k: int, stage: str):
@@ -445,8 +453,9 @@ def _lanczos_ends(matvec, cell: Supercell, k: int, stage: str):
     The run starts from the ``LOBPCG_SEED`` random vector and works on real
     (n m,) vectors. Each new vector is projected off the translations and
     reorthogonalised twice against the whole basis, which is kept row by row
-    and grows as needed. After every step ``eigh_tridiagonal`` gives the
-    Ritz pairs, and the run stops once the residual estimates |beta y_last|
+    and grows as needed. After every step LAPACK's ``dstev`` gives the
+    tridiagonal's Ritz pairs (a failure raises RuntimeError naming ``stage``
+    and the step), and the run stops once the residual estimates |beta y_last|
     of the k lowest and the top one are all within ``LOBPCG_TOL``, on an
     invariant subspace, or after min(n m - m, ``LOBPCG_MAXITER``) steps. The
     explicit residuals of the returned pairs are then checked against
@@ -474,7 +483,11 @@ def _lanczos_ends(matvec, cell: Supercell, k: int, stage: str):
             fld = r.reshape(n, m)
             fld -= fld.mean(axis=0)
         beta[j] = np.linalg.norm(r)
-        theta, Y = eigh_tridiagonal(alpha[:j + 1], beta[:j])
+        # dstev reads e[:j], but its wrapper wants at least one entry
+        theta, Y, info = sla.lapack.dstev(alpha[:j + 1], beta[:max(j, 1)])
+        if info:
+            raise RuntimeError(f"{stage} at N={cell.N}: tridiagonal eigensolver dstev "
+                               f"failed (info {info}) at Lanczos step {j + 1}")
         ends = np.r_[:min(k, j + 1), j]
         if (beta[j] * np.abs(Y[-1, ends]).max() <= LOBPCG_TOL
                 or beta[j] <= np.sqrt(dim) * np.finfo(float).eps * np.abs(theta).max()):

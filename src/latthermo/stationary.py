@@ -138,6 +138,9 @@ def _certify_spectrum(H: LinearLatticeOperator, F: FApplier, kind: str):
     preconditioned by the point's F_N^2, gives the 2 (3 at a saddle) lowest
     eigenpairs on their complement; and the top entry, ``sigma_max``, is the
     Gershgorin row-sum bound on |H|, which keeps ``tau_zero`` conservative.
+    The LOBPCG route always starts from the ``LOBPCG_SEED`` block, never from
+    a solver's last block, so a resumed point certifies to the same bits as a
+    freshly solved one.
 
     Returns (classification, lam). At a saddle lam is the unstable eigenvalue
     of the certificate's own solve, whose eigenpair residual is checked.
@@ -146,15 +149,14 @@ def _certify_spectrum(H: LinearLatticeOperator, F: FApplier, kind: str):
     n, m = cell.n, cell.spec.m
     stage = f"{kind} certificate"
     expected_neg = 1 if kind == "saddle" else 0
-    matvec = lambda v: np.asarray(H.mat @ v)
     top = float(abs(H.mat).sum(axis=1).max())
     T = _translation_modes(n, m)
-    HT = matvec(T)
+    HT = np.asarray(H.mat @ T)
     drift = float(np.max(np.linalg.norm(HT, axis=0)))
     if drift > ZERO_TOL_FACTOR * top:
         raise AmbiguousSpectrumError(
             f"{stage} at N={cell.N}: |H t| = {drift:g} on a unit translation field")
-    w, V = _extremal_eig(matvec, cell, top, k=expected_neg + 2, precond=F.precond, stage=stage)
+    w, V = _extremal_eig(H.mat, cell, top, k=expected_neg + 2, precond=F.precond, stage=stage)
     eigs = np.concatenate([np.einsum("ij,ij->j", T, HT), w, [top]])
     cls = classify_eigenvalues(eigs, expected_zero=m, complete=False)
     cls.n_positive = n * m - cls.n_zero - cls.n_negative
@@ -180,9 +182,9 @@ def finish_point(model: PotentialModel, u: DisplacementField, kind: str, energy:
 
     ``H`` and ``F`` are the Hessian and the F_N applier the solver built, if
     any, and are built here otherwise (a resumed point). One certificate (a
-    dense ``eigh`` up to ``DENSE_EIG_LIMIT`` dofs, one LOBPCG solve above)
-    and one Lanczos run on F_N H F_N give every spectral fact; the point
-    keeps H and F.
+    LAPACK subset solve up to ``DENSE_EIG_LIMIT`` dofs, one LOBPCG solve
+    above) and one Lanczos run on F_N H F_N give every spectral fact; the
+    point keeps H and F.
     """
     H = hessian(model, u) if H is None else H
     F = FApplier(u.cell, model) if F is None else F
@@ -323,7 +325,7 @@ def _saddle_follow(model: PotentialModel, cell: Supercell, initial_guess,
     n, m = cell.n, cell.spec.m
     F = FApplier(cell, model)
     track = None
-    V = None                        # the previous step's two softest modes warm-start the next
+    V = None                        # the previous step's block warm-starts the next solve
     gnorm_prev = np.inf
     for n_iter in range(1, max_iter + 1):
         fld = DisplacementField(cell, u)
@@ -332,10 +334,9 @@ def _saddle_follow(model: PotentialModel, cell: Supercell, initial_guess,
         H = hessian(model, fld)
         if gnorm <= tol:
             break
-        matvec = lambda v: np.asarray(H.mat @ v)
         scale = float(abs(H.mat).sum(axis=1).max())     # Gershgorin bound on ||H||
         # constants shifted out of view: the two softest non-translation modes
-        w, V = _extremal_eig(matvec, cell, scale, k=2, precond=F.precond, X0=V,
+        w, V = _extremal_eig(H.mat, cell, scale, k=2, precond=F.precond, X0=V,
                              stage="saddle step")
         cand = [(float(w[j]), V[:, j]) for j in range(len(w))]
         if track is not None:

@@ -235,6 +235,33 @@ class TestConfigLoading:
         assert f"error: ConfigurationError: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("model, message", [
+        ("{lattice: LAT, potential: {kind: harmonic, classes: 5}}",
+         "config section harmonic potential key classes must be a list of bond classes, "
+         "not 5"),
+        ("{lattice: LAT, potential: {kind: harmonic}}",
+         "config section harmonic potential is missing key(s) classes"),
+        ("{potential: POT}", "config section model is missing key(s) lattice"),
+        ("{lattice: {A: [[1.0, 0.0], [0.0, 1.0]], B: [[1.0, 0.0], [0.0, 1.0]], m: 2}, "
+         "potential: POT}", "config section lattice is missing key(s) r_cut"),
+        ("{lattice: LAT, potential: {kind: harmonic, classes: [{len: 1.0, k: 0.5}, "
+         "{len: 1.4142135623730951}]}}",
+         "config section harmonic bond class is missing key(s) k"),
+    ], ids=["classes_scalar", "no_classes", "no_lattice", "no_r_cut", "class_no_k"])
+    def test_missing_key_is_refused_by_section(self, tmp_path, capsys, model, message):
+        # each failed as a TypeError or a KeyError that named no section
+        model = model.replace("LAT", "{A: [[1.0, 0.0], [0.0, 1.0]], B: [[1.0, 0.0], "
+                                     "[0.0, 1.0]], m: 2, r_cut: 1.5}")
+        model = model.replace("POT", "{kind: harmonic, classes: [{len: 1.0, k: 0.5}, "
+                                     "{len: 1.4142135623730951, k: 0.25}]}")
+        p = tmp_path / "cfg.yaml"
+        p.write_text(f"model: {model}\nrun: {{N_list: [4]}}\n")
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            load_config(p)
+        rc = cli_main(["relax", "--config", str(p), "--N", "4", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"error: ConfigurationError: {message}" in capsys.readouterr().err
+
     def test_bond_length_without_a_class_is_refused(self, tmp_path):
         p = tmp_path / "cfg.yaml"
         p.write_text("model:\n  lattice: {A: [[1.0, 0.0], [0.0, 1.0]], B: [[1.0, 0.0], "
@@ -449,6 +476,25 @@ class TestSweep:
         assert b1 == b2
         for r1, r2 in zip(t1.rows, t2.rows):
             assert abs(r1["E_min"] - r2["E_min"]) < 1e-12
+
+    def test_saddle_sweeps_repeat_byte_for_byte(self, tmp_path):
+        # two fresh sweeps and one resumed from the first's saved points write
+        # the same bytes. N=8 (512 dofs) takes the LOBPCG route, where the
+        # saddle search carries its block from step to step; the certificate
+        # starts from the seed block, which a resumed point has too
+        def run(name):
+            out = tmp_path / name
+            cfg = RunConfig(model=preset_model("square_double_well"), N_list=[4, 6, 8],
+                            beta=[1.0, 2.0], out=out, saddle="auto", kick_site=(0, 0),
+                            kick_vector=np.array([0.15, 0.0]))
+            table = sweep(cfg)
+            assert [r["status"] for r in table.rows] == ["ok"] * 3
+            emit(table, out)
+            return [(out / f).read_bytes() for f in ("table.csv", "table.json")]
+
+        first = run("first")
+        assert run("second") == first
+        assert run("first") == first       # resumed from the saved points
 
 
 def dwell_config(out) -> RunConfig:

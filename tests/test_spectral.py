@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from latthermo import (
     AmbiguousSpectrumError,
@@ -26,6 +27,9 @@ from latthermo.spectral import (
     FApplier,
     _extremal_eig,
     _inverse_sqrt_batch,
+    _lanczos_ends,
+    _mean_project,
+    _perm_parity,
     classify_eigenvalues,
     log_plus_contour,
     logdet_plus_factorized,
@@ -215,11 +219,20 @@ class TestLogdet:
         op = LinearLatticeOperator(cell, A)
         dense_val, cls = logdet_plus(op, expected_zero=2, expected_negative=1)
         neg = w2[w2 < -cls.tau_zero]
-        import scipy.sparse as sp
         op_sparse = LinearLatticeOperator(cell, sp.csr_matrix(A))
         assert len(neg) == 1
         fact_val = logdet_plus_factorized(op_sparse, negative=neg[0])
         assert abs(dense_val - fact_val) < 1e-8 * max(1.0, abs(dense_val))
+
+    def test_perm_parity_matches_determinant_sign(self):
+        # an independent parity: the sign of det of the permutation matrix
+        rng = np.random.default_rng(4)
+        swap = np.arange(9)
+        swap[[2, 6]] = [6, 2]
+        perms = [rng.permutation(n) for n in (1, 2, 3, 7, 40, 129) for _ in range(6)]
+        for perm in perms + [swap, np.arange(9)]:
+            assert _perm_parity(perm) == round(np.linalg.det(np.eye(len(perm))[perm]))
+        assert _perm_parity(swap) == -1 and _perm_parity(np.arange(9)) == 1
 
 
 class TestMatrixLogPlus:
@@ -270,7 +283,7 @@ class TestEigenpairs:
         w -= w.mean()
         w /= np.linalg.norm(w)
         A = 3.0 * np.eye(cell.n) - 2.5 * np.outer(w, w)
-        lam, phi = _extremal_eig(lambda v: A @ v, cell, 3.0, k=1)
+        lam, phi = _extremal_eig(sp.csr_matrix(A), cell, 3.0, k=1)
         assert abs(lam[0] - 0.5) < 1e-9
         assert abs(abs(phi[:, 0] @ w) - 1.0) < 1e-8
 
@@ -279,11 +292,54 @@ class TestEigenpairs:
         cell = Supercell(model.spec, 4)
         H = hessian(model.homogenized(), cell.zero_field())
         gershgorin = float(abs(H.mat).sum(axis=1).max())
-        lam, _ = _extremal_eig(lambda v: H.mat @ v, cell, gershgorin, k=1)
+        lam, _ = _extremal_eig(H.mat, cell, gershgorin, k=1)
         ks = cell.dual.k
         nonzero = ~np.all(cell.dual.y == 0, axis=1)
         w = np.linalg.eigvalsh(symbol_h_batch(model, ks[nonzero]))
         assert abs(lam[0] - w.min()) < 1e-9
+
+    @pytest.mark.parametrize("N", [4, 6])
+    def test_subset_route_matches_full_eigh(self, N):
+        # the dense route's LAPACK subset solve against a full eigh of the
+        # symmetrised Hessian, its m translation zeros dropped: the expected
+        # negatives + 2 lowest pairs at a minimum and a saddle
+        model, cell, minimum, saddle = double_well_pair(N)
+        m = cell.spec.m
+        for pt, k in ((minimum, 2), (saddle, 3)):
+            scale = float(abs(pt.H.mat).sum(axis=1).max())
+            w, V = _extremal_eig(pt.H.mat, cell, scale, k=k)
+            A = pt.H.dense()
+            w_all, V_all = np.linalg.eigh(0.5 * (A + A.T))
+            keep = np.delete(np.arange(len(w_all)), np.argsort(np.abs(w_all))[:m])[:k]
+            assert w.shape == (k,) and V.shape == (cell.n * m, k)
+            np.testing.assert_allclose(w, w_all[keep], rtol=0, atol=1e-12)
+            assert np.max(1.0 - np.abs(np.sum(V * V_all[:, keep], axis=0))) < 1e-12
+            assert np.max(np.linalg.norm(pt.H.mat @ V - V * w, axis=0)) < 1e-12 * scale
+
+    def test_lanczos_failed_tridiagonal_names_its_stage(self, monkeypatch):
+        import scipy.linalg as sla
+        model, cell, u = stable_state("square_misfit", N=4)
+        dstev = sla.lapack.dstev
+
+        def failing(d, e, *args, **kwargs):
+            w, z, info = dstev(d, e, *args, **kwargs)
+            return w, z, 3 if len(d) == 5 else info
+
+        monkeypatch.setattr(sla.lapack, "dstev", failing)
+        with pytest.raises(RuntimeError, match=r"^F_N H F_N at N=4: tridiagonal eigensolver "
+                                               r"dstev failed \(info 3\) at Lanczos step 5$"):
+            generalized_eigen(hessian(model, u), FApplier(cell, model))
+
+    def test_lanczos_one_step_run(self):
+        # an operator that is 2 on the whole zero-mean subspace leaves the
+        # start vector invariant: the run stops after one step, on a 1 x 1
+        # tridiagonal
+        model, cell, _ = stable_state("square_misfit", N=4)
+        n, m = cell.n, cell.spec.m
+        w, V, top = _lanczos_ends(lambda v: 2.0 * (v - _mean_project(v, n, m)), cell, 1, "test")
+        assert w.shape == (1,) and V.shape == (n * m, 1)
+        assert abs(w[0] - 2.0) < 1e-14 and abs(top - 2.0) < 1e-14
+        assert abs(np.linalg.norm(V) - 1.0) < 1e-14
 
     def test_generalized_identity_and_scaling(self):
         model, cell, _ = stable_state("square_anharmonic", N=3)

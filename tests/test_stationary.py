@@ -260,10 +260,12 @@ def test_certify_reruns_classification():
 
 
 def test_dense_certificate_takes_one_eigh(monkeypatch):
-    # the low end comes from one diagonalisation with the constants shifted
-    # out of view, and agrees with one eigh of the assembled Hessian
-    # (symmetrised: it is symmetric only to round-off); the zeros are the
-    # translation Rayleigh quotients and the top is the Gershgorin bound
+    # the low end comes from one LAPACK subset solve for the k lowest pairs,
+    # with the constants shifted out of view, and agrees with one full eigh of
+    # the assembled Hessian (symmetrised: it is symmetric only to round-off);
+    # the zeros are the translation Rayleigh quotients and the top is the
+    # Gershgorin bound
+    import scipy.linalg as sla
     from latthermo.stationary import _certify_spectrum
     model, cell, minimum = double_well_minimum(4)
     H = minimum.H
@@ -271,15 +273,19 @@ def test_dense_certificate_takes_one_eigh(monkeypatch):
     w = np.linalg.eigh(0.5 * (A + A.T))[0]
     m, k = cell.spec.m, 2
     calls = []
-    eigh = np.linalg.eigh
+    eigh = sla.eigh
 
     def counted(a, *args, **kwargs):
-        calls.append(np.shape(a))   # every eigh: the point carries its F_N applier
+        calls.append((np.shape(a), kwargs.get("subset_by_index")))
         return eigh(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+    def refused(*args, **kwargs):
+        raise AssertionError("full eigh called")
+
+    monkeypatch.setattr(sla, "eigh", counted)
+    monkeypatch.setattr(np.linalg, "eigh", refused)
     cls = _certify_spectrum(H, minimum.F, "minimum")[0]
-    assert calls == [(cell.n * m, cell.n * m)]
+    assert calls == [((cell.n * m, cell.n * m), [0, k - 1])]
     gershgorin = float(abs(H.mat).sum(axis=1).max())
     assert len(cls.eigenvalues) == m + k + 1
     assert np.max(np.abs(cls.eigenvalues[:m])) < 1e-12 * gershgorin
@@ -342,9 +348,10 @@ def test_iterative_certificate_matches_dense(monkeypatch, case):
 
 @pytest.mark.parametrize("N", [4, 8])
 def test_finish_point_solve_counts(monkeypatch, N):
-    # the certificate takes one dense eigh at N=4 (128 dofs) and one LOBPCG
-    # solve at N=8 (512 dofs); F_N H F_N takes one Lanczos run at both. A
-    # restart inside _lobpcg_eig does not count.
+    # the certificate takes one LAPACK subset solve at N=4 (128 dofs) and one
+    # LOBPCG solve at N=8 (512 dofs); F_N H F_N takes one Lanczos run at both.
+    # A restart inside _lobpcg_eig does not count, and no full eigh runs.
+    import scipy.linalg as sla
     from latthermo import spectral
     from latthermo.stationary import finish_point
     model, cell, minimum = double_well_minimum(N)
@@ -352,12 +359,14 @@ def test_finish_point_solve_counts(monkeypatch, N):
     saddle = find_saddle(model, cell, initial_guess=mid)
     dim = cell.n * cell.spec.m
     eighs, lobpcgs, lanczos = [], [], []
-    eigh, lobpcg_eig, lanczos_ends = np.linalg.eigh, spectral._lobpcg_eig, spectral._lanczos_ends
+    eigh, lobpcg_eig, lanczos_ends = sla.eigh, spectral._lobpcg_eig, spectral._lanczos_ends
 
     def counted_eigh(a, *args, **kwargs):
-        if np.ndim(a) == 2:
-            eighs.append(np.shape(a))
+        eighs.append(np.shape(a))
         return eigh(a, *args, **kwargs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("full eigh called")
 
     def counted_lobpcg(*args, **kwargs):
         lobpcgs.append(args[6] if len(args) > 6 else kwargs["stage"])
@@ -367,7 +376,8 @@ def test_finish_point_solve_counts(monkeypatch, N):
         lanczos.append(args[3] if len(args) > 3 else kwargs["stage"])
         return lanczos_ends(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(sla, "eigh", counted_eigh)
+    monkeypatch.setattr(np.linalg, "eigh", refused)
     monkeypatch.setattr(spectral, "_lobpcg_eig", counted_lobpcg)
     monkeypatch.setattr(spectral, "_lanczos_ends", counted_lanczos)
     for pt in (minimum, saddle):
@@ -442,20 +452,23 @@ def test_lobpcg_miss_names_its_stage(monkeypatch, stage):
 
 def test_preconditioned_lobpcg_converges_from_every_seed(monkeypatch):
     # the first saddle step starts LOBPCG from a random block; at N=16 seed 1
-    # stalls near the acoustic band edge and converges only after a restart
+    # stalls near the acoustic band edge and converges only after a restart.
+    # The whole block comes back, sorted: the k wanted pairs, then the guards
     from latthermo import spectral
-    from latthermo.spectral import _extremal_eig
+    from latthermo.spectral import LOBPCG_GUARD, _extremal_eig
     model, cell, minimum = double_well_minimum(16)
     u = 0.5 * (minimum.u.values + mirror_image(model, cell, minimum.u.values))
     H = hessian(model, DisplacementField(cell, u - u.mean(axis=0)))
-    matvec = lambda v: np.asarray(H.mat @ v)
     precond = minimum.F.precond
     scale = float(abs(H.mat).sum(axis=1).max())
     lows = []
     for seed in range(4):
         monkeypatch.setattr(spectral, "LOBPCG_SEED", seed)
-        w, V = _extremal_eig(matvec, cell, scale, k=2, precond=precond)
-        assert np.max(np.linalg.norm(matvec(V) - V * w, axis=0)) <= 1e-9 * scale
+        w, V = _extremal_eig(H.mat, cell, scale, k=2, precond=precond)
+        assert w.shape == (2,) and V.shape == (cell.n * cell.spec.m, 2 + LOBPCG_GUARD)
+        ritz = np.einsum("ij,ij->j", V, H.mat @ V)
+        assert np.all(np.diff(ritz) >= -1e-9 * scale)
+        assert np.max(np.linalg.norm(H.mat @ V[:, :2] - V[:, :2] * w, axis=0)) <= 1e-9 * scale
         lows.append(w)
     assert np.ptp(np.array(lows), axis=0).max() < 1e-10 * scale
 
