@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import load_config
-from .harness import RunConfig, emit, fit_rate, solve_points, sweep
+from .harness import ERROR_COLUMNS, RunConfig, emit, fit_rate, solve_points, sweep
 from .potentials import stability_scan
 from .serialize import atomic_write_text
 from .thermo import entropy_total, htst_rate, renormalised_entropy, site_entropies
@@ -170,7 +170,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("fit", help="refit exponents from an emitted table.json")
     p.add_argument("--table", required=True, type=Path)
-    p.add_argument("--column", default="err_E")
+    p.add_argument("--column", default="err_E", choices=[err for _, err in ERROR_COLUMNS])
     p.add_argument("--log-power", type=float, default=0.0)
     p.set_defaults(func=_cmd_fit)
 

@@ -48,6 +48,26 @@ def _check_keys(section: dict, known: tuple[str, ...], where: str,
                                  f"{', '.join(missing)}")
 
 
+def _run_value(value, key: str, kind: type):
+    """``value`` as ``kind`` (int or float), refused by ``run.key`` unless it
+    converts exactly: an int is never truncated, and NaN is no number."""
+    try:
+        out = kind(value)
+        if out == float(value):
+            return out
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigurationError(f"run.{key} must be {'an integer' if kind is int else 'a number'}, "
+                             f"not {value!r}")
+
+
+def _run_list(value, key: str, kind: type) -> list:
+    """A list-valued run key, each entry checked by ``_run_value``."""
+    if not isinstance(value, list):
+        raise ConfigurationError(f"run.{key} must be a list, not {value!r}")
+    return [_run_value(v, key, kind) for v in value]
+
+
 def _lattice_from_config(cfg: dict) -> LatticeSpec:
     keys = ("A", "B", "m", "r_cut")
     _check_keys(cfg, keys, "lattice", required=keys)
@@ -100,7 +120,11 @@ def model_from_config(cfg: dict) -> PotentialModel:
     hom = _potential_from_config(spec, cfg["potential"], "potential")
     overrides = {}
     for key, ocfg in _mapping(cfg.get("overrides") or {}, "overrides").items():
-        site = tuple(int(v) for v in str(key).split(","))
+        try:
+            site = tuple(int(v) for v in str(key).split(","))
+        except ValueError:
+            raise ConfigurationError(f"overrides key {key!r} is not a site such as '0,1'") \
+                from None
         overrides[site] = _potential_from_config(spec, ocfg, f"override {key}")
     mirror = None if cfg.get("mirror") is None else np.asarray(cfg["mirror"])
     return PotentialModel(spec, hom, overrides, name=cfg.get("name", "config"),
@@ -127,14 +151,14 @@ def load_config(path: Path, out_override: Path | None = None,
     out = out_override or run.get("out")
     return RunConfig(
         model=model,
-        N_list=[int(v) for v in run.get("N_list", [4, 6, 8, 12])],
-        beta=[float(b) for b in run.get("beta", [1.0])],
-        seed=seed if seed is not None else int(run.get("seed", 0)),
+        N_list=_run_list(run.get("N_list", [4, 6, 8, 12]), "N_list", int),
+        beta=_run_list(run.get("beta", [1.0]), "beta", float),
+        seed=seed if seed is not None else _run_value(run.get("seed", 0), "seed", int),
         out=Path(out) if out else None,
         saddle=run.get("saddle", "auto"),
         kick_site=kick_site,
         kick_vector=kick_vector,
-        N_ref=None if run.get("N_ref") is None else int(run["N_ref"]),
-        R_sum=None if run.get("R_sum") is None else float(run["R_sum"]),
-        max_iter=int(run.get("max_iter", 100)),
+        N_ref=None if run.get("N_ref") is None else _run_value(run["N_ref"], "N_ref", int),
+        R_sum=None if run.get("R_sum") is None else _run_value(run["R_sum"], "R_sum", float),
+        max_iter=_run_value(run.get("max_iter", 100), "max_iter", int),
     )

@@ -61,7 +61,7 @@ def tol_grad(cell: Supercell) -> float:
 
 @dataclass
 class StationaryPoint:
-    kind: str                       # 'minimum' or 'saddle'
+    kind: str                       # 'minimum', 'saddle' or 'state' (a certified bare field)
     u: DisplacementField
     energy: float
     gradient_norm: float
@@ -180,11 +180,13 @@ def finish_point(model: PotentialModel, u: DisplacementField, kind: str, energy:
                  route: str | None = None, F: FApplier | None = None) -> StationaryPoint:
     """Certify a converged field and build its spectral record.
 
-    ``H`` and ``F`` are the Hessian and the F_N applier the solver built, if
-    any, and are built here otherwise (a resumed point). One certificate (a
-    LAPACK subset solve up to ``DENSE_EIG_LIMIT`` dofs, one LOBPCG solve
-    above) and one Lanczos run on F_N H F_N give every spectral fact; the
-    point keeps H and F.
+    ``kind`` 'saddle' expects one negative mode; 'minimum' and 'state' (a
+    bare field handed to thermo, never persisted) expect none. ``H`` and
+    ``F`` are the Hessian and the F_N applier the solver built, if any, and
+    are built here otherwise (a resumed point or a bare field). One
+    certificate (a LAPACK subset solve up to ``DENSE_EIG_LIMIT`` dofs, one
+    LOBPCG solve above) and one Lanczos run on F_N H F_N give every spectral
+    fact; the point keeps H and F.
     """
     H = hessian(model, u) if H is None else H
     F = FApplier(u.cell, model) if F is None else F

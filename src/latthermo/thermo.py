@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 import numpy as np
 
-from .assembly import hessian, variation_contractions
+from .assembly import energy_periodic, gradient_periodic, variation_contractions
 from .fitting import RateFit, envelope_decay
 from .lattice import DisplacementField
 from .potentials import PotentialModel
@@ -22,12 +22,11 @@ from .spectral import (
     _dense_symmetric,
     _fhf_matvec,
     _site_columns,
-    generalized_eigen,
     logdet_plus,
     logdet_plus_factorized,
     site_log_traces,
 )
-from .stationary import StationaryPoint, _certify_spectrum
+from .stationary import StationaryPoint, finish_point
 
 __all__ = [
     "EntropyProfile",
@@ -157,21 +156,13 @@ class RateReport:
         return out
 
 
-def _applier(model: PotentialModel, state) -> FApplier:
-    """A point's carried F_N applier, or a bare field's, built here: thermo's one build."""
-    return state.F if isinstance(state, StationaryPoint) else FApplier(state.cell, model)
-
-
-def _resolve_state(model: PotentialModel, state):
-    """(field, kind, index, lam, H, carried F_N H F_N spectrum, F_N applier);
-    only a bare field assembles. The index (negative modes) is 1 at a saddle,
-    0 otherwise; the spectrum is ``generalized_eigen``'s tuple."""
+def _point(model: PotentialModel, state) -> StationaryPoint:
+    """A stationary point as given; a bare field certified once, as a point of kind 'state'."""
     if isinstance(state, StationaryPoint):
-        index = 1 if state.kind == "saddle" else 0
-        return (state.u, state.kind, index, state.lam, state.H,
-                (*state.sigma, state.mu, state.w), state.F)
+        return state
     if isinstance(state, DisplacementField):
-        return state, "state", 0, None, hessian(model, state), None, _applier(model, state)
+        return finish_point(model, state, "state", energy_periodic(model, state),
+                            float(np.linalg.norm(gradient_periodic(model, state))), 0)
     raise TypeError("state must be a StationaryPoint or DisplacementField")
 
 
@@ -179,17 +170,15 @@ def entropy_total(model: PotentialModel, state) -> float:
     """S_N(u): entropy difference against the homogeneous supercell.
 
     log det+ H_N comes from the bordered sparse LU at every size, log det+
-    H_N^hom from the symbols of the state's F_N (``FApplier.logdet_hom``). At
+    H_N^hom from the symbols of the point's F_N (``FApplier.logdet_hom``). At
     a saddle the carried negative eigenvalue is divided out along with the
-    translation zeros (det+ semantics). A bare field carries no certificate,
-    so it is certified as a minimum first (exactly m zeros, no negative mode).
+    translation zeros (det+ semantics). A bare field becomes a point of kind
+    'state' first, certified like a minimum (exactly m zeros, no negative mode).
     """
-    _, kind, index, lam, H, _, F = _resolve_state(model, state)
-    if index and lam is None:
+    point = _point(model, state)
+    if point.certificate.n_negative and point.lam is None:
         raise ValueError("saddle point must carry its unstable eigenvalue lam")
-    if kind == "state":
-        _certify_spectrum(H, F, "minimum")
-    return -0.5 * logdet_plus_factorized(H, negative=lam) + 0.5 * F.logdet_hom
+    return -0.5 * logdet_plus_factorized(point.H, negative=point.lam) + 0.5 * point.F.logdet_hom
 
 
 def site_entropies(model: PotentialModel, state,
@@ -197,29 +186,26 @@ def site_entropies(model: PotentialModel, state,
     """Per-site entropies -1/2 tr [log+ (F_N H_N F_N)]_{ell ell}.
 
     The traces come from ``site_log_traces``, one Chebyshev route at every
-    size, with the point's carried spectrum; a bare field's spectrum is
-    solved here, as a minimum's. For minima these sum exactly to S_N; at a
-    saddle they sum to the log+ part of the splitting identity (see
-    delta_S_saddle).
+    size, with the point's carried spectrum; a bare field is certified into
+    a point first. For minima these sum exactly to S_N; at a saddle they sum
+    to the log+ part of the splitting identity (see delta_S_saddle).
     """
-    u, kind, _, _, H, spectrum, F = _resolve_state(model, state)
-    cell = u.cell
-    if sites is None:
-        sites = np.arange(cell.n)
-    sites = np.asarray(sites, dtype=int)
-    if spectrum is None:
-        spectrum = generalized_eigen(H, F)
-    traces, info = site_log_traces(H, F, sites, spectrum)
+    point = _point(model, state)
+    cell = point.u.cell
+    sites = np.asarray(np.arange(cell.n) if sites is None else sites, dtype=int)
+    traces, info = site_log_traces(point.H, point.F, sites,
+                                   (*point.sigma, point.mu, point.w))
     values = -0.5 * traces
-    return EntropyProfile(N=cell.N, variant=kind, sites=sites, radii=cell.r[sites],
+    return EntropyProfile(N=cell.N, variant=point.kind, sites=sites, radii=cell.r[sites],
                           values=values, total=float(values.sum()), info=info)
 
 
 def site_entropy_first_variation(model: PotentialModel, sites, state) -> np.ndarray:
     """<delta S^hom_ell(0), u> = -1/2 tr (F_N B F_N)_{ell ell}, B = <delta H^hom(0), u>.
 
-    ``state`` is a stationary point or a bare field u. F_N is the periodic
-    kernel of u's cell (the point's carried applier), which realizes the
+    ``state`` is a stationary point or a bare field u, read as a direction
+    only, so it is not certified. F_N is the periodic kernel of u's cell (a
+    point's carried applier, else one built here), which realizes the
     infinite-lattice kernel at quadrature level N (consistent with the
     renormalised entropy evaluated at a finite reference level); the sum
     runs over the whole cell, so the only truncation is the level N itself.
@@ -227,7 +213,8 @@ def site_entropy_first_variation(model: PotentialModel, sites, state) -> np.ndar
     half-grid: X = F_hat forward(E), Y = forward(B inverse(X)), and the site
     term is -1/2 the Parseval sum of <X, Y> over the site's m columns.
     """
-    u, F = getattr(state, "u", state), _applier(model, state)
+    u = getattr(state, "u", state)
+    F = state.F if isinstance(state, StationaryPoint) else FApplier(u.cell, model)
     sites = np.atleast_1d(np.asarray(sites, dtype=int))
     B = variation_contractions(model.homogenized(), u.cell.zero_field(), u).mat
     out = np.empty(len(sites))
@@ -245,17 +232,19 @@ def renormalised_entropy(model: PotentialModel, u_ref, R_sum: float,
     Sums the per-site terms S_ell(u) - <delta S^hom_ell(0), u> over
     |ell| <= R_sum, fits their decay and reports a geometric tail estimate.
     Refuses to extrapolate when the fitted decay is slower than -(d + 1/2).
+    A bare field is certified into a point once, for both site terms.
     """
     cell = getattr(u_ref, "u", u_ref).cell
     d = cell.spec.d
     if cell.N < 4 * R_sum:
         raise ValueError("reference level must satisfy N_ref >= 4 R_sum")
+    point = _point(model, u_ref)
     sites = np.flatnonzero(cell.r <= R_sum + 1e-9)
     order = np.argsort(cell.r[sites], kind="stable")
     sites = sites[order]
     radii = cell.r[sites]
-    prof = site_entropies(model, u_ref, sites=sites)
-    fv = site_entropy_first_variation(model, sites, u_ref)
+    prof = site_entropies(model, point, sites=sites)
+    fv = site_entropy_first_variation(model, sites, point)
     ren = prof.values - fv
     csum = np.cumsum(ren)
     tail, fit = 0.0, None
@@ -287,12 +276,11 @@ def _site_entropy_sum(model: PotentialModel, point: StationaryPoint) -> float:
     traces), built from block products with the point's ``FApplier``. Above
     the limit the Chebyshev site traces of every site are summed.
     """
-    u, _, index, _, H, _, F = _resolve_state(model, point)
-    cell, m = u.cell, u.cell.spec.m
+    cell, m = point.u.cell, point.u.cell.spec.m
     if cell.n * m > DENSE_LIMIT:
         return site_entropies(model, point).total
-    A = _dense_symmetric(_fhf_matvec(F, H), cell.n * m)
-    ld, _ = logdet_plus(A, expected_zero=m, expected_negative=index)
+    A = _dense_symmetric(_fhf_matvec(point.F, point.H), cell.n * m)
+    ld, _ = logdet_plus(A, expected_zero=m, expected_negative=point.certificate.n_negative)
     return -0.5 * ld
 
 
@@ -320,18 +308,16 @@ def delta_S_saddle(model: PotentialModel, min_point: StationaryPoint,
                         lam=float(lam), mu=float(mu), S_min=S_min, S_saddle=S_saddle_direct)
 
 
-def _product_form_dS(model: PotentialModel, min_point: StationaryPoint,
-                     saddle_point: StationaryPoint) -> float:
+def _product_form_dS(min_point: StationaryPoint, saddle_point: StationaryPoint) -> float:
     """1/2 log (prod lambda_min / prod lambda_saddle) over the positive eigenvalues.
 
     Both log det+ are products of dense eigenvalues (with the spectrum
     classified again): up to DENSE_LIMIT a route independent of the
     bordered-LU det+ of dS.
     """
-    ld = []
-    for point in (min_point, saddle_point):
-        u, _, index, _, H, _, _ = _resolve_state(model, point)
-        ld.append(logdet_plus(H, expected_zero=u.cell.spec.m, expected_negative=index)[0])
+    ld = [logdet_plus(p.H, expected_zero=p.u.cell.spec.m,
+                      expected_negative=p.certificate.n_negative)[0]
+          for p in (min_point, saddle_point)]
     return 0.5 * (ld[0] - ld[1])
 
 
@@ -352,7 +338,7 @@ def htst_rate(model: PotentialModel, min_point: StationaryPoint,
     ds = delta_S_saddle(model, min_point, saddle_point)
     prod_dS = None
     if cell.n * cell.spec.m <= DENSE_LIMIT:
-        prod_dS = _product_form_dS(model, min_point, saddle_point)
+        prod_dS = _product_form_dS(min_point, saddle_point)
     from .serialize import certificate_hash
     return RateReport(beta=beta, E_min=min_point.energy, E_saddle=saddle_point.energy,
                       delta_S=ds, product_form_dS=prod_dS, N=cell.N, d=cell.spec.d,

@@ -288,6 +288,34 @@ class TestConfigLoading:
         with pytest.raises(ValueError, match="run.saddle"):     # the CLI's replace() path
             replace(cfg, saddle=False)
 
+    @pytest.mark.parametrize("model, run, key", [
+        ("PRESET", "{N_list: [4.7, 6.2]}", "run.N_list"),
+        ("PRESET", "{max_iter: 2.9}", "run.max_iter"),
+        ("PRESET", "{N_ref: 24.5}", "run.N_ref"),
+        ("PRESET", "{N_list: 8}", "run.N_list"),
+        ("PRESET", "{beta: 1.0}", "run.beta"),
+        ("PRESET", "{R_sum: abc}", "run.R_sum"),
+        ("PRESET", "{max_iter: lots}", "run.max_iter"),
+        ("PRESET", "{seed: 1.5}", "run.seed"),
+        ("{lattice: {A: [[1.0, 0.0], [0.0, 1.0]], B: [[1.0, 0.0], [0.0, 1.0]], m: 2, "
+         "r_cut: 1.5}, potential: POT, overrides: {'0,x': POT}}", "{N_list: [4]}",
+         "overrides"),
+    ], ids=["N_list_fractions", "max_iter_fraction", "N_ref_fraction", "N_list_scalar",
+            "beta_scalar", "R_sum_word", "max_iter_word", "seed_fraction", "override_site"])
+    def test_malformed_value_is_refused_by_key(self, tmp_path, capsys, model, run, key):
+        # fractions were truncated to ints; the rest failed as a bare TypeError
+        # or ValueError that named no key
+        model = model.replace("PRESET", "{preset: square_misfit}")
+        model = model.replace("POT", "{kind: harmonic, classes: [{len: 1.0, k: 0.5}, "
+                                     "{len: 1.4142135623730951, k: 0.25}]}")
+        p = tmp_path / "cfg.yaml"
+        p.write_text(f"model: {model}\nrun: {run}\n")
+        with pytest.raises(ConfigurationError, match=f"^{key} "):
+            load_config(p)
+        rc = cli_main(["relax", "--config", str(p), "--N", "4", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"error: ConfigurationError: {key} " in capsys.readouterr().err
+
     def test_empty_beta_is_refused(self, tmp_path):
         p = tmp_path / "cfg.yaml"
         p.write_text("model:\n  preset: square_double_well\nrun:\n  beta: []\n")
@@ -614,6 +642,18 @@ class TestCLI:
                        "--column", "err_E"])
         assert rc == 0
         assert "exponent" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("column", ["N", "err_Q"])
+    def test_fit_column_must_be_an_error_column(self, tmp_path, capsys, column):
+        # N was fitted against itself (exponent +1); a typo read as "no positive errors"
+        table = tiny_sweep(None, (4, 5, 6, 8))
+        emit(table, tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["fit", "--table", str(tmp_path / "table.json"), "--column", column])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"invalid choice: '{column}'" in err
+        assert all(f"'{errcol}'" in err for _, errcol in harness.ERROR_COLUMNS)
 
     def test_sweep_command_exit_code(self, tmp_path, capsys):
         # the benchmark's argv: the seed labels the table, both formats are written

@@ -233,6 +233,45 @@ def test_thermo_applies_F_N_without_the_kernel_table(monkeypatch):
     assert np.isfinite(ren.value) and np.max(np.abs(ren.first_variation)) > 0
 
 
+def test_bare_field_renormalised_entropy_builds_one_applier(monkeypatch):
+    # the bare field becomes one certified point whose F_N serves both the
+    # site entropies and the first variation, with the solved point's bits
+    model = preset_model("square_misfit")
+    point = relax_minimum(model, Supercell(model.spec, 12))
+    solved = renormalised_entropy(model, point, R_sum=3)
+    builds = []
+    init = FApplier.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FApplier, "__init__", counted)
+    bare = renormalised_entropy(model, point.u, R_sum=3)
+    assert len(builds) == 1
+    assert bare.value == solved.value
+    assert np.array_equal(bare.site_entropy, solved.site_entropy)
+
+
+@pytest.mark.parametrize("call", [
+    lambda model, u: site_entropies(model, u),
+    lambda model, u: renormalised_entropy(model, u, R_sum=1),
+], ids=["site_entropies", "renormalised_entropy"])
+def test_bare_saddle_field_is_certified_before_the_site_traces(monkeypatch, call):
+    # a bare field is certified as a state with no negative mode before any
+    # site trace; the first variation reads it as a direction and certifies nothing
+    model, cell, minimum, saddle = solved_double_well(4)
+    u = DisplacementField(cell, saddle.u.values)
+
+    def no_traces(*args, **kwargs):
+        raise AssertionError("site traces taken on an uncertified field")
+
+    monkeypatch.setattr(thermo, "site_log_traces", no_traces)
+    with pytest.raises(CertificationError, match="state certificate: expected 0 negative modes"):
+        call(model, u)
+    assert np.all(np.isfinite(site_entropy_first_variation(model, np.arange(cell.n), u)))
+
+
 class TestRenormalisedEntropy:
     def test_homogeneous_zero(self):
         model = preset_model("square_anharmonic")
